@@ -13,6 +13,7 @@ from .errors import (
     DenominatorError,
     EdgeOrderError,
     GeometryError,
+    InvalidArgumentError,
     InvalidCutoffError,
     NoPeakError,
     RankDeficiencyError,
@@ -32,6 +33,7 @@ __all__ = [
     "EdgeOrderError",
     "GeometryError",
     "GroundTruth",
+    "InvalidArgumentError",
     "InvalidCutoffError",
     "NoPeakError",
     "RankDeficiencyError",

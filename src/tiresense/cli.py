@@ -20,6 +20,7 @@ from .errors import SchemaError, TireSenseError
 from .estimation import (
     DEFAULT_FORGETTING,
     DEFAULT_INITIAL_COVARIANCE,
+    convergence_turn,
     estimate_load_stream,
     fit_load_surface,
     fit_patch_load_model,
@@ -236,13 +237,11 @@ def _cmd_evaluate(args) -> int:
         raise SchemaError(
             f"estimate rows ({len(loads)}) do not match truth turns ({n_truth})"
         )
+    if not valid.any():
+        raise TireSenseError("no valid turn to evaluate")
 
     rel_err = np.abs(loads[valid] - true_load) / true_load
-    final_rel_err = abs(loads[-1] - true_load) / true_load if len(loads) else np.nan
-
-    deviation = np.abs(loads - loads[-1]) / abs(loads[-1])
-    beyond = np.flatnonzero((deviation >= 0.01) & valid)
-    convergence_turn = 1 if len(beyond) == 0 else int(beyond[-1]) + 2
+    final_rel_err = abs(loads[-1] - true_load) / true_load
 
     report = {
         "tool_version": __version__,
@@ -257,7 +256,7 @@ def _cmd_evaluate(args) -> int:
             "relative_error_mean": float(np.mean(rel_err)),
             "relative_error_rms": float(np.sqrt(np.mean(rel_err**2))),
             "relative_error_max": float(np.max(rel_err)),
-            "convergence_turn": convergence_turn,
+            "convergence_turn": convergence_turn(loads, valid),
         },
         "slip": None,
         "skipped_turns": int(np.sum(~valid)),
@@ -276,34 +275,22 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _sweep_plot_rows(report, points: int):
-    """One-at-a-time sweep curves in long format (figure analogues)."""
-    from .geometry import derive_geometry
-    from .scenario import TireScenario
-
-    field_of = {
-        "load": "vertical_load",
-        "pressure": "inflation_pressure",
-        "tread": "tread_depth",
-    }
-    center = {field_of[f]: v for f, v in report.center.items()}
-    rows = []
-    for factor, (lo, hi) in report.ranges.items():
-        for value in np.linspace(lo, hi, points):
-            kwargs = dict(center)
-            kwargs[field_of[factor]] = float(value)
-            geom = derive_geometry(TireScenario(unloaded_radius=0.3, **kwargs))
-            rows.append((f"patch_length_vs_{factor}", value, geom.patch_chord))
-            rows.append((f"peak_radial_vs_{factor}", value, geom.deflection_mm))
-    return rows
-
-
 def _cmd_sweep(args) -> int:
     ranges, points = read_ranges(args.ranges)
     report = sensitivity_sweep(ranges, points=points)
     write_sensitivity(args.out, report)
     if args.plot_data is not None:
-        write_plot_data(args.plot_data, _sweep_plot_rows(report, points))
+        # one-at-a-time sweep curves in long format (figure analogues)
+        rows = []
+        for factor, curve in report.curves.items():
+            for x, length, peak in zip(
+                curve["value"],
+                curve["contact_patch_length"],
+                curve["peak_radial_displacement"],
+            ):
+                rows.append((f"patch_length_vs_{factor}", x, length))
+                rows.append((f"peak_radial_vs_{factor}", x, peak))
+        write_plot_data(args.plot_data, rows)
     return 0
 
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft, rfftfreq
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     EdgeOrderError,
@@ -49,7 +47,6 @@ class WheelTurnSegment:
     start_index: int
     end_index: int
     period: float
-    wheel_speed_estimate: float  # rad/s
     a_tangential: np.ndarray
     a_lateral: np.ndarray
     a_radial: np.ndarray
@@ -105,11 +102,11 @@ def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarra
             f"cutoff {cutoff} Hz must lie inside (0, {sample_rate / 2:.0f}) Hz"
         )
     x = np.asarray(signal, dtype=float)
-    spectrum = rfft(x)
-    ratio = (rfftfreq(len(x), 1.0 / sample_rate) / cutoff) ** 2
+    spectrum = np.fft.rfft(x)
+    ratio = (np.fft.rfftfreq(len(x), 1.0 / sample_rate) / cutoff) ** 2
     # |H|^2 of a second-order Butterworth high-pass, once per direction.
     spectrum *= ratio**2 / (1.0 + ratio**2)
-    return irfft(spectrum, len(x))
+    return np.fft.irfft(spectrum, len(x))
 
 
 def estimate_period(
@@ -137,9 +134,9 @@ def estimate_period(
             f"trace has {n / fs:.3f} s"
         )
     x = trace.a_radial - trace.a_radial.mean()
-    m = next_fast_len(2 * n)
-    spectrum = rfft(x, m)
-    autocorr = irfft(spectrum * np.conj(spectrum), m)[:n]
+    m = 1 << (2 * n - 1).bit_length()  # no circular wrap-around of lags < n
+    spectrum = np.fft.rfft(x, m)
+    autocorr = np.fft.irfft(spectrum * np.conj(spectrum), m)[:n]
 
     lo = max(1, int(np.floor(0.8 * hinted * fs)))
     hi = min(n - 2, int(np.ceil(1.2 * hinted * fs)))
@@ -200,7 +197,6 @@ def segment_turns(trace: AccelTrace, period: float) -> list[WheelTurnSegment]:
         boundaries.append(min(n, int(round(centers[-1] + p / 2.0))))
 
     segments: list[WheelTurnSegment] = []
-    omega = 2.0 * np.pi / period
     for start, end in zip(boundaries[:-1], boundaries[1:]):
         if end - start < 0.8 * p:  # guard against a truncated first/last turn
             continue
@@ -209,7 +205,6 @@ def segment_turns(trace: AccelTrace, period: float) -> list[WheelTurnSegment]:
                 start_index=start,
                 end_index=end,
                 period=period,
-                wheel_speed_estimate=omega,
                 a_tangential=trace.a_tangential[start:end],
                 a_lateral=trace.a_lateral[start:end],
                 a_radial=trace.a_radial[start:end],
@@ -218,6 +213,14 @@ def segment_turns(trace: AccelTrace, period: float) -> list[WheelTurnSegment]:
     if not segments:
         raise TooShortError("no complete wheel turn found")
     return segments
+
+
+def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running trapezoidal integral of evenly spaced samples, starting at 0."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(len(y))
+    out[1:] = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    return out
 
 
 def _linear_trend(signal: np.ndarray) -> np.ndarray:
@@ -244,9 +247,9 @@ def accel_to_displacement(
     cutoff = CUTOFF_ROTATION_FRACTION * rotation_frequency
 
     accel = highpass(x - x.mean(), sample_rate, cutoff)
-    velocity = cumulative_trapezoid(accel, dx=dt, initial=0.0)
+    velocity = _cumulative_trapezoid(accel, dt)
     velocity = highpass(velocity, sample_rate, cutoff)
-    disp = cumulative_trapezoid(velocity, dx=dt, initial=0.0)
+    disp = _cumulative_trapezoid(velocity, dt)
     disp = disp - _linear_trend(disp)
     return DisplacementProfile(samples=disp * 1e3, axis=axis)
 
@@ -258,8 +261,8 @@ def double_integrate(channel: np.ndarray, sample_rate: float) -> np.ndarray:
     bias * t^2 / 2 and the output is unbounded over time.
     """
     dt = 1.0 / sample_rate
-    velocity = cumulative_trapezoid(np.asarray(channel, float), dx=dt, initial=0.0)
-    return cumulative_trapezoid(velocity, dx=dt, initial=0.0)
+    velocity = _cumulative_trapezoid(channel, dt)
+    return _cumulative_trapezoid(velocity, dt)
 
 
 def _sorted_median(values: np.ndarray) -> float:

@@ -46,5 +46,9 @@ class DenominatorError(TireSenseError):
     """Load measurement denominator too close to zero to invert."""
 
 
+class InvalidArgumentError(TireSenseError, ValueError):
+    """A library call got an argument of the wrong shape or out of range."""
+
+
 class SchemaError(TireSenseError):
     """File does not match the schema or version this tool writes."""

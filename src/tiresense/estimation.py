@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DenominatorError, RankDeficiencyError
+from .errors import DenominatorError, InvalidArgumentError, RankDeficiencyError
 from .geometry import derive_geometry
 from .scenario import TireScenario
 
@@ -84,7 +84,7 @@ def fit_load_surface(
     """
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError("samples must be rows of (load, pressure, peak)")
+        raise InvalidArgumentError("samples must be rows of (load, pressure, peak)")
     load, pressure, peak = data.T
     design = np.column_stack(
         [np.ones_like(load), load, pressure, load * pressure, pressure**2]
@@ -140,9 +140,9 @@ class RlsState:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.forgetting <= 1.0:
-            raise ValueError("forgetting factor must lie in (0, 1]")
+            raise InvalidArgumentError("forgetting factor must lie in (0, 1]")
         if not self.covariance > 0.0:
-            raise ValueError("covariance must stay positive")
+            raise InvalidArgumentError("covariance must stay positive")
 
 
 def rls_update(state: RlsState, y: float, phi: float = 1.0) -> RlsState:
@@ -174,7 +174,7 @@ class LoadStreamResult:
         return float(self.estimates_lbf[-1])
 
 
-def _convergence_turn(estimates: np.ndarray, valid: np.ndarray) -> int:
+def convergence_turn(estimates: np.ndarray, valid: np.ndarray) -> int:
     """First 1-based turn after which the estimate stays within 1% of final."""
     final = estimates[-1]
     if final == 0.0:
@@ -202,7 +202,7 @@ def estimate_load_stream(
     peaks = np.asarray(peaks_mm, dtype=float)
     pressures = np.asarray(pressures_psi, dtype=float)
     if peaks.shape != pressures.shape:
-        raise ValueError("need one pressure per peak displacement")
+        raise InvalidArgumentError("need one pressure per peak displacement")
     state = RlsState(theta=0.0, covariance=initial_covariance, forgetting=forgetting)
     estimates = np.zeros(len(peaks))
     valid = np.zeros(len(peaks), dtype=bool)
@@ -222,7 +222,7 @@ def estimate_load_stream(
     return LoadStreamResult(
         estimates_lbf=estimates,
         valid=valid,
-        convergence_turn=_convergence_turn(estimates, valid),
+        convergence_turn=convergence_turn(estimates, valid),
         skipped_turns=skipped,
     )
 
@@ -247,7 +247,7 @@ def fit_patch_load_model(
     """Fit load ~ q0 + q1 * patch_length to (load_lbf, patch_length_m) rows."""
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError("samples must be rows of (load, patch_length)")
+        raise InvalidArgumentError("samples must be rows of (load, patch_length)")
     load, length = data.T
     design = np.column_stack([np.ones_like(length), length])
     coeff = _solve_least_squares(design, load)
@@ -293,7 +293,7 @@ def fit_slip_model(samples: list[tuple[float, float, float]]) -> SlipModel:
     """
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError("samples must be rows of (peak, slope, slip)")
+        raise InvalidArgumentError("samples must be rows of (peak, slope, slip)")
     peak, slope, slip = data.T
     design = np.column_stack([np.ones_like(peak), peak, slope])
     coeff = _solve_least_squares(design, slip)
@@ -317,12 +317,16 @@ def predict_slip(model: SlipModel, peak_lateral_mm: float, lateral_slope: float)
 
 @dataclass(frozen=True)
 class SensitivityReport:
-    """Range share of each factor per feature, percentages summing to 100."""
+    """Range share of each factor per feature, percentages summing to 100.
+
+    ``curves`` keeps every swept point: factor -> {"value": [...], feature: [...]}.
+    """
 
     ranges: dict
     center: dict
     shares: dict
     spans: dict
+    curves: dict
 
 
 def _sweep_feature_values(scenario: TireScenario) -> dict[str, float]:
@@ -348,7 +352,7 @@ def sensitivity_sweep(
     """
     required = set(SWEEP_FACTORS)
     if set(ranges) != required:
-        raise ValueError(f"ranges must cover exactly {sorted(required)}")
+        raise InvalidArgumentError(f"ranges must cover exactly {sorted(required)}")
     if base is None:
         # swept fields (load, pressure, tread) are overwritten per point
         base = TireScenario(
@@ -368,16 +372,18 @@ def sensitivity_sweep(
         )
 
     spans: dict[str, dict[str, float]] = {f: {} for f in SWEEP_FEATURES}
+    curves: dict[str, dict[str, list[float]]] = {}
     for factor, (lo, hi) in ranges.items():
         values = dict(center)
-        swept = {feature: [] for feature in SWEEP_FEATURES}
+        swept = {"value": [], **{feature: [] for feature in SWEEP_FEATURES}}
         for value in np.linspace(lo, hi, points):
             values[factor] = float(value)
-            feature_values = _sweep_feature_values(scenario_at(values))
-            for feature in SWEEP_FEATURES:
-                swept[feature].append(feature_values[feature])
+            swept["value"].append(values[factor])
+            for feature, y in _sweep_feature_values(scenario_at(values)).items():
+                swept[feature].append(y)
         for feature in SWEEP_FEATURES:
             spans[feature][factor] = float(max(swept[feature]) - min(swept[feature]))
+        curves[factor] = swept
 
     shares: dict[str, dict[str, float]] = {}
     for feature in SWEEP_FEATURES:
@@ -394,4 +400,5 @@ def sensitivity_sweep(
         center=center,
         shares=shares,
         spans=spans,
+        curves=curves,
     )

@@ -21,7 +21,7 @@ from .dsp import (
     estimate_period,
     segment_turns,
 )
-from .errors import EdgeOrderError
+from .errors import EdgeOrderError, InvalidArgumentError
 from .simulate import AccelTrace
 
 # Fraction of the patch window used for the "initial linear part" fit.
@@ -37,7 +37,6 @@ class FootprintFeatures:
     peak_radial_displacement: float  # mm, dip amplitude, >= 0 for a real patch
     peak_lateral_displacement: float # mm, magnitude
     lateral_slope: float             # mm lateral per mm of patch travel
-    wheel_speed: float               # m/s
 
 
 def patch_length(
@@ -55,7 +54,7 @@ def peak_radial_displacement(profile: DisplacementProfile) -> float:
     relative rather than absolute so it is invariant to detrending.
     """
     if profile.patch_window is None:
-        raise ValueError("radial profile needs a patch window")
+        raise InvalidArgumentError("radial profile needs a patch window")
     leading, trailing = profile.patch_window
     center = (leading + trailing) // 2
     return float(np.max(profile.samples) - profile.samples[center])
@@ -116,7 +115,6 @@ def extract_features(
                     peak_radial_displacement=nan,
                     peak_lateral_displacement=nan,
                     lateral_slope=nan,
-                    wheel_speed=wheel_speed,
                 )
             )
             continue
@@ -145,7 +143,6 @@ def extract_features(
                 peak_radial_displacement=peak_radial,
                 peak_lateral_displacement=peak_lateral,
                 lateral_slope=slope,
-                wheel_speed=wheel_speed,
             )
         )
     return rows, skipped

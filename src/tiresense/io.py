@@ -58,13 +58,18 @@ def _write_json(path: Path, payload: dict) -> None:
     Path(path).write_text(text + "\n")
 
 
-def read_json(path: Path, expected_schema: str) -> dict:
+def _read_object(path: Path) -> dict:
     try:
         payload = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: expected a JSON object")
+    return payload
+
+
+def read_json(path: Path, expected_schema: str) -> dict:
+    payload = _read_object(path)
     version = payload.get("schema_version")
     if version != expected_schema:
         raise SchemaError(
@@ -88,12 +93,7 @@ def sha256_of(path: Path) -> str:
 
 def read_scenario(path: Path) -> tuple[TireScenario, SensorSpec]:
     """Read a flat scenario JSON carrying tire and sensor fields."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
+    payload = _read_object(path)
     known = set(_SCENARIO_FIELDS) | set(_SENSOR_FIELDS)
     unknown = set(payload) - known
     if unknown:
@@ -103,9 +103,12 @@ def read_scenario(path: Path) -> tuple[TireScenario, SensorSpec]:
         raise SchemaError(f"{path}: missing required fields {missing}")
     scenario_kwargs = {k: payload[k] for k in _SCENARIO_FIELDS if k in payload}
     sensor_kwargs = {k: payload[k] for k in _SENSOR_FIELDS if k in payload}
-    if "dc_bias" in sensor_kwargs:
-        sensor_kwargs["dc_bias"] = tuple(sensor_kwargs["dc_bias"])
-    return TireScenario(**scenario_kwargs), SensorSpec(**sensor_kwargs)
+    try:
+        if "dc_bias" in sensor_kwargs:
+            sensor_kwargs["dc_bias"] = tuple(sensor_kwargs["dc_bias"])
+        return TireScenario(**scenario_kwargs), SensorSpec(**sensor_kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed scenario field ({exc})") from exc
 
 
 def scenario_to_dict(scenario: TireScenario, sensor: SensorSpec) -> dict:
@@ -170,7 +173,10 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
         header = handle.readline().strip()
         if header != "t,a_tangential,a_lateral,a_radial":
             raise SchemaError(f"{path}: unexpected CSV header {header!r}")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: malformed trace row ({exc})") from exc
     if data.shape[1] != 4:
         raise SchemaError(f"{path}: expected 4 columns")
 
@@ -187,6 +193,12 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
         raise SchemaError(f"{sidecar_path(path)}: malformed sidecar ({exc})") from exc
 
     n = data.shape[0]
+    # The t column must agree with the sidecar's rate to within half a sample.
+    if not np.all(np.abs(data[:, 0] * sensor.sample_rate - np.arange(n)) <= 0.5):
+        raise SchemaError(
+            f"{path}: t column does not match the sidecar sample_rate "
+            f"{sensor.sample_rate:g} Hz"
+        )
     trace = AccelTrace(
         sample_rate=sensor.sample_rate,
         samples=data[:, 1:4],
@@ -342,13 +354,10 @@ def write_report(path: Path, report: dict) -> None:
 
 def read_ranges(path: Path) -> tuple[dict, int]:
     """Read a sweep ranges file: factor -> [lo, hi] plus optional points."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
-    points = int(payload.pop("points", 7))
+    payload = _read_object(path)
+    points = payload.pop("points", 7)
+    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
+        raise SchemaError(f"{path}: points must be an integer of at least 2")
     try:
         ranges = {
             factor: (float(bounds[0]), float(bounds[1]))

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tiresense
 from tiresense import SchemaError, SensorSpec, simulate
 from tiresense.cli import main
 from tiresense.estimation import fit_load_surface, fit_patch_load_model, fit_slip_model
@@ -327,3 +330,103 @@ def test_cli_simulate_plot_integration(workspace, tmp_path):
                "--plot-integration", fig8) == 0
     text = fig8.read_text()
     assert "filtered_mm" in text and "unfiltered_mm" in text
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs: one-line error, exit 1, no traceback, no output file
+
+def run_python(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(tiresense.__file__).parents[1])}
+    return subprocess.run([sys.executable, *map(str, argv)],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bad")
+    write_trace_files(root / "trace.csv", scenario(), SENSOR, 4)
+    surface = fit_load_surface(
+        [
+            (load, pressure, 0.001 * load + 0.2 * pressure - 0.004 * pressure**2)
+            for load in (800.0, 1000.0, 1300.0)
+            for pressure in (29.0, 32.0, 35.0)
+        ]
+    )
+    patch = fit_patch_load_model([(800.0, 0.2), (1500.0, 0.27)], 32.0, 8.0)
+    write_load_models(root / "lm.json", surface, patch)
+    return root
+
+
+def _ranges(root, **extra):
+    path = root / "ranges.json"
+    path.write_text(json.dumps({"load": [800, 1500], "pressure": [29, 35],
+                                "tread": [2, 8], **extra}))
+    return ["sweep", "--ranges", path, "--out", root / "out"]
+
+
+def _estimate(root, trace="trace.csv", *extra):
+    return ["estimate", "--trace", root / trace, "--load-model", root / "lm.json",
+            "--out", root / "out", *extra]
+
+
+def _no_valid_turn(root):
+    write_estimates(root / "est.csv", np.full(4, 1000.0), np.full(4, np.nan),
+                    np.zeros(4, dtype=bool))
+    return ["evaluate", "--estimates", root / "est.csv",
+            "--truth", root / "trace.json", "--report", root / "out"]
+
+
+def _truncated_csv(root):
+    lines = (root / "trace.csv").read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 2)[0]
+    (root / "cut.csv").write_text("\n".join(lines) + "\n")
+    (root / "cut.json").write_bytes((root / "trace.json").read_bytes())
+    return _estimate(root, "cut.csv")
+
+
+def _rate_mismatch(root):
+    sidecar = json.loads((root / "trace.json").read_text())
+    sidecar["sensor"]["sample_rate"] = 5000.0
+    (root / "slow.json").write_text(json.dumps(sidecar))
+    (root / "slow.csv").write_bytes((root / "trace.csv").read_bytes())
+    return _estimate(root, "slow.csv")
+
+
+def _string_field(root):
+    payload = scenario_to_dict(scenario(), SENSOR)
+    payload["unloaded_radius"] = "0.3"
+    (root / "scenario.json").write_text(json.dumps(payload))
+    return ["simulate", "--scenario", root / "scenario.json", "--turns", 2,
+            "--out", root / "out"]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        pytest.param(lambda root: _estimate(root, "trace.csv", "--lambda", 0),
+                     id="lambda-zero"),
+        pytest.param(lambda root: _ranges(root, speed=[10, 30]), id="extra-factor"),
+        pytest.param(lambda root: _ranges(root, points=1), id="points-1"),
+        pytest.param(lambda root: _ranges(root, points=2.5), id="points-2.5"),
+        pytest.param(lambda root: _ranges(root, points="x"), id="points-x"),
+        pytest.param(_no_valid_turn, id="no-valid-turn"),
+        pytest.param(_truncated_csv, id="truncated-csv"),
+        pytest.param(_rate_mismatch, id="sample-rate-mismatch"),
+        pytest.param(_string_field, id="string-scenario-field"),
+    ],
+)
+def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv):
+    (bad_inputs / "out").unlink(missing_ok=True)
+    proc = run_python("-m", "tiresense", *make_argv(bad_inputs))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert not (bad_inputs / "out").exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = run_python("-c", "import sys, tiresense.cli; "
+                      "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
