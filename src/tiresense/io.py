@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -29,6 +31,12 @@ REPORT_SCHEMA = "tiresense.report.v1"
 SENSITIVITY_SCHEMA = "tiresense.sensitivity.v1"
 PLOT_SCHEMA = "tiresense.plot.v1"
 FEATURES_SCHEMA = "tiresense.features.v1"
+_TRACE_HEADER = "t,a_tangential,a_lateral,a_radial"
+_ESTIMATES_HEADER = "turn,load_lbf,slip_deg,valid"
+
+# Rows formatted per write of a CSV table: enough to make the per-block cost
+# vanish, few enough that a block's text stays a few hundred kB.
+_BLOCK_ROWS = 8192
 
 _SCENARIO_FIELDS = (
     "unloaded_radius",
@@ -78,8 +86,43 @@ def read_json(path: Path, expected_schema: str) -> dict:
     return payload
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
+def _write_table(
+    path: Path, schema: str, header: str, row_format: str, table: np.ndarray
+) -> None:
+    """Write the schema and header lines, then one ``row_format`` line per
+    row of the 2-D array ``table``.
+
+    Each block of rows is formatted with a single ``%``; its ``%.12g`` is the
+    conversion ``format(x, ".12g")`` makes, so the bytes do not depend on the
+    block size.
+    """
+    with Path(path).open("w") as handle:
+        handle.write(f"# schema={schema}\n{header}\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start : start + _BLOCK_ROWS]
+            handle.write(row_format * len(block) % tuple(block.ravel().tolist()))
+
+
+def _read_table(path: Path, schema: str, header: str) -> np.ndarray:
+    """Rows of a table ``_write_table`` wrote, one float column per header field."""
+    columns = header.count(",") + 1
+    with Path(path).open() as handle:
+        if handle.readline().strip() != f"# schema={schema}":
+            raise SchemaError(f"{path}: first line does not name schema {schema}")
+        found = handle.readline().strip()
+        if found != header:
+            raise SchemaError(f"{path}: unexpected CSV header {found!r}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a table may have no row
+                data = np.loadtxt(handle, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: malformed row ({exc})") from exc
+    if data.size == 0:
+        return np.empty((0, columns))
+    if data.shape[1] != columns:
+        raise SchemaError(f"{path}: expected {columns} columns")
+    return data
 
 
 def sha256_of(path: Path) -> str:
@@ -132,15 +175,8 @@ def write_trace(
     sensor: SensorSpec,
 ) -> Path:
     """Write trace CSV plus its JSON sidecar; returns the sidecar path."""
-    path = Path(path)
-    lines = [f"# schema={TRACE_SCHEMA}", "t,a_tangential,a_lateral,a_radial"]
-    times = trace.times
-    for i in range(len(trace)):
-        row = trace.samples[i]
-        lines.append(
-            f"{_fmt(times[i])},{_fmt(row[0])},{_fmt(row[1])},{_fmt(row[2])}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack((trace.times, trace.samples))
+    _write_table(path, TRACE_SCHEMA, _TRACE_HEADER, "%.12g,%.12g,%.12g,%.12g\n", table)
 
     sidecar = sidecar_path(path)
     payload = {
@@ -165,21 +201,7 @@ def sidecar_path(trace_path: Path) -> Path:
 
 def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, SensorSpec]:
     """Read a trace CSV and its sidecar back into memory."""
-    path = Path(path)
-    with path.open() as handle:
-        first = handle.readline().strip()
-        if first != f"# schema={TRACE_SCHEMA}":
-            raise SchemaError(f"{path}: first line does not name schema {TRACE_SCHEMA}")
-        header = handle.readline().strip()
-        if header != "t,a_tangential,a_lateral,a_radial":
-            raise SchemaError(f"{path}: unexpected CSV header {header!r}")
-        try:
-            data = np.loadtxt(handle, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: malformed trace row ({exc})") from exc
-    if data.shape[1] != 4:
-        raise SchemaError(f"{path}: expected 4 columns")
-
+    data = _read_table(path, TRACE_SCHEMA, _TRACE_HEADER)
     payload = read_json(sidecar_path(path), SIDECAR_SCHEMA)
     try:
         scenario = TireScenario(**payload["scenario"])
@@ -300,51 +322,27 @@ def write_estimates(
     slips_deg: np.ndarray,
     valid: np.ndarray,
 ) -> None:
-    lines = [f"# schema={ESTIMATES_SCHEMA}", "turn,load_lbf,slip_deg,valid"]
-    for i in range(len(loads_lbf)):
-        lines.append(
-            f"{i},{_fmt(loads_lbf[i])},{_fmt(slips_deg[i])},{int(valid[i])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack((np.arange(len(loads_lbf)), loads_lbf, slips_deg, valid))
+    _write_table(path, ESTIMATES_SCHEMA, _ESTIMATES_HEADER, "%d,%.12g,%.12g,%d\n", table)
 
 
 def read_estimates(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    path = Path(path)
-    with path.open() as handle:
-        first = handle.readline().strip()
-        if first != f"# schema={ESTIMATES_SCHEMA}":
-            raise SchemaError(
-                f"{path}: first line does not name schema {ESTIMATES_SCHEMA}"
-            )
-        header = handle.readline().strip()
-        if header != "turn,load_lbf,slip_deg,valid":
-            raise SchemaError(f"{path}: unexpected CSV header {header!r}")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2)
-    if data.size == 0:
-        return np.array([]), np.array([]), np.array([], dtype=bool)
+    data = _read_table(path, ESTIMATES_SCHEMA, _ESTIMATES_HEADER)
     return data[:, 1], data[:, 2], data[:, 3].astype(bool)
 
 
 def write_feature_table(path: Path, rows) -> None:
-    lines = [
-        f"# schema={FEATURES_SCHEMA}",
-        "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope",
-    ]
-    for row in rows:
-        lines.append(
-            f"{row.turn_index},{_fmt(row.patch_length)},"
-            f"{_fmt(row.peak_radial_displacement)},"
-            f"{_fmt(row.peak_lateral_displacement)},{_fmt(row.lateral_slope)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.array([(r.turn_index, r.patch_length, r.peak_radial_displacement,
+                       r.peak_lateral_displacement, r.lateral_slope) for r in rows])
+    _write_table(path, FEATURES_SCHEMA,
+                 "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope",
+                 "%d,%.12g,%.12g,%.12g,%.12g\n", table)
 
 
 def write_plot_data(path: Path, rows) -> None:
     """Long-format plotting CSV; rows are (series, x, y) triples."""
-    lines = [f"# schema={PLOT_SCHEMA}", "series,x,y"]
-    for series, x, y in rows:
-        lines.append(f"{series},{_fmt(x)},{_fmt(y)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, PLOT_SCHEMA, "series,x,y", "%s,%.12g,%.12g\n",
+                 np.array(rows, dtype=object))
 
 
 def write_report(path: Path, report: dict) -> None:
@@ -358,13 +356,15 @@ def read_ranges(path: Path) -> tuple[dict, int]:
     points = payload.pop("points", 7)
     if isinstance(points, bool) or not isinstance(points, int) or points < 2:
         raise SchemaError(f"{path}: points must be an integer of at least 2")
-    try:
-        ranges = {
-            factor: (float(bounds[0]), float(bounds[1]))
-            for factor, bounds in payload.items()
-        }
-    except (TypeError, IndexError, ValueError) as exc:
-        raise SchemaError(f"{path}: ranges must map factor to [lo, hi]") from exc
+    ranges = {}
+    for factor, bounds in payload.items():
+        try:
+            lo, hi = map(float, bounds)  # ValueError unless exactly two values
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: {factor} must map to [lo, hi] ({exc})") from exc
+        if not (isinstance(bounds, list) and math.isfinite(lo) and math.isfinite(hi)):
+            raise SchemaError(f"{path}: {factor} must map to two finite numbers [lo, hi]")
+        ranges[factor] = (lo, hi)
     return ranges, points
 
 

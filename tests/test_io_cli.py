@@ -11,7 +11,9 @@ import tiresense
 from tiresense import SchemaError, SensorSpec, simulate
 from tiresense.cli import main
 from tiresense.estimation import fit_load_surface, fit_patch_load_model, fit_slip_model
+from tiresense.features import FootprintFeatures
 from tiresense.io import (
+    _BLOCK_ROWS,
     read_estimates,
     read_load_models,
     read_scenario,
@@ -19,12 +21,14 @@ from tiresense.io import (
     read_trace,
     scenario_to_dict,
     write_estimates,
+    write_feature_table,
     write_load_models,
     write_plot_data,
     write_scenario,
     write_slip_model,
     write_trace,
 )
+from tiresense.simulate import AccelTrace
 
 from conftest import scenario
 
@@ -66,11 +70,14 @@ def test_scenario_rejects_unknown_and_missing_fields(tmp_path):
 def test_trace_round_trip(tmp_path):
     scen = scenario()
     path = tmp_path / "trace.csv"
-    trace, truth = write_trace_files(path, scen, SENSOR, 2)
+    trace, truth = write_trace_files(path, scen, SENSOR, 9)
+    assert len(trace) > _BLOCK_ROWS  # written in more than one block
     back_trace, back_truth, back_scen, back_sensor = read_trace(path)
     assert back_scen == scen
     assert back_sensor == SENSOR
-    np.testing.assert_allclose(back_trace.samples, trace.samples, rtol=1e-9)
+    assert back_truth.n_turns == truth.n_turns
+    # 12 significant digits: within 5e-12 of each value
+    np.testing.assert_allclose(back_trace.samples, trace.samples, rtol=1e-11, atol=0)
     np.testing.assert_allclose(
         back_truth.true_patch_chord_m, truth.true_patch_chord_m
     )
@@ -127,6 +134,80 @@ def test_plot_data_empty_has_header_only(tmp_path):
     write_plot_data(path, [])
     lines = path.read_text().splitlines()
     assert lines == ["# schema=tiresense.plot.v1", "series,x,y"]
+    write_estimates(path, np.array([]), np.array([]), np.array([], dtype=bool))
+    assert path.read_text().splitlines()[1:] == ["turn,load_lbf,slip_deg,valid"]
+    loads, slips, valid = read_estimates(path)
+    assert loads.shape == slips.shape == valid.shape == (0,) and valid.dtype == bool
+    write_feature_table(path, [])
+    assert path.read_text().splitlines()[1:] == [
+        "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope"
+    ]
+
+
+def _g(value):
+    return format(float(value), ".12g")
+
+
+def _reference(schema, header, lines):
+    return "".join(f"{line}\n" for line in [f"# schema={schema}", header, *lines])
+
+
+@pytest.mark.parametrize("n_rows", [_BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
+def test_writers_match_row_by_row_reference(tmp_path, n_rows):
+    # Each writer against the same table formatted one row and one value
+    # at a time with format(x, ".12g").
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, 4)) * 10.0 ** rng.integers(-20, 20, (n_rows, 4))
+    table[1, :] = [-0.0, 5e-324, 1e300, 123456789012345.0]
+    with_nan = table.copy()
+    with_nan[2, 1:3] = np.nan
+
+    rate = 10000.0
+    trace = AccelTrace(sample_rate=rate, samples=table[:, 1:], duration=n_rows / rate)
+    _, truth = simulate(scenario(), SENSOR, 1)
+    path = tmp_path / "trace.csv"
+    write_trace(path, trace, truth, scenario(), SENSOR)
+    expected = [
+        ",".join(_g(v) for v in (i / rate, *row)) for i, row in enumerate(table[:, 1:])
+    ]
+    assert path.read_bytes() == _reference(
+        "tiresense.trace.v1", "t,a_tangential,a_lateral,a_radial", expected
+    ).encode()
+
+    valid = with_nan[:, 3] > 0
+    path = tmp_path / "est.csv"
+    write_estimates(path, with_nan[:, 0], with_nan[:, 1], valid)
+    expected = [
+        f"{i},{_g(load)},{_g(slip)},{int(v)}"
+        for i, (load, slip, v) in enumerate(zip(with_nan[:, 0], with_nan[:, 1], valid))
+    ]
+    assert path.read_bytes() == _reference(
+        "tiresense.estimates.v1", "turn,load_lbf,slip_deg,valid", expected
+    ).encode()
+
+    rows = [FootprintFeatures(i, *row) for i, row in enumerate(with_nan.tolist())]
+    path = tmp_path / "features.csv"
+    write_feature_table(path, rows)
+    expected = [
+        f"{r.turn_index},{_g(r.patch_length)},{_g(r.peak_radial_displacement)},"
+        f"{_g(r.peak_lateral_displacement)},{_g(r.lateral_slope)}"
+        for r in rows
+    ]
+    assert path.read_bytes() == _reference(
+        "tiresense.features.v1",
+        "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope",
+        expected,
+    ).encode()
+
+    # Python ints, Python floats and numpy floats, as the CLI passes them
+    rows = [(f"s{i % 3}", i, v) for i, v in enumerate(table[:, 0].tolist())]
+    rows[3:6] = [("s0", np.float64(x), np.float64(y)) for x, y in table[3:6, :2]]
+    path = tmp_path / "plot.csv"
+    write_plot_data(path, rows)
+    expected = [f"{s},{_g(x)},{_g(y)}" for s, x, y in rows]
+    assert path.read_bytes() == _reference(
+        "tiresense.plot.v1", "series,x,y", expected
+    ).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +450,15 @@ def _estimate(root, trace="trace.csv", *extra):
             "--out", root / "out", *extra]
 
 
+def _evaluate(root):
+    return ["evaluate", "--estimates", root / "est.csv",
+            "--truth", root / "trace.json", "--report", root / "out"]
+
+
 def _no_valid_turn(root):
     write_estimates(root / "est.csv", np.full(4, 1000.0), np.full(4, np.nan),
                     np.zeros(4, dtype=bool))
-    return ["evaluate", "--estimates", root / "est.csv",
-            "--truth", root / "trace.json", "--report", root / "out"]
+    return _evaluate(root)
 
 
 def _truncated_csv(root):
@@ -390,6 +475,28 @@ def _rate_mismatch(root):
     (root / "slow.json").write_text(json.dumps(sidecar))
     (root / "slow.csv").write_bytes((root / "trace.csv").read_bytes())
     return _estimate(root, "slow.csv")
+
+
+def _short_estimates_row(root):
+    _no_valid_turn(root)
+    lines = (root / "est.csv").read_text().splitlines()
+    lines[-1] = lines[-1].rsplit(",", 2)[0]
+    (root / "est.csv").write_text("\n".join(lines) + "\n")
+    return _evaluate(root)
+
+
+def _two_column_estimates(root):
+    lines = ["# schema=tiresense.estimates.v1", "turn,load_lbf,slip_deg,valid"]
+    lines += [f"{i},1000" for i in range(4)]
+    (root / "est.csv").write_text("\n".join(lines) + "\n")
+    return _evaluate(root)
+
+
+def _empty_trace(root):
+    lines = (root / "trace.csv").read_text().splitlines()[:2]
+    (root / "empty.csv").write_text("\n".join(lines) + "\n")
+    (root / "empty.json").write_bytes((root / "trace.json").read_bytes())
+    return _estimate(root, "empty.csv")
 
 
 def _string_field(root):
@@ -412,7 +519,13 @@ def _string_field(root):
         pytest.param(_no_valid_turn, id="no-valid-turn"),
         pytest.param(_truncated_csv, id="truncated-csv"),
         pytest.param(_rate_mismatch, id="sample-rate-mismatch"),
+        pytest.param(_empty_trace, id="header-only-trace"),
         pytest.param(_string_field, id="string-scenario-field"),
+        pytest.param(_short_estimates_row, id="estimates-short-row"),
+        pytest.param(_two_column_estimates, id="estimates-two-columns"),
+        pytest.param(lambda root: _ranges(root, tread=[2, 8, 9]), id="three-bounds"),
+        pytest.param(lambda root: _ranges(root, tread=[2, float("inf")]),
+                     id="infinite-bound"),
     ],
 )
 def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv):
