@@ -34,6 +34,7 @@ from .io import (
     read_load_models,
     read_ranges,
     read_scenario,
+    read_sidecar,
     read_slip_model,
     read_trace,
     sha256_of,
@@ -45,8 +46,6 @@ from .io import (
     write_sensitivity,
     write_slip_model,
     write_trace,
-    SIDECAR_SCHEMA,
-    read_json,
 )
 from .simulate import simulate
 
@@ -120,10 +119,9 @@ def _cmd_simulate(args) -> int:
     if args.plot_integration is not None:
         period = float(truth.wheel_period_s[0])
         segment = segment_turns(trace, period)[0]
-        filtered = accel_to_displacement(
-            -segment.a_radial, trace.sample_rate, 1.0 / period
-        )
-        raw = -double_integrate(segment.a_radial, trace.sample_rate) * 1e3
+        turn = trace.a_radial[segment.start_index : segment.end_index]
+        filtered = accel_to_displacement(-turn, trace.sample_rate, 1.0 / period)
+        raw = -double_integrate(turn, trace.sample_rate) * 1e3
         times = np.arange(len(segment)) / trace.sample_rate
         rows = [("filtered_mm", t, v) for t, v in zip(times, filtered.samples)]
         rows += [("unfiltered_mm", t, v) for t, v in zip(times, raw)]
@@ -229,10 +227,10 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     loads, slips, valid = read_estimates(args.estimates)
-    sidecar = read_json(args.truth, SIDECAR_SCHEMA)
-    true_load = float(sidecar["scenario"]["vertical_load"])
-    true_slip = float(sidecar["scenario"]["slip_angle"])
-    n_truth = int(sidecar["n_turns"])
+    truth, scenario, _ = read_sidecar(args.truth)
+    true_load = float(scenario.vertical_load)
+    true_slip = float(scenario.slip_angle)
+    n_truth = truth.n_turns
     if len(loads) != n_truth:
         raise SchemaError(
             f"estimate rows ({len(loads)}) do not match truth turns ({n_truth})"

@@ -5,12 +5,13 @@ signals: extract one wheel turn, remove the mean, high-pass, integrate,
 high-pass again, integrate again, and detrend.  Filtering before each
 integration is what keeps a constant accelerometer bias from turning into
 quadratic drift.  Filters run forward and backward so the patch features
-keep their timing (zero net phase).
+keep their timing (zero net phase).  Turns share one length, so the
+integration runs on a ``(turns, samples)`` array in one call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +26,13 @@ from .simulate import AccelTrace
 # High-pass corner as a fraction of the wheel rotation frequency: below the
 # once-per-turn fundamental that carries the patch dip, far above DC.
 CUTOFF_ROTATION_FRACTION = 0.3
+
+# Leading hinted turns the coarse period's autocorrelation covers; turn
+# tracking and the grid fit in segment_turns set the final period.
+PERIOD_PREFIX_TURNS = 20
+
+# A turn that a trace end cuts by more than this fraction of a turn is dropped.
+MAX_CUT_FRACTION = 0.2
 
 # Smoothing window widths, as fractions of one turn.
 PATCH_SMOOTH_FRACTION = 1.0 / 50.0
@@ -42,14 +50,10 @@ MAD_TO_SIGMA = 1.4826
 
 @dataclass(frozen=True)
 class WheelTurnSegment:
-    """One revolution's worth of samples, patch roughly centred."""
+    """Sample window ``[start_index, end_index)`` of one revolution, patch centred."""
 
     start_index: int
     end_index: int
-    period: float
-    a_tangential: np.ndarray
-    a_lateral: np.ndarray
-    a_radial: np.ndarray
 
     def __len__(self) -> int:
         return self.end_index - self.start_index
@@ -57,22 +61,10 @@ class WheelTurnSegment:
 
 @dataclass(frozen=True)
 class DisplacementProfile:
-    """Per-turn displacement in millimetres recovered by double integration.
-
-    ``patch_window`` holds (leading, trailing) sample indices relative to
-    the turn once edge detection has run; profiles fresh out of the
-    integrator carry ``None``.
-    """
+    """Displacement in millimetres recovered by double integration: one turn,
+    or one turn per row of a 2-D ``samples`` (the last axis is time)."""
 
     samples: np.ndarray
-    axis: str
-    patch_window: tuple[int, int] | None = None
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def with_patch_window(self, window: tuple[int, int]) -> "DisplacementProfile":
-        return replace(self, patch_window=(int(window[0]), int(window[1])))
 
 
 def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
@@ -89,33 +81,36 @@ def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarra
 
     Equivalent to running the filter forward then backward: the magnitude
     response is applied twice and the phase response cancels exactly, so
-    peak timing is preserved.  Realised in the frequency domain, which
-    treats the window as circular; per-turn windows are near-periodic by
-    construction (one patch, boundaries in the quiet part of the
-    revolution), so this avoids the boundary transients a padded
-    time-domain filter leaves on windows only a couple of filter time
-    constants long.  DC gain is zero and the passband is within 1% of
-    unity from 4x the cutoff upward.
+    peak timing is preserved.  Each row of a 2-D input is filtered on its
+    own.  Realised in the frequency domain, which treats the window as
+    circular; per-turn windows are near-periodic by construction (one
+    patch, boundaries in the quiet part of the revolution), so this avoids
+    the boundary transients a padded time-domain filter leaves on windows
+    only a couple of filter time constants long.  DC gain is zero and the
+    passband is within 1% of unity from 4x the cutoff upward.
     """
     if not 0.0 < cutoff < sample_rate / 2.0:
         raise InvalidCutoffError(
             f"cutoff {cutoff} Hz must lie inside (0, {sample_rate / 2:.0f}) Hz"
         )
     x = np.asarray(signal, dtype=float)
+    n = x.shape[-1]
     spectrum = np.fft.rfft(x)
-    ratio = (np.fft.rfftfreq(len(x), 1.0 / sample_rate) / cutoff) ** 2
+    ratio = (np.fft.rfftfreq(n, 1.0 / sample_rate) / cutoff) ** 2
     # |H|^2 of a second-order Butterworth high-pass, once per direction.
     spectrum *= ratio**2 / (1.0 + ratio**2)
-    return np.fft.irfft(spectrum, len(x))
+    return np.fft.irfft(spectrum, n)
 
 
 def estimate_period(
     trace: AccelTrace, speed_hint: float, radius_hint: float
 ) -> float:
-    """Wheel period from the radial channel's autocorrelation.
+    """Coarse wheel period from the radial channel's autocorrelation.
 
-    The peak is searched within +/-20% of the hinted kinematic period
-    ``2 * pi * radius / speed``.
+    The autocorrelation covers the first ``PERIOD_PREFIX_TURNS`` hinted
+    turns, and its peak is searched within +/-20% of the hinted kinematic
+    period ``2 * pi * radius / speed``.  The result is a whole number of
+    samples; ``segment_turns`` refines it.
 
     Raises
     ------
@@ -133,7 +128,9 @@ def estimate_period(
             f"need at least 3 hinted periods ({3 * hinted:.3f} s), "
             f"trace has {n / fs:.3f} s"
         )
-    x = trace.a_radial - trace.a_radial.mean()
+    x = trace.a_radial[: int(round(PERIOD_PREFIX_TURNS * hinted * fs))]
+    x = x - x.mean()
+    n = len(x)
     m = 1 << (2 * n - 1).bit_length()  # no circular wrap-around of lags < n
     spectrum = np.fft.rfft(x, m)
     autocorr = np.fft.irfft(spectrum * np.conj(spectrum), m)[:n]
@@ -152,11 +149,17 @@ def estimate_period(
 
 
 def segment_turns(trace: AccelTrace, period: float) -> list[WheelTurnSegment]:
-    """Split a trace into whole revolutions, one patch per segment.
+    """Split a trace into whole revolutions, one centred patch per segment.
 
-    Patch centres are the minima of the lightly smoothed radial channel;
-    turn boundaries sit midway between consecutive centres, with half a
-    period added before the first and after the last centre.
+    Patch centres are the minima of the lightly smoothed radial channel.
+    Starting from the deepest one, each next centre is searched within
+    +/-period/10 of one ``period`` past the previous centre, in both
+    directions, so a coarse period cannot make the search drift off the
+    patch.  A least-squares line through the centres gives the phase and
+    the period of the turn grid.  Every segment is ``round(fitted period)``
+    samples long and centred on a grid point.  A turn that a trace end cuts
+    by more than ``MAX_CUT_FRACTION`` of a turn is dropped; a shorter cut
+    shifts its window back inside the trace.
 
     Raises
     ------
@@ -172,70 +175,54 @@ def segment_turns(trace: AccelTrace, period: float) -> list[WheelTurnSegment]:
         raise TooShortError("trace is shorter than one wheel turn")
 
     smooth = moving_average(trace.a_radial, int(round(p * PATCH_SMOOTH_FRACTION)))
-    anchor = int(np.argmin(smooth))
-
     half_window = max(1, int(round(p / 10.0)))
-    centers: list[int] = []
-    k_min = -int(np.floor(anchor / p)) - 1
-    k_max = int(np.floor((n - 1 - anchor) / p)) + 1
-    for k in range(k_min, k_max + 1):
-        guess = anchor + k * p
-        lo = int(round(guess - half_window))
-        hi = int(round(guess + half_window))
-        if lo < 0 or hi >= n:
-            continue
-        centers.append(lo + int(np.argmin(smooth[lo : hi + 1])))
-    centers.sort()
 
-    boundaries: list[int] = []
-    for c_prev, c_next in zip(centers[:-1], centers[1:]):
-        boundaries.append(int(round((c_prev + c_next) / 2.0)))
-    if centers:
-        # Clamp the half-period end caps: centre jitter of a few samples must
-        # not cost a whole turn; the length guard below rejects real stubs.
-        boundaries.insert(0, max(0, int(round(centers[0] - p / 2.0))))
-        boundaries.append(min(n, int(round(centers[-1] + p / 2.0))))
+    def track(center: int, step: float) -> list[int]:
+        found = []
+        while True:
+            lo = int(round(center + step - half_window))
+            hi = int(round(center + step + half_window))
+            if lo < 0 or hi >= n:
+                return found
+            center = lo + int(np.argmin(smooth[lo : hi + 1]))
+            found.append(center)
 
-    segments: list[WheelTurnSegment] = []
-    for start, end in zip(boundaries[:-1], boundaries[1:]):
-        if end - start < 0.8 * p:  # guard against a truncated first/last turn
-            continue
-        segments.append(
-            WheelTurnSegment(
-                start_index=start,
-                end_index=end,
-                period=period,
-                a_tangential=trace.a_tangential[start:end],
-                a_lateral=trace.a_lateral[start:end],
-                a_radial=trace.a_radial[start:end],
-            )
-        )
-    if not segments:
+    anchor = int(np.argmin(smooth))
+    centers = np.array(track(anchor, -p)[::-1] + [anchor] + track(anchor, p), dtype=float)
+    if len(centers) > 1:
+        p = _line_slope(centers)
+    length = int(round(p))
+    # The search stops where its window leaves the trace, so every turn cut
+    # by less than MAX_CUT_FRACTION has a tracked centre.
+    k = np.arange(len(centers)) - (len(centers) - 1) / 2.0
+    starts = np.round(centers.mean() + k * p - length / 2.0).astype(int)
+    cut = np.maximum(-starts, starts + length - n)
+    starts = np.clip(starts[cut <= MAX_CUT_FRACTION * length], 0, n - length)
+    if not len(starts):
         raise TooShortError("no complete wheel turn found")
-    return segments
+    return [WheelTurnSegment(int(s), int(s) + length) for s in starts]
+
+
+def _line_slope(y: np.ndarray) -> np.ndarray:
+    """Least-squares slope of ``y`` per sample along its last axis."""
+    t = np.arange(y.shape[-1]) - (y.shape[-1] - 1) / 2.0
+    return (y @ t) / (t @ t)
 
 
 def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
-    """Running trapezoidal integral of evenly spaced samples, starting at 0."""
+    """Running trapezoidal integral of evenly spaced samples along the last
+    axis, starting at 0."""
     y = np.asarray(y, dtype=float)
-    out = np.zeros(len(y))
-    out[1:] = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    out = np.zeros(y.shape)
+    out[..., 1:] = np.cumsum(dx * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
     return out
 
 
-def _linear_trend(signal: np.ndarray) -> np.ndarray:
-    idx = np.arange(len(signal), dtype=float)
-    slope, intercept = np.polyfit(idx, signal, 1)
-    return slope * idx + intercept
-
-
 def accel_to_displacement(
-    channel: np.ndarray,
-    sample_rate: float,
-    rotation_frequency: float,
-    axis: str = "radial",
+    channel: np.ndarray, sample_rate: float, rotation_frequency: float
 ) -> DisplacementProfile:
-    """Drift-free double integration of one turn's acceleration channel.
+    """Drift-free double integration of one turn's acceleration channel, or
+    of one turn per row of a 2-D array.
 
     Pipeline: remove the per-turn mean, high-pass at 0.3x the rotation
     frequency, integrate, high-pass again, integrate again, subtract the
@@ -246,12 +233,13 @@ def accel_to_displacement(
     dt = 1.0 / sample_rate
     cutoff = CUTOFF_ROTATION_FRACTION * rotation_frequency
 
-    accel = highpass(x - x.mean(), sample_rate, cutoff)
+    accel = highpass(x - x.mean(axis=-1, keepdims=True), sample_rate, cutoff)
     velocity = _cumulative_trapezoid(accel, dt)
     velocity = highpass(velocity, sample_rate, cutoff)
     disp = _cumulative_trapezoid(velocity, dt)
-    disp = disp - _linear_trend(disp)
-    return DisplacementProfile(samples=disp * 1e3, axis=axis)
+    t = np.arange(disp.shape[-1]) - (disp.shape[-1] - 1) / 2.0
+    disp = disp - disp.mean(axis=-1, keepdims=True) - _line_slope(disp)[..., None] * t
+    return DisplacementProfile(samples=disp * 1e3)
 
 
 def double_integrate(channel: np.ndarray, sample_rate: float) -> np.ndarray:

@@ -16,12 +16,13 @@ import numpy as np
 
 from .dsp import (
     DisplacementProfile,
+    _line_slope,
     accel_to_displacement,
     detect_patch_edges,
     estimate_period,
     segment_turns,
 )
-from .errors import EdgeOrderError, InvalidArgumentError
+from .errors import EdgeOrderError
 from .simulate import AccelTrace
 
 # Fraction of the patch window used for the "initial linear part" fit.
@@ -47,15 +48,16 @@ def patch_length(
     return wheel_speed * (trailing - leading) / sample_rate
 
 
-def peak_radial_displacement(profile: DisplacementProfile) -> float:
-    """Dip amplitude of the radial profile, millimetres.
+def peak_radial_displacement(
+    profile: DisplacementProfile, edges: tuple[int, int]
+) -> float:
+    """Dip amplitude of one turn's radial profile, millimetres.
 
-    Measured as the profile maximum minus the value at the patch centre;
-    relative rather than absolute so it is invariant to detrending.
+    Measured as the profile maximum minus the value midway between the
+    patch edges; relative rather than absolute so it is invariant to
+    detrending.
     """
-    if profile.patch_window is None:
-        raise InvalidArgumentError("radial profile needs a patch window")
-    leading, trailing = profile.patch_window
+    leading, trailing = edges
     center = (leading + trailing) // 2
     return float(np.max(profile.samples) - profile.samples[center])
 
@@ -80,8 +82,8 @@ def lateral_features(
 
     fit_n = max(2, int(round(SLOPE_FIT_FRACTION * patch_samples)))
     segment = profile.samples[leading : leading + fit_n]
-    travel_mm = wheel_speed * np.arange(len(segment)) / sample_rate * 1e3
-    slope = float(np.polyfit(travel_mm, segment, 1)[0])
+    travel_mm_per_sample = wheel_speed / sample_rate * 1e3
+    slope = float(_line_slope(segment)) / travel_mm_per_sample
     return peak, slope
 
 
@@ -100,47 +102,38 @@ def extract_features(
     """
     period = estimate_period(trace, wheel_speed, radius_hint)
     segments = segment_turns(trace, period)
+    length = len(segments[0])
+    starts = np.array([seg.start_index for seg in segments])
+    turns = trace.samples[starts[:, None] + np.arange(length)]  # (turns, length, 3)
+    fs = trace.sample_rate
+    rotation_frequency = fs / length
+    # Radial displacement uses the outward-positive convention, so the
+    # patch shows up as a dip; the sensor channel is centre-positive.
+    radial = accel_to_displacement(-turns[:, :, 2], fs, rotation_frequency).samples
+    if include_lateral:
+        lateral = accel_to_displacement(turns[:, :, 1], fs, rotation_frequency).samples
     rows: list[FootprintFeatures] = []
     skipped = 0
     nan = float("nan")
-    for index, seg in enumerate(segments):
+    for index in range(len(segments)):
         try:
-            edges = detect_patch_edges(seg.a_tangential)
+            edges = detect_patch_edges(turns[index, :, 0])
         except EdgeOrderError:
             skipped += 1
-            rows.append(
-                FootprintFeatures(
-                    turn_index=index,
-                    patch_length=nan,
-                    peak_radial_displacement=nan,
-                    peak_lateral_displacement=nan,
-                    lateral_slope=nan,
-                )
-            )
+            rows.append(FootprintFeatures(index, nan, nan, nan, nan))
             continue
-        rotation_frequency = 1.0 / seg.period
-        # Radial displacement uses the outward-positive convention, so the
-        # patch shows up as a dip; the sensor channel is centre-positive.
-        radial = accel_to_displacement(
-            -seg.a_radial, trace.sample_rate, rotation_frequency, axis="radial"
-        ).with_patch_window(edges)
-        peak_radial = peak_radial_displacement(radial)
-        length = patch_length(edges, wheel_speed, trace.sample_rate)
-
-        peak_lateral = 0.0
-        slope = 0.0
+        peak_lateral, slope = 0.0, 0.0
         if include_lateral:
-            lateral = accel_to_displacement(
-                seg.a_lateral, trace.sample_rate, rotation_frequency, axis="lateral"
-            ).with_patch_window(edges)
             peak_lateral, slope = lateral_features(
-                lateral, edges, wheel_speed, trace.sample_rate
+                DisplacementProfile(lateral[index]), edges, wheel_speed, fs
             )
         rows.append(
             FootprintFeatures(
                 turn_index=index,
-                patch_length=length,
-                peak_radial_displacement=peak_radial,
+                patch_length=patch_length(edges, wheel_speed, fs),
+                peak_radial_displacement=peak_radial_displacement(
+                    DisplacementProfile(radial[index]), edges
+                ),
                 peak_lateral_displacement=peak_lateral,
                 lateral_slope=slope,
             )

@@ -199,10 +199,9 @@ def sidecar_path(trace_path: Path) -> Path:
     return Path(trace_path).with_suffix(".json")
 
 
-def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, SensorSpec]:
-    """Read a trace CSV and its sidecar back into memory."""
-    data = _read_table(path, TRACE_SCHEMA, _TRACE_HEADER)
-    payload = read_json(sidecar_path(path), SIDECAR_SCHEMA)
+def read_sidecar(path: Path) -> tuple[GroundTruth, TireScenario, SensorSpec]:
+    """Read and validate a trace's JSON sidecar."""
+    payload = read_json(path, SIDECAR_SCHEMA)
     try:
         scenario = TireScenario(**payload["scenario"])
         sensor_raw = dict(payload["sensor"])
@@ -211,9 +210,17 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
         truth = GroundTruth(
             **{k: np.asarray(v, dtype=float) for k, v in payload["ground_truth"].items()}
         )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{sidecar_path(path)}: malformed sidecar ({exc})") from exc
+        if payload["n_turns"] != truth.n_turns:
+            raise SchemaError(f"{path}: n_turns does not match the ground truth")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed sidecar ({exc})") from exc
+    return truth, scenario, sensor
 
+
+def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, SensorSpec]:
+    """Read a trace CSV and its sidecar back into memory."""
+    data = _read_table(path, TRACE_SCHEMA, _TRACE_HEADER)
+    truth, scenario, sensor = read_sidecar(sidecar_path(path))
     n = data.shape[0]
     # The t column must agree with the sidecar's rate to within half a sample.
     if not np.all(np.abs(data[:, 0] * sensor.sample_rate - np.arange(n)) <= 0.5):

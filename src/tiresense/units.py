@@ -6,14 +6,5 @@ The conversion constants are fixed, not configurable.
 """
 
 LBF_TO_N = 4.4482216
-PSI_TO_PA = 6894.757
 MM_TO_M = 1e-3
 M_TO_MM = 1e3
-
-
-def lbf_to_newton(load_lbf: float) -> float:
-    return load_lbf * LBF_TO_N
-
-
-def newton_to_lbf(force_n: float) -> float:
-    return force_n / LBF_TO_N

@@ -59,15 +59,8 @@ def test_peak_radial_tracks_deflection_linearly():
 
 
 def test_flat_profile_has_zero_dip():
-    profile = DisplacementProfile(
-        samples=np.zeros(500), axis="radial", patch_window=(200, 300)
-    )
-    assert peak_radial_displacement(profile) == 0.0
-
-
-def test_radial_profile_requires_patch_window():
-    with pytest.raises(ValueError):
-        peak_radial_displacement(DisplacementProfile(np.zeros(10), "radial"))
+    profile = DisplacementProfile(samples=np.zeros(500))
+    assert peak_radial_displacement(profile, (200, 300)) == 0.0
 
 
 def test_peak_radial_nearly_tread_blind():
@@ -191,7 +184,7 @@ def test_lateral_features_signature():
     profile_samples = np.zeros(n)
     lead, trail = 100, 200
     profile_samples[lead:trail] = np.linspace(0.0, 10.0, trail - lead)
-    profile = DisplacementProfile(profile_samples, "lateral", (lead, trail))
+    profile = DisplacementProfile(profile_samples)
     peak, slope = lateral_features(profile, (lead, trail), 20.0, 10_000.0)
     assert peak == pytest.approx(10.0, rel=1e-6)
     travel_per_sample_mm = 20.0 / 10_000.0 * 1e3

@@ -14,6 +14,7 @@ from tiresense.estimation import fit_load_surface, fit_patch_load_model, fit_sli
 from tiresense.features import FootprintFeatures
 from tiresense.io import (
     _BLOCK_ROWS,
+    SIDECAR_SCHEMA,
     read_estimates,
     read_load_models,
     read_scenario,
@@ -499,6 +500,20 @@ def _empty_trace(root):
     return _estimate(root, "empty.csv")
 
 
+def _evaluate_truth(root, sidecar):
+    write_estimates(root / "est.csv", np.full(4, 1000.0), np.full(4, np.nan),
+                    np.ones(4, dtype=bool))
+    (root / "truth.json").write_text(json.dumps(sidecar))
+    return ["evaluate", "--estimates", root / "est.csv",
+            "--truth", root / "truth.json", "--report", root / "out"]
+
+
+def _truth_load(root, load):
+    sidecar = json.loads((root / "trace.json").read_text())
+    sidecar["scenario"]["vertical_load"] = load
+    return _evaluate_truth(root, sidecar)
+
+
 def _string_field(root):
     payload = scenario_to_dict(scenario(), SENSOR)
     payload["unloaded_radius"] = "0.3"
@@ -526,6 +541,10 @@ def _string_field(root):
         pytest.param(lambda root: _ranges(root, tread=[2, 8, 9]), id="three-bounds"),
         pytest.param(lambda root: _ranges(root, tread=[2, float("inf")]),
                      id="infinite-bound"),
+        pytest.param(lambda root: _evaluate_truth(root, {"schema_version": SIDECAR_SCHEMA}),
+                     id="truth-without-scenario"),
+        pytest.param(lambda root: _truth_load(root, "x"), id="truth-string-load"),
+        pytest.param(lambda root: _truth_load(root, 0), id="truth-zero-load"),
     ],
 )
 def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv):
