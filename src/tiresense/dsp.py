@@ -6,12 +6,14 @@ high-pass again, integrate again, and detrend.  Filtering before each
 integration is what keeps a constant accelerometer bias from turning into
 quadratic drift.  Filters run forward and backward so the patch features
 keep their timing (zero net phase).  Turns share one length, so the
-integration runs on a ``(turns, samples)`` array in one call.
+integration and the edge detection each run on a ``(turns, samples)``
+array in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,12 +70,20 @@ class DisplacementProfile:
 
 
 def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
-    """Centred moving average; width is clamped to at least one sample."""
+    """Centred moving average along the last axis; width is clamped to at
+    least one sample.
+
+    Samples beyond either end count as zeros, as in
+    ``np.convolve(signal, np.ones(width) / width, "same")``.  Each output is
+    a difference of two running sums, so the cost does not grow with width.
+    """
     width = max(1, int(width))
+    x = np.asarray(signal, dtype=float)
     if width == 1:
-        return np.asarray(signal, dtype=float)
-    kernel = np.full(width, 1.0 / width)
-    return np.convolve(np.asarray(signal, dtype=float), kernel, mode="same")
+        return x
+    pad = [(0, 0)] * (x.ndim - 1) + [(width // 2 + 1, (width - 1) // 2)]
+    total = np.cumsum(np.pad(x, pad), axis=-1)
+    return (total[..., width:] - total[..., :-width]) / width
 
 
 def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarray:
@@ -95,11 +105,39 @@ def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarra
         )
     x = np.asarray(signal, dtype=float)
     n = x.shape[-1]
-    spectrum = np.fft.rfft(x)
     ratio = (np.fft.rfftfreq(n, 1.0 / sample_rate) / cutoff) ** 2
     # |H|^2 of a second-order Butterworth high-pass, once per direction.
-    spectrum *= ratio**2 / (1.0 + ratio**2)
-    return np.fft.irfft(spectrum, n)
+    kernel = np.fft.irfft(ratio**2 / (1.0 + ratio**2), n)
+    return _circular_convolve(x, kernel)
+
+
+def _fast_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c that is at least ``n``."""
+    best = 1 << (n - 1).bit_length()
+    odd = 1
+    while odd < best:
+        factor = odd
+        while factor < best:
+            best = min(best, factor << (-(-n // factor) - 1).bit_length())
+            factor *= 3
+        odd *= 5
+    return best
+
+
+def _circular_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Circular convolution of each row of ``x`` with a 1-D ``kernel`` of
+    the same length ``n``.
+
+    Computed as the linear convolution at a fast FFT length of at least
+    ``2n - 1``, whose tail is then wrapped onto its head, so the cost does
+    not depend on how ``n`` factors.
+    """
+    n = x.shape[-1]
+    m = _fast_length(2 * n - 1)
+    full = np.fft.irfft(np.fft.rfft(x, m) * np.fft.rfft(kernel, m), m)
+    out = full[..., :n]
+    out[..., : n - 1] += full[..., n : 2 * n - 1]
+    return out
 
 
 def estimate_period(
@@ -228,17 +266,30 @@ def accel_to_displacement(
     frequency, integrate, high-pass again, integrate again, subtract the
     per-turn linear trend.  Output is in millimetres.  Any constant bias on
     the input dies at the mean-removal stage, so the output stays bounded.
+
+    The chain up to the detrend is linear, and on the circular turn window
+    it commutes with shifts up to an added constant: each high-pass is a
+    circular filter, and a trapezoid of a zero-mean window, shifted
+    circularly, is the shifted trapezoid plus a constant.  The detrend
+    removes those constants.  So the chain runs once, on a unit impulse,
+    and every turn is one circular convolution with that response.
     """
     x = np.asarray(channel, dtype=float)
+    n = x.shape[-1]
     dt = 1.0 / sample_rate
     cutoff = CUTOFF_ROTATION_FRACTION * rotation_frequency
 
-    accel = highpass(x - x.mean(axis=-1, keepdims=True), sample_rate, cutoff)
-    velocity = _cumulative_trapezoid(accel, dt)
-    velocity = highpass(velocity, sample_rate, cutoff)
-    disp = _cumulative_trapezoid(velocity, dt)
-    t = np.arange(disp.shape[-1]) - (disp.shape[-1] - 1) / 2.0
-    disp = disp - disp.mean(axis=-1, keepdims=True) - _line_slope(disp)[..., None] * t
+    impulse = np.full(n, -1.0 / n)
+    impulse[0] += 1.0
+    velocity = _cumulative_trapezoid(highpass(impulse, sample_rate, cutoff), dt)
+    response = _cumulative_trapezoid(highpass(velocity, sample_rate, cutoff), dt)
+    # Both inputs have zero mean, so the output has too, and a constant
+    # times the sum of a row cannot creep in through rounding.
+    disp = _circular_convolve(
+        x - x.mean(axis=-1, keepdims=True), response - response.mean()
+    )
+    t = np.arange(n) - (n - 1) / 2.0
+    disp = disp - _line_slope(disp)[..., None] * t
     return DisplacementProfile(samples=disp * 1e3)
 
 
@@ -253,11 +304,79 @@ def double_integrate(channel: np.ndarray, sample_rate: float) -> np.ndarray:
     return _cumulative_trapezoid(velocity, dt)
 
 
-def _sorted_median(values: np.ndarray) -> float:
-    # On turn-length windows a full sort is several times faster than the
-    # partition np.median uses.
-    n = len(values)
-    return 0.5 * float(values[(n - 1) // 2] + values[n // 2])
+class _TurnEdges(NamedTuple):
+    """Edge candidates of a batch of turns, one entry per turn."""
+
+    leading: np.ndarray   # sample of the positive spike
+    trailing: np.ndarray  # sample of the negative spike
+    failed: np.ndarray    # 0, or the number (1-4) of the first rule failed
+    spike: np.ndarray     # height of the weaker spike beyond the median
+    floor: np.ndarray     # EDGE_NOISE_FLOOR_SIGMAS robust noise sigmas
+
+
+def _deviation_median(sorted_rows: np.ndarray, median: np.ndarray) -> np.ndarray:
+    """Median of ``|row - median|`` for each row of a row-sorted array.
+
+    Along a sorted row the deviation falls to the median and rises after
+    it, so its ``j + 1`` smallest values fill a run of ``j + 1`` neighbours,
+    and its ``j``-th smallest value is the least, over all such runs, of the
+    larger deviation at the run's two ends.  This needs no second sort.
+    """
+    n = sorted_rows.shape[-1]
+    centre = median[:, None]
+
+    def smallest(j: int) -> np.ndarray:
+        ends = np.maximum(centre - sorted_rows[:, : n - j], sorted_rows[:, j:] - centre)
+        return ends.min(axis=-1)
+
+    return 0.5 * (smallest((n - 1) // 2) + smallest(n // 2))
+
+
+def _patch_edges(
+    tangential: np.ndarray, smooth_fraction: float = EDGE_SMOOTH_FRACTION
+) -> _TurnEdges:
+    """Edges of every row of a ``(turns, samples)`` tangential array.
+
+    The rules, numbered as in ``failed``, are those ``detect_patch_edges``
+    lists: 1 order, 2 margin, 3 width, 4 noise floor.
+    """
+    x = np.asarray(tangential, dtype=float)
+    turns, n = x.shape
+    width = int(round(n * smooth_fraction))
+    smooth = moving_average(x, width)
+    rows = np.arange(turns)
+    offsets = np.arange(-width, width + 1)
+
+    def refine(index: np.ndarray, sign: float) -> np.ndarray:
+        # The smoothed extremum smears by up to half the window; the raw
+        # spike inside that neighbourhood is the actual edge.  Clipped to
+        # the window, the columns still never decrease, so argmax picks the
+        # first maximum of the neighbourhood.
+        columns = np.clip(index[:, None] + offsets, 0, n - 1)
+        best = np.argmax(sign * x[rows[:, None], columns], axis=-1)
+        return columns[rows, best]
+
+    leading = refine(np.argmax(smooth, axis=-1), 1.0)
+    trailing = refine(np.argmin(smooth, axis=-1), -1.0)
+    separation = trailing - leading
+    margin = EDGE_MARGIN_WIDTHS * width
+    sorted_rows = np.sort(x, axis=-1)
+    median = 0.5 * (sorted_rows[:, (n - 1) // 2] + sorted_rows[:, n // 2])
+    floor = EDGE_NOISE_FLOOR_SIGMAS * (
+        MAD_TO_SIGMA * _deviation_median(sorted_rows, median)
+    )
+    spike = np.minimum(x[rows, leading] - median, median - x[rows, trailing])
+    failed = np.select(
+        [
+            ~((0 < separation) & (separation < n // 2)),
+            (leading < margin) | (trailing > n - 1 - margin),
+            separation <= EDGE_MIN_SEPARATION_WIDTHS * width,
+            ~(spike > floor),
+        ],
+        [1, 2, 3, 4],
+        0,
+    )
+    return _TurnEdges(leading, trailing, failed, spike, floor)
 
 
 def detect_patch_edges(
@@ -274,56 +393,45 @@ def detect_patch_edges(
     EdgeOrderError
         When the extrema do not bracket a patch:
 
-        - they are out of order, coincident, or more than half a turn apart,
-          which signals a wrong sign convention or no patch;
-        - an edge lies within ``EDGE_MARGIN_WIDTHS`` smoothing widths of a
-          window end: turns are cut with the patch near the centre, so an
-          extremum at the boundary is a leftover sample of a neighbouring
-          turn, not a spike;
-        - the edges are no more than ``EDGE_MIN_SEPARATION_WIDTHS`` smoothing
-          widths apart: the smoothing cannot resolve two spikes that close,
-          so they are one feature, not a patch entry and exit;
-        - either spike fails to clear ``EDGE_NOISE_FLOOR_SIGMAS`` robust noise
-          sigmas (``MAD_TO_SIGMA`` x the turn's median absolute deviation)
-          above or below the turn's median: the extremum is then just the
-          largest noise sample, and a channel without spikes has no patch.
+        1. they are out of order, coincident, or more than half a turn apart,
+           which signals a wrong sign convention or no patch;
+        2. an edge lies within ``EDGE_MARGIN_WIDTHS`` smoothing widths of a
+           window end: turns are cut with the patch near the centre, so an
+           extremum at the boundary is a leftover sample of a neighbouring
+           turn, not a spike;
+        3. the edges are no more than ``EDGE_MIN_SEPARATION_WIDTHS`` smoothing
+           widths apart: the smoothing cannot resolve two spikes that close,
+           so they are one feature, not a patch entry and exit;
+        4. either spike fails to clear ``EDGE_NOISE_FLOOR_SIGMAS`` robust noise
+           sigmas (``MAD_TO_SIGMA`` x the turn's median absolute deviation)
+           above or below the turn's median: the extremum is then just the
+           largest noise sample, and a channel without spikes has no patch.
+
+        The message names the first rule that fails.
     """
     x = np.asarray(tangential, dtype=float)
+    edges = _patch_edges(x[None, :], smooth_fraction)
+    leading, trailing = int(edges.leading[0]), int(edges.trailing[0])
     n = len(x)
     width = int(round(n * smooth_fraction))
-    smooth = moving_average(x, width)
-
-    def _refine(index: int, sign: float) -> int:
-        # The smoothed extremum smears by up to half the window; the raw
-        # spike inside that neighbourhood is the actual edge.
-        lo = max(0, index - width)
-        hi = min(n, index + width + 1)
-        return lo + int(np.argmax(sign * x[lo:hi]))
-
-    leading = _refine(int(np.argmax(smooth)), 1.0)
-    trailing = _refine(int(np.argmin(smooth)), -1.0)
-    separation = trailing - leading
-    if not 0 < separation < n // 2:
+    failed = edges.failed[0]
+    if failed == 1:
         raise EdgeOrderError(
             f"edge extrema at {leading} and {trailing} do not bracket a patch"
         )
-    margin = EDGE_MARGIN_WIDTHS * width
-    if leading < margin or trailing > n - 1 - margin:
+    if failed == 2:
         raise EdgeOrderError(
-            f"edge extrema at {leading} and {trailing} lie within {margin} "
-            f"samples of the {n}-sample window end"
+            f"edge extrema at {leading} and {trailing} lie within "
+            f"{EDGE_MARGIN_WIDTHS * width} samples of the {n}-sample window end"
         )
-    if separation <= EDGE_MIN_SEPARATION_WIDTHS * width:
+    if failed == 3:
         raise EdgeOrderError(
-            f"edge extrema {separation} samples apart are no wider than the "
-            f"{width}-sample smoothing"
+            f"edge extrema {trailing - leading} samples apart are no wider than "
+            f"the {width}-sample smoothing"
         )
-    median = _sorted_median(np.sort(x))
-    sigma = MAD_TO_SIGMA * _sorted_median(np.sort(np.abs(x - median)))
-    floor = EDGE_NOISE_FLOOR_SIGMAS * sigma
-    weakest = min(x[leading] - median, median - x[trailing])
-    if not weakest > floor:
+    if failed == 4:
         raise EdgeOrderError(
-            f"edge spike of {weakest:.3g} does not clear the noise floor {floor:.3g}"
+            f"edge spike of {edges.spike[0]:.3g} does not clear the noise floor "
+            f"{edges.floor[0]:.3g}"
         )
     return leading, trailing

@@ -105,11 +105,8 @@ def fit_load_surface(
 
 def load_measurement(
     model: LoadSurfaceModel, peak_disp_mm: float, pressure_psi: float
-) -> tuple[float, float]:
-    """Invert the surface into the identification form (y, phi).
-
-    y is the implied load in lbf and phi the (scalar) regressor, which is 1
-    for this model, so y itself is the per-turn load measurement.
+) -> float:
+    """Invert the surface into the per-turn load measurement, in lbf.
 
     Raises
     ------
@@ -127,7 +124,7 @@ def load_measurement(
         - model.p01 * pressure_psi
         - model.p02 * pressure_psi**2
     ) / denominator
-    return y, 1.0
+    return y
 
 
 @dataclass(frozen=True)
@@ -145,18 +142,19 @@ class RlsState:
             raise InvalidArgumentError("covariance must stay positive")
 
 
-def rls_update(state: RlsState, y: float, phi: float = 1.0) -> RlsState:
-    """One exponentially weighted recursive least-squares step.
+def rls_update(state: RlsState, y: float) -> RlsState:
+    """One exponentially weighted recursive least-squares step for a
+    constant (the regressor is 1).
 
-    gain  = P * phi / (lambda + phi * P * phi)
-    theta = theta + gain * (y - phi * theta)
-    P     = (P - gain * phi * P) / lambda
+    gain  = P / (lambda + P)
+    theta = theta + gain * (y - theta)
+    P     = (P - gain * P) / lambda
     """
     lam = state.forgetting
     p = state.covariance
-    gain = p * phi / (lam + phi * p * phi)
-    theta = state.theta + gain * (y - phi * state.theta)
-    covariance = (p - gain * phi * p) / lam
+    gain = p / (lam + p)
+    theta = state.theta + gain * (y - state.theta)
+    covariance = (p - gain * p) / lam
     return replace(state, theta=theta, covariance=covariance)
 
 
@@ -210,11 +208,11 @@ def estimate_load_stream(
     for i, (peak, pressure) in enumerate(zip(peaks, pressures)):
         if np.isfinite(peak):
             try:
-                y, phi = load_measurement(model, peak, pressure)
+                y = load_measurement(model, peak, pressure)
             except DenominatorError:
                 y = None
             if y is not None and np.isfinite(y):
-                state = rls_update(state, y, phi)
+                state = rls_update(state, y)
                 valid[i] = True
         if not valid[i]:
             skipped += 1

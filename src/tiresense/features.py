@@ -17,12 +17,11 @@ import numpy as np
 from .dsp import (
     DisplacementProfile,
     _line_slope,
+    _patch_edges,
     accel_to_displacement,
-    detect_patch_edges,
     estimate_period,
     segment_turns,
 )
-from .errors import EdgeOrderError
 from .simulate import AccelTrace
 
 # Fraction of the patch window used for the "initial linear part" fit.
@@ -112,30 +111,28 @@ def extract_features(
     radial = accel_to_displacement(-turns[:, :, 2], fs, rotation_frequency).samples
     if include_lateral:
         lateral = accel_to_displacement(turns[:, :, 1], fs, rotation_frequency).samples
+    edges = _patch_edges(turns[:, :, 0])
     rows: list[FootprintFeatures] = []
-    skipped = 0
     nan = float("nan")
     for index in range(len(segments)):
-        try:
-            edges = detect_patch_edges(turns[index, :, 0])
-        except EdgeOrderError:
-            skipped += 1
+        if edges.failed[index]:
             rows.append(FootprintFeatures(index, nan, nan, nan, nan))
             continue
+        pair = (int(edges.leading[index]), int(edges.trailing[index]))
         peak_lateral, slope = 0.0, 0.0
         if include_lateral:
             peak_lateral, slope = lateral_features(
-                DisplacementProfile(lateral[index]), edges, wheel_speed, fs
+                DisplacementProfile(lateral[index]), pair, wheel_speed, fs
             )
         rows.append(
             FootprintFeatures(
                 turn_index=index,
-                patch_length=patch_length(edges, wheel_speed, fs),
+                patch_length=patch_length(pair, wheel_speed, fs),
                 peak_radial_displacement=peak_radial_displacement(
-                    DisplacementProfile(radial[index]), edges
+                    DisplacementProfile(radial[index]), pair
                 ),
                 peak_lateral_displacement=peak_lateral,
                 lateral_slope=slope,
             )
         )
-    return rows, skipped
+    return rows, int(np.count_nonzero(edges.failed))

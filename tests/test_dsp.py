@@ -13,11 +13,13 @@ from tiresense import (
     simulate,
 )
 from tiresense.dsp import (
+    _patch_edges,
     accel_to_displacement,
     detect_patch_edges,
     double_integrate,
     estimate_period,
     highpass,
+    moving_average,
     segment_turns,
 )
 from tiresense.simulate import AccelTrace
@@ -266,6 +268,64 @@ def test_batched_integration_matches_each_row(length):
         assert np.abs(row - single).max() <= 1e-12 * np.abs(single).max()
 
 
+def reference_highpass(x, sample_rate, cutoff):
+    """The zero-phase high-pass as a plain length-n FFT filter."""
+    n = x.shape[-1]
+    ratio = (np.fft.rfftfreq(n, 1.0 / sample_rate) / cutoff) ** 2
+    return np.fft.irfft(np.fft.rfft(x) * (ratio**2 / (1.0 + ratio**2)), n)
+
+
+def reference_trapezoid(y, dt):
+    out = np.zeros(y.shape)
+    out[..., 1:] = np.cumsum(dt * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return out
+
+
+def reference_displacement(x, sample_rate, rotation_frequency):
+    """The integration chain stage by stage: mean removal, high-pass,
+    trapezoid, high-pass, trapezoid, mean and slope removal, millimetres."""
+    dt = 1.0 / sample_rate
+    cutoff = 0.3 * rotation_frequency
+    accel = reference_highpass(x - x.mean(axis=-1, keepdims=True), sample_rate, cutoff)
+    velocity = reference_highpass(reference_trapezoid(accel, dt), sample_rate, cutoff)
+    disp = reference_trapezoid(velocity, dt)
+    t = np.arange(x.shape[-1]) - (x.shape[-1] - 1) / 2.0
+    disp = disp - disp.mean(axis=-1, keepdims=True)
+    disp = disp - ((disp @ t) / (t @ t))[..., None] * t
+    return disp * 1e3
+
+
+def turn_like(rows, length):
+    """Noise plus a biased, turn-periodic wave: ``rows`` windows of ``length``."""
+    rng = np.random.default_rng(length)
+    t = np.arange(length) / FS
+    turns = rng.normal(0.0, 100.0, (rows, length)) + 1300.0
+    turns += 400.0 * np.sin(2 * np.pi * 2 * FS / length * t + rng.uniform(0, 6, (rows, 1)))
+    return turns
+
+
+def assert_rows_close(actual, expected):
+    assert actual.shape == expected.shape
+    for got, want in zip(np.atleast_2d(actual), np.atleast_2d(expected)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("length", [471, 941, 942, 943, 1000])
+def test_integration_matches_stage_by_stage_chain(length):
+    # 941 is prime: the stage-by-stage FFTs run at an awkward length
+    turns = turn_like(5, length)
+    for x in (turns[0], turns):
+        expected = reference_displacement(x, FS, FS / length)
+        assert_rows_close(accel_to_displacement(x, FS, FS / length).samples, expected)
+
+
+@pytest.mark.parametrize("length", [471, 941, 942, 943, 1000])
+def test_highpass_matches_length_n_filter(length):
+    turns = turn_like(5, length)
+    for x in (turns[0], turns):
+        assert_rows_close(highpass(x, FS, 6.0), reference_highpass(x, FS, 6.0))
+
+
 def test_profile_mean_is_zero_after_detrend(clean_trace):
     trace, truth = clean_trace
     seg = segment_turns(trace, truth.wheel_period_s[0])[2]
@@ -365,3 +425,60 @@ def test_reversed_sign_convention_raises(clean_trace):
     seg = segment_turns(trace, truth.wheel_period_s[0])[0]
     with pytest.raises(EdgeOrderError):
         detect_patch_edges(-trace.a_tangential[seg.start_index : seg.end_index])
+
+
+def reference_patch_edges(x, smooth_fraction=0.01):
+    """One turn's edges, the number of the first rule failed (0: none) and
+    the noise floor, written as a plain per-turn loop body."""
+    n = len(x)
+    width = int(round(n * smooth_fraction))
+    smooth = np.convolve(x, np.full(max(1, width), 1.0 / max(1, width)), "same")
+
+    def refine(index, sign):
+        lo = max(0, index - width)
+        return lo + int(np.argmax(sign * x[lo : index + width + 1]))
+
+    leading = refine(int(np.argmax(smooth)), 1.0)
+    trailing = refine(int(np.argmin(smooth)), -1.0)
+    median = np.median(x)
+    floor = 10.0 * 1.4826 * np.median(np.abs(x - median))
+    if not 0 < trailing - leading < n // 2:
+        rule = 1
+    elif leading < width or trailing > n - 1 - width:
+        rule = 2
+    elif trailing - leading <= width:
+        rule = 3
+    elif not min(x[leading] - median, median - x[trailing]) > floor:
+        rule = 4
+    else:
+        rule = 0
+    return leading, trailing, rule, floor
+
+
+@pytest.mark.parametrize("length", [300, 941, 944])
+def test_edge_batch_matches_per_turn_reference(length):
+    # noise with spike pairs of random height at random places: every rule
+    # fires on some rows, and continuous values leave no ties
+    rng = np.random.default_rng(length)
+    turns = rng.normal(0.0, 1.0, (400, length)) * rng.choice([0.3, 1.0, 3.0], (400, 1))
+    rows = np.arange(400)
+    for _ in range(2):
+        height = rng.choice([2.0, 5.0, 20.0, 100.0], 400)
+        turns[rows, rng.integers(0, length, 400)] += height
+        turns[rows, rng.integers(0, length, 400)] -= height
+    edges = _patch_edges(turns)
+    leading, trailing, rule, floor = zip(*(reference_patch_edges(turn) for turn in turns))
+    assert edges.leading.tolist() == list(leading)
+    assert edges.trailing.tolist() == list(trailing)
+    assert edges.failed.tolist() == list(rule)
+    assert set(rule) == {0, 1, 2, 3, 4}
+    assert np.allclose(edges.floor, floor, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("width", [1, 2, 9, 10, 19])
+def test_moving_average_matches_convolution(width):
+    x = np.random.default_rng(width).normal(5.0, 1.0, (3, 500))
+    kernel = np.full(width, 1.0 / width)
+    expected = np.array([np.convolve(row, kernel, "same") for row in x])
+    assert np.abs(moving_average(x, width) - expected).max() < 1e-12
+    assert np.abs(moving_average(x[0], width) - expected[0]).max() < 1e-12

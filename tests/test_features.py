@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from tiresense import SensorSpec, derive_geometry, simulate
-from tiresense.dsp import DisplacementProfile
+from tiresense import EdgeOrderError, SensorSpec, derive_geometry, simulate
+from tiresense.dsp import (
+    DisplacementProfile,
+    _patch_edges,
+    detect_patch_edges,
+    estimate_period,
+    segment_turns,
+)
 from tiresense.features import (
     extract_features,
     lateral_features,
@@ -176,6 +182,55 @@ def test_noise_only_turn_is_skipped():
         assert skipped == 1, f"seed {seed}"
         assert np.isnan(rows[1].patch_length)
         assert all(np.isfinite(r.patch_length) for i, r in enumerate(rows) if i != 1)
+
+
+def test_edge_batch_matches_each_turn_and_extract_features_skips_the_rest():
+    # healthy turns mixed with one turn per rejection rule, each written over
+    # the tangential channel of its own segment (the radial channel, which
+    # segment_turns reads, is untouched)
+    scen = scenario()
+    trace, _ = simulate(scen, QUIET, 10)
+    segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
+    length = len(segments[0])  # 942: 9-sample smoothing, 471 = half a turn
+    wiggle = np.where(np.arange(length) % 2, 1.0, -1.0)  # MAD 1: floor 14.8
+
+    def spikes(entry, exit_, height):
+        turn = wiggle.copy()
+        turn[entry] += height
+        turn[exit_] -= height
+        return turn
+
+    samples = trace.samples.copy()
+    broken = {
+        1: (1, lambda turn: -turn, "do not bracket a patch"),
+        3: (2, lambda turn: spikes(3, 300, 100.0), "window end"),
+        5: (3, lambda turn: spikes(400, 405, 100.0), "no wider than"),
+        7: (4, lambda turn: spikes(300, 500, 5.0), "noise floor"),
+    }
+    for index, (_, make, _) in broken.items():
+        start = segments[index].start_index
+        samples[start : start + length, 0] = make(samples[start : start + length, 0])
+    mixed = AccelTrace(trace.sample_rate, samples, trace.duration)
+
+    batch = np.stack([mixed.a_tangential[s.start_index : s.end_index] for s in segments])
+    edges = _patch_edges(batch)
+    expected = [broken[i][0] if i in broken else 0 for i in range(len(segments))]
+    assert edges.failed.tolist() == expected
+    for index, turn in enumerate(batch):
+        if index in broken:
+            with pytest.raises(EdgeOrderError, match=broken[index][2]):
+                detect_patch_edges(turn)
+        else:
+            single = detect_patch_edges(turn)
+            assert (edges.leading[index], edges.trailing[index]) == single
+
+    rows, skipped = extract_features(mixed, 20.0, 0.3)
+    assert skipped == len(broken)
+    nan_rows = [i for i, r in enumerate(rows) if np.isnan(r.patch_length)]
+    assert nan_rows == sorted(broken)
+    for i in broken:
+        assert np.isnan(rows[i].peak_radial_displacement)
+        assert np.isnan(rows[i].lateral_slope)
 
 
 def test_lateral_features_signature():
