@@ -69,7 +69,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def _read_object(path: Path) -> dict:
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: expected a JSON object")
@@ -104,20 +104,25 @@ def _write_table(
 
 
 def _read_table(path: Path, schema: str, header: str) -> np.ndarray:
-    """Rows of a table ``_write_table`` wrote, one float column per header field."""
+    """Rows of a table ``_write_table`` wrote, one float column per header field.
+
+    The two header lines are checked on their own handle; the body is then
+    parsed from the path, which lets numpy's reader take the file in large
+    chunks instead of one line at a time from an open handle.
+    """
     columns = header.count(",") + 1
-    with Path(path).open() as handle:
-        if handle.readline().strip() != f"# schema={schema}":
+    try:
+        with Path(path).open() as handle:
+            first, found = handle.readline().strip(), handle.readline().strip()
+        if first != f"# schema={schema}":
             raise SchemaError(f"{path}: first line does not name schema {schema}")
-        found = handle.readline().strip()
         if found != header:
             raise SchemaError(f"{path}: unexpected CSV header {found!r}")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a table may have no row
-                data = np.loadtxt(handle, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: malformed row ({exc})") from exc
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a table may have no row
+            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=2)
+    except ValueError as exc:  # a malformed row, or a UnicodeDecodeError
+        raise SchemaError(f"{path}: malformed table ({exc})") from exc
     if data.size == 0:
         return np.empty((0, columns))
     if data.shape[1] != columns:
@@ -335,7 +340,12 @@ def write_estimates(
 
 def read_estimates(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     data = _read_table(path, ESTIMATES_SCHEMA, _ESTIMATES_HEADER)
-    return data[:, 1], data[:, 2], data[:, 3].astype(bool)
+    loads, slips, valid = data[:, 1], data[:, 2], data[:, 3] == 1.0
+    if not np.isfinite(loads).all():
+        raise SchemaError(f"{path}: load_lbf must be finite")
+    if not (valid | (data[:, 3] == 0.0)).all():
+        raise SchemaError(f"{path}: valid must be 0 or 1")
+    return loads, slips, valid
 
 
 def write_feature_table(path: Path, rows) -> None:

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tiresense
-from tiresense import SchemaError, SensorSpec, simulate
+from tiresense import SchemaError, SensorSpec, TireSenseError, simulate
 from tiresense.cli import main
 from tiresense.estimation import fit_load_surface, fit_patch_load_model, fit_slip_model
 from tiresense.features import FootprintFeatures
@@ -149,6 +151,18 @@ def _g(value):
     return format(float(value), ".12g")
 
 
+def _g_values(array):
+    # What a reader should return for a column written with %.12g.
+    return np.array([float(_g(v)) for v in array.ravel()]).reshape(array.shape)
+
+
+def _assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert np.array_equal(actual[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
 def _reference(schema, header, lines):
     return "".join(f"{line}\n" for line in [f"# schema={schema}", header, *lines])
 
@@ -156,7 +170,8 @@ def _reference(schema, header, lines):
 @pytest.mark.parametrize("n_rows", [_BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
 def test_writers_match_row_by_row_reference(tmp_path, n_rows):
     # Each writer against the same table formatted one row and one value
-    # at a time with format(x, ".12g").
+    # at a time with format(x, ".12g"); the trace and estimates readers
+    # return exactly the floats of that text.
     rng = np.random.default_rng(n_rows)
     table = rng.standard_normal((n_rows, 4)) * 10.0 ** rng.integers(-20, 20, (n_rows, 4))
     table[1, :] = [-0.0, 5e-324, 1e300, 123456789012345.0]
@@ -174,6 +189,7 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
     assert path.read_bytes() == _reference(
         "tiresense.trace.v1", "t,a_tangential,a_lateral,a_radial", expected
     ).encode()
+    _assert_same_bits(read_trace(path)[0].samples, _g_values(table[:, 1:]))
 
     valid = with_nan[:, 3] > 0
     path = tmp_path / "est.csv"
@@ -185,6 +201,10 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
     assert path.read_bytes() == _reference(
         "tiresense.estimates.v1", "turn,load_lbf,slip_deg,valid", expected
     ).encode()
+    loads, slips, valid_back = read_estimates(path)
+    _assert_same_bits(loads, _g_values(with_nan[:, 0]))
+    _assert_same_bits(slips, _g_values(with_nan[:, 1]))
+    assert np.array_equal(valid_back, valid)
 
     rows = [FootprintFeatures(i, *row) for i, row in enumerate(with_nan.tolist())]
     path = tmp_path / "features.csv"
@@ -209,6 +229,69 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
     assert path.read_bytes() == _reference(
         "tiresense.plot.v1", "series,x,y", expected
     ).encode()
+
+
+# ---------------------------------------------------------------------------
+# readers on damaged files
+
+@pytest.fixture(scope="module")
+def clean_tables(tmp_path_factory):
+    """A 2-turn trace (CSV and sidecar) and a 4-row estimates table; the
+    damaged copies go to bad.csv, next to a copy of the sidecar."""
+    root = tmp_path_factory.mktemp("damaged")
+    write_trace_files(root / "trace.csv", scenario(), SENSOR, 2)
+    (root / "bad.json").write_bytes((root / "trace.json").read_bytes())
+    write_estimates(root / "est.csv", np.array([900.0, 950.5, -0.0, 1e300]),
+                    np.array([0.5, np.nan, 1.0, 2.0]), np.array([True, False, True, True]))
+    return root
+
+
+_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\n", b"\r", b",", b"#", b"\x00", b"-",
+                          b"nan", b"inf", b"1e999"]) | st.binary(min_size=1, max_size=4)
+_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 2**31)),
+    st.tuples(st.just("insert"), st.integers(0, 2**31), _BYTES),
+    st.tuples(st.sampled_from(["drop-comma", "double-comma"]), st.integers(0, 2**31)),
+)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    for kind, position, *inserted in mutations:
+        if kind == "truncate":
+            data = data[: position % (len(data) + 1)]
+        elif kind == "insert":
+            at = position % (len(data) + 1)
+            data = data[:at] + inserted[0] + data[at:]
+        else:
+            commas = [i for i, byte in enumerate(data) if byte == ord(",")]
+            if commas:
+                at = commas[position % len(commas)]
+                data = data[:at] + (b",," if kind == "double-comma" else b"") + data[at + 1 :]
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_readers_return_or_raise_tiresense_error(clean_tables, mutations):
+    # A damaged trace or estimates table is either still a valid table or
+    # a TireSenseError; no other exception leaves the reader.
+    root = clean_tables
+    (root / "bad.csv").write_bytes(_mutate((root / "trace.csv").read_bytes(), mutations))
+    try:
+        trace = read_trace(root / "bad.csv")[0]
+    except TireSenseError:
+        pass
+    else:
+        assert np.isfinite(trace.samples).all()
+
+    (root / "bad.csv").write_bytes(_mutate((root / "est.csv").read_bytes(), mutations))
+    try:
+        loads, slips, valid = read_estimates(root / "bad.csv")
+    except TireSenseError:
+        pass
+    else:
+        assert np.isfinite(loads).all() and valid.dtype == bool
+        assert loads.shape == slips.shape == valid.shape
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +583,35 @@ def _empty_trace(root):
     return _estimate(root, "empty.csv")
 
 
+def _non_utf8_trace(root):
+    (root / "bytes.csv").write_bytes(b"\xff" + (root / "trace.csv").read_bytes())
+    (root / "bytes.json").write_bytes((root / "trace.json").read_bytes())
+    return _estimate(root, "bytes.csv")
+
+
+def _non_utf8_estimates(root):
+    _no_valid_turn(root)
+    (root / "est.csv").write_bytes(b"\xff" + (root / "est.csv").read_bytes())
+    return _evaluate(root)
+
+
+def _non_utf8_load_model(root):
+    (root / "bad_lm.json").write_bytes(b"\xff{}")
+    return ["estimate", "--trace", root / "trace.csv", "--load-model",
+            root / "bad_lm.json", "--out", root / "out"]
+
+
+def _estimates_field(root, column, value):
+    write_estimates(root / "est.csv", np.full(4, 1000.0), np.full(4, np.nan),
+                    np.ones(4, dtype=bool))
+    lines = (root / "est.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[column] = value
+    lines[3] = ",".join(fields)
+    (root / "est.csv").write_text("\n".join(lines) + "\n")
+    return _evaluate(root)
+
+
 def _evaluate_truth(root, sidecar):
     write_estimates(root / "est.csv", np.full(4, 1000.0), np.full(4, np.nan),
                     np.ones(4, dtype=bool))
@@ -545,6 +657,13 @@ def _string_field(root):
                      id="truth-without-scenario"),
         pytest.param(lambda root: _truth_load(root, "x"), id="truth-string-load"),
         pytest.param(lambda root: _truth_load(root, 0), id="truth-zero-load"),
+        pytest.param(_non_utf8_trace, id="trace-non-utf8"),
+        pytest.param(_non_utf8_estimates, id="estimates-non-utf8"),
+        pytest.param(_non_utf8_load_model, id="load-model-non-utf8"),
+        pytest.param(lambda root: _estimates_field(root, 1, "nan"), id="estimates-nan-load"),
+        pytest.param(lambda root: _estimates_field(root, 1, "inf"), id="estimates-inf-load"),
+        pytest.param(lambda root: _estimates_field(root, 3, "2"), id="estimates-valid-2"),
+        pytest.param(lambda root: _estimates_field(root, 3, "nan"), id="estimates-valid-nan"),
     ],
 )
 def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv):
