@@ -8,6 +8,7 @@ Diagnostics go to stderr as a single line.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,6 @@ from .estimation import (
     convergence_turn,
     estimate_load_stream,
     fit_load_surface,
-    fit_patch_load_model,
     fit_slip_model,
     predict_slip,
     sensitivity_sweep,
@@ -31,7 +31,7 @@ from .estimation import (
 from .features import extract_features
 from .io import (
     read_estimates,
-    read_load_models,
+    read_load_model,
     read_ranges,
     read_scenario,
     read_sidecar,
@@ -40,7 +40,7 @@ from .io import (
     sha256_of,
     write_estimates,
     write_feature_table,
-    write_load_models,
+    write_load_model,
     write_plot_data,
     write_report,
     write_sensitivity,
@@ -50,6 +50,7 @@ from .io import (
 from .simulate import simulate
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tiresense",
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit one turn's displacement with and without filtering",
     )
 
-    p = sub.add_parser("calibrate-load", help="fit load models from a trace directory")
+    p = sub.add_parser("calibrate-load", help="fit the load model from a trace directory")
     p.add_argument("--traces", required=True, type=Path)
     p.add_argument("--out", required=True, type=Path)
 
@@ -129,11 +130,11 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _collect_feature_rows(traces_dir: Path, include_lateral: bool):
+def _feature_rows(traces_dir: Path, include_lateral: bool):
+    """(scenario, features) for every turn of every trace CSV in ``traces_dir``."""
     paths = sorted(Path(traces_dir).glob("*.csv"))
     if not paths:
         raise SchemaError(f"{traces_dir}: no trace CSV files found")
-    per_trace = []
     for path in paths:
         trace, truth, scenario, sensor = read_trace(path)
         rows, skipped = extract_features(
@@ -142,51 +143,34 @@ def _collect_feature_rows(traces_dir: Path, include_lateral: bool):
             radius_hint=scenario.unloaded_radius,
             include_lateral=include_lateral,
         )
-        per_trace.append((scenario, rows, skipped))
-    return per_trace
+        for row in rows:
+            yield scenario, row
 
 
 def _cmd_calibrate_load(args) -> int:
-    per_trace = _collect_feature_rows(args.traces, include_lateral=False)
-    surface_samples = []
-    patch_samples = []
-    reference_pressure = per_trace[0][0].inflation_pressure
-    reference_tread = per_trace[0][0].tread_depth
-    for scenario, rows, _ in per_trace:
-        for row in rows:
-            if not np.isfinite(row.peak_radial_displacement):
-                continue
-            surface_samples.append(
-                (
-                    scenario.vertical_load,
-                    scenario.inflation_pressure,
-                    row.peak_radial_displacement,
-                )
-            )
-            patch_samples.append((scenario.vertical_load, row.patch_length))
-    surface = fit_load_surface(surface_samples)
-    patch = fit_patch_load_model(patch_samples, reference_pressure, reference_tread)
-    write_load_models(args.out, surface, patch)
+    samples = [
+        (scenario.vertical_load, scenario.inflation_pressure,
+         row.peak_radial_displacement)
+        for scenario, row in _feature_rows(args.traces, include_lateral=False)
+        if np.isfinite(row.peak_radial_displacement)
+    ]
+    write_load_model(args.out, fit_load_surface(samples))
     return 0
 
 
 def _cmd_calibrate_slip(args) -> int:
-    per_trace = _collect_feature_rows(args.traces, include_lateral=True)
-    samples = []
-    for scenario, rows, _ in per_trace:
-        for row in rows:
-            if not np.isfinite(row.peak_lateral_displacement):
-                continue
-            samples.append(
-                (row.peak_lateral_displacement, row.lateral_slope, scenario.slip_angle)
-            )
+    samples = [
+        (row.peak_lateral_displacement, row.lateral_slope, scenario.slip_angle)
+        for scenario, row in _feature_rows(args.traces, include_lateral=True)
+        if np.isfinite(row.peak_lateral_displacement)
+    ]
     write_slip_model(args.out, fit_slip_model(samples))
     return 0
 
 
 def _cmd_estimate(args) -> int:
     trace, truth, scenario, sensor = read_trace(args.trace)
-    surface, _patch = read_load_models(args.load_model)
+    surface = read_load_model(args.load_model)
     slip_model = read_slip_model(args.slip_model) if args.slip_model else None
 
     rows, skipped = extract_features(
@@ -303,8 +287,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except TireSenseError as exc:

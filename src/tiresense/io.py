@@ -8,23 +8,25 @@ identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import math
+import sys
 import warnings
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import SchemaError
-from .estimation import LoadSurfaceModel, PatchLoadModel, SlipModel
+from .estimation import LoadSurfaceModel, SlipModel
 from .scenario import SensorSpec, TireScenario
 from .simulate import AccelTrace, GroundTruth
 
 TRACE_SCHEMA = "tiresense.trace.v1"
 SIDECAR_SCHEMA = "tiresense.sidecar.v1"
-LOAD_MODEL_SCHEMA = "tiresense.load-model.v1"
+LOAD_MODEL_SCHEMA = "tiresense.load-model.v2"
 SLIP_MODEL_SCHEMA = "tiresense.slip-model.v1"
 ESTIMATES_SCHEMA = "tiresense.estimates.v1"
 REPORT_SCHEMA = "tiresense.report.v1"
@@ -37,28 +39,6 @@ _ESTIMATES_HEADER = "turn,load_lbf,slip_deg,valid"
 # Rows formatted per write of a CSV table: enough to make the per-block cost
 # vanish, few enough that a block's text stays a few hundred kB.
 _BLOCK_ROWS = 8192
-
-_SCENARIO_FIELDS = (
-    "unloaded_radius",
-    "tread_depth",
-    "vertical_load",
-    "inflation_pressure",
-    "slip_angle",
-    "vehicle_speed",
-    "stiffness_c0",
-    "stiffness_c1",
-    "wear_radius_gain",
-    "release_angle",
-)
-_SENSOR_FIELDS = ("sample_rate", "noise_std", "dc_bias", "seed")
-_REQUIRED_SCENARIO_FIELDS = (
-    "unloaded_radius",
-    "tread_depth",
-    "vertical_load",
-    "inflation_pressure",
-    "slip_angle",
-    "vehicle_speed",
-)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -84,6 +64,71 @@ def read_json(path: Path, expected_schema: str) -> dict:
             f"{path}: schema_version {version!r} is not {expected_schema!r}"
         )
     return payload
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Each field's annotation, resolved once per dataclass."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _decode(hint, value):
+    """``value`` as the field annotation ``hint`` allows it, or ValueError."""
+    args = get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _decode(args[0], value)
+    if hint is int and type(value) is int or (  # true and false are not numbers
+        hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max
+    ):
+        return value
+    if get_origin(hint) is tuple and isinstance(value, list) and len(value) == len(args):
+        items = tuple(map(_decode, args, value))
+        if len(items) != 2 or items[0] <= items[1]:
+            return items
+    raise ValueError(value)
+
+
+def _describe(hint) -> str:
+    args = get_args(hint)
+    if type(None) in args:
+        return _describe(args[0]) + " or null"
+    if get_origin(hint) is tuple:
+        if len(args) == 2:
+            return "a [lo, hi] range with lo <= hi"
+        return f"a list of {len(args)} finite numbers"
+    return "an integer" if hint is int else "a finite number"
+
+
+def _field(path: Path, name: str, hint, value):
+    try:
+        return _decode(hint, value)
+    except ValueError:
+        raise SchemaError(
+            f"{path}: {name} must be {_describe(hint)}, got {json.dumps(value)}"
+        ) from None
+
+
+def _record(path: Path, cls, payload):
+    """The dataclass ``cls`` built from a JSON object holding exactly its
+    fields, each checked against the field's annotation."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: {cls.__name__} fields must be a JSON object")
+    types = _field_types(cls)
+    unknown = sorted(set(payload) - set(types))
+    if unknown:
+        raise SchemaError(f"{path}: unknown fields {unknown}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in payload]
+    if missing:
+        raise SchemaError(f"{path}: missing required fields {missing}")
+    return cls(**{k: _field(path, k, types[k], v) for k, v in payload.items()})
+
+
+def _read_record(path: Path, schema: str, cls):
+    payload = read_json(Path(path), schema)
+    del payload["schema_version"]
+    return _record(path, cls, payload)
 
 
 def _write_table(
@@ -142,27 +187,14 @@ def sha256_of(path: Path) -> str:
 def read_scenario(path: Path) -> tuple[TireScenario, SensorSpec]:
     """Read a flat scenario JSON carrying tire and sensor fields."""
     payload = _read_object(path)
-    known = set(_SCENARIO_FIELDS) | set(_SENSOR_FIELDS)
-    unknown = set(payload) - known
-    if unknown:
-        raise SchemaError(f"{path}: unknown fields {sorted(unknown)}")
-    missing = [f for f in _REQUIRED_SCENARIO_FIELDS if f not in payload]
-    if missing:
-        raise SchemaError(f"{path}: missing required fields {missing}")
-    scenario_kwargs = {k: payload[k] for k in _SCENARIO_FIELDS if k in payload}
-    sensor_kwargs = {k: payload[k] for k in _SENSOR_FIELDS if k in payload}
-    try:
-        if "dc_bias" in sensor_kwargs:
-            sensor_kwargs["dc_bias"] = tuple(sensor_kwargs["dc_bias"])
-        return TireScenario(**scenario_kwargs), SensorSpec(**sensor_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed scenario field ({exc})") from exc
+    names = {f.name for f in fields(SensorSpec)}
+    sensor = {k: v for k, v in payload.items() if k in names}
+    tire = {k: v for k, v in payload.items() if k not in names}
+    return _record(path, TireScenario, tire), _record(path, SensorSpec, sensor)
 
 
 def scenario_to_dict(scenario: TireScenario, sensor: SensorSpec) -> dict:
-    payload = {**asdict(scenario), **asdict(sensor)}
-    payload["dc_bias"] = list(sensor.dc_bias)
-    return payload
+    return {**asdict(scenario), **asdict(sensor)}
 
 
 def write_scenario(path: Path, scenario: TireScenario, sensor: SensorSpec) -> None:
@@ -184,19 +216,13 @@ def write_trace(
     _write_table(path, TRACE_SCHEMA, _TRACE_HEADER, "%.12g,%.12g,%.12g,%.12g\n", table)
 
     sidecar = sidecar_path(path)
-    payload = {
+    _write_json(sidecar, {
         "schema_version": SIDECAR_SCHEMA,
         "scenario": asdict(scenario),
-        "sensor": {
-            "sample_rate": sensor.sample_rate,
-            "noise_std": sensor.noise_std,
-            "dc_bias": list(sensor.dc_bias),
-            "seed": sensor.seed,
-        },
+        "sensor": asdict(sensor),
         "ground_truth": {k: list(map(float, v)) for k, v in asdict(truth).items()},
         "n_turns": truth.n_turns,
-    }
-    _write_json(sidecar, payload)
+    })
     return sidecar
 
 
@@ -207,19 +233,29 @@ def sidecar_path(trace_path: Path) -> Path:
 def read_sidecar(path: Path) -> tuple[GroundTruth, TireScenario, SensorSpec]:
     """Read and validate a trace's JSON sidecar."""
     payload = read_json(path, SIDECAR_SCHEMA)
-    try:
-        scenario = TireScenario(**payload["scenario"])
-        sensor_raw = dict(payload["sensor"])
-        sensor_raw["dc_bias"] = tuple(sensor_raw["dc_bias"])
-        sensor = SensorSpec(**sensor_raw)
-        truth = GroundTruth(
-            **{k: np.asarray(v, dtype=float) for k, v in payload["ground_truth"].items()}
-        )
-        if payload["n_turns"] != truth.n_turns:
-            raise SchemaError(f"{path}: n_turns does not match the ground truth")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed sidecar ({exc})") from exc
+    scenario = _record(path, TireScenario, payload.get("scenario"))
+    sensor = _record(path, SensorSpec, payload.get("sensor"))
+    n_turns = _field(path, "n_turns", int, payload.get("n_turns"))
+    columns = payload.get("ground_truth")
+    names = [f.name for f in fields(GroundTruth)]
+    if not isinstance(columns, dict) or sorted(columns) != sorted(names):
+        raise SchemaError(f"{path}: ground_truth must be an object with fields {names}")
+    truth = GroundTruth(**{k: _column(path, k, columns[k], n_turns) for k in names})
     return truth, scenario, sensor
+
+
+def _column(path: Path, name: str, values, n_turns: int) -> np.ndarray:
+    """One ground-truth entry: a list of ``n_turns`` finite numbers."""
+    try:
+        if isinstance(values, list) and set(map(type, values)) <= {int, float}:
+            column = np.array(values, dtype=float)
+            if len(column) == n_turns and np.isfinite(column).all():
+                return column
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise SchemaError(
+        f"{path}: ground_truth.{name} must be a list of {n_turns} finite numbers"
+    )
 
 
 def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, SensorSpec]:
@@ -244,85 +280,20 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
 # ---------------------------------------------------------------------------
 # model files
 
-def write_load_models(
-    path: Path, surface: LoadSurfaceModel, patch: PatchLoadModel
-) -> None:
-    payload = {
-        "schema_version": LOAD_MODEL_SCHEMA,
-        "surface": {
-            "p00": surface.p00,
-            "p10": surface.p10,
-            "p01": surface.p01,
-            "p11": surface.p11,
-            "p02": surface.p02,
-            "fit_residual_rms": surface.fit_residual_rms,
-            "load_range": list(surface.load_range),
-            "pressure_range": list(surface.pressure_range),
-        },
-        "patch": {
-            "q0": patch.q0,
-            "q1": patch.q1,
-            "reference_pressure": patch.reference_pressure,
-            "reference_tread": patch.reference_tread,
-            "patch_length_range": list(patch.patch_length_range),
-            "fit_residual_rms": patch.fit_residual_rms,
-        },
-    }
-    _write_json(Path(path), payload)
+def write_load_model(path: Path, model: LoadSurfaceModel) -> None:
+    _write_json(Path(path), {"schema_version": LOAD_MODEL_SCHEMA, **asdict(model)})
 
 
-def read_load_models(path: Path) -> tuple[LoadSurfaceModel, PatchLoadModel]:
-    payload = read_json(Path(path), LOAD_MODEL_SCHEMA)
-    try:
-        s = payload["surface"]
-        surface = LoadSurfaceModel(
-            p00=s["p00"],
-            p10=s["p10"],
-            p01=s["p01"],
-            p11=s["p11"],
-            p02=s["p02"],
-            fit_residual_rms=s["fit_residual_rms"],
-            load_range=tuple(s["load_range"]),
-            pressure_range=tuple(s["pressure_range"]),
-        )
-        p = payload["patch"]
-        patch = PatchLoadModel(
-            q0=p["q0"],
-            q1=p["q1"],
-            reference_pressure=p["reference_pressure"],
-            reference_tread=p["reference_tread"],
-            patch_length_range=tuple(p["patch_length_range"]),
-            fit_residual_rms=p["fit_residual_rms"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed load model ({exc})") from exc
-    return surface, patch
+def read_load_model(path: Path) -> LoadSurfaceModel:
+    return _read_record(path, LOAD_MODEL_SCHEMA, LoadSurfaceModel)
 
 
 def write_slip_model(path: Path, model: SlipModel) -> None:
-    payload = {
-        "schema_version": SLIP_MODEL_SCHEMA,
-        "beta0": model.beta0,
-        "beta1": model.beta1,
-        "beta2": model.beta2,
-        "fit_residual_rms": model.fit_residual_rms,
-        "slip_range": list(model.slip_range),
-    }
-    _write_json(Path(path), payload)
+    _write_json(Path(path), {"schema_version": SLIP_MODEL_SCHEMA, **asdict(model)})
 
 
 def read_slip_model(path: Path) -> SlipModel:
-    payload = read_json(Path(path), SLIP_MODEL_SCHEMA)
-    try:
-        return SlipModel(
-            beta0=payload["beta0"],
-            beta1=payload["beta1"],
-            beta2=payload["beta2"],
-            fit_residual_rms=payload["fit_residual_rms"],
-            slip_range=tuple(payload["slip_range"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed slip model ({exc})") from exc
+    return _read_record(path, SLIP_MODEL_SCHEMA, SlipModel)
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +341,13 @@ def write_report(path: Path, report: dict) -> None:
 def read_ranges(path: Path) -> tuple[dict, int]:
     """Read a sweep ranges file: factor -> [lo, hi] plus optional points."""
     payload = _read_object(path)
-    points = payload.pop("points", 7)
-    if isinstance(points, bool) or not isinstance(points, int) or points < 2:
-        raise SchemaError(f"{path}: points must be an integer of at least 2")
-    ranges = {}
-    for factor, bounds in payload.items():
-        try:
-            lo, hi = map(float, bounds)  # ValueError unless exactly two values
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: {factor} must map to [lo, hi] ({exc})") from exc
-        if not (isinstance(bounds, list) and math.isfinite(lo) and math.isfinite(hi)):
-            raise SchemaError(f"{path}: {factor} must map to two finite numbers [lo, hi]")
-        ranges[factor] = (lo, hi)
+    points = _field(path, "points", int, payload.pop("points", 7))
+    if points < 2:
+        raise SchemaError(f"{path}: points must be at least 2")
+    ranges = {
+        factor: tuple(map(float, _field(path, factor, tuple[float, float], bounds)))
+        for factor, bounds in payload.items()
+    }
     return ranges, points
 
 

@@ -105,7 +105,7 @@ class SensorSpec:
             raise ScenarioError("noise_std must be non-negative")
         if len(self.dc_bias) != 3:
             raise ScenarioError("dc_bias needs one value per axis (3)")
-        if not float(self.seed).is_integer() or self.seed < 0:
+        if self.seed % 1 != 0 or self.seed < 0:  # not float(seed): seed may be huge
             raise ScenarioError("seed must be a non-negative integer")
         # normalise to a plain tuple of floats so traces hash/compare cleanly
         object.__setattr__(self, "dc_bias", tuple(float(b) for b in self.dc_bias))

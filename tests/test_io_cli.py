@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -12,20 +14,20 @@ from hypothesis import strategies as st
 import tiresense
 from tiresense import SchemaError, SensorSpec, TireSenseError, simulate
 from tiresense.cli import main
-from tiresense.estimation import fit_load_surface, fit_patch_load_model, fit_slip_model
+from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, fit_slip_model
 from tiresense.features import FootprintFeatures
 from tiresense.io import (
     _BLOCK_ROWS,
     SIDECAR_SCHEMA,
     read_estimates,
-    read_load_models,
+    read_load_model,
     read_scenario,
     read_slip_model,
     read_trace,
     scenario_to_dict,
     write_estimates,
     write_feature_table,
-    write_load_models,
+    write_load_model,
     write_plot_data,
     write_scenario,
     write_slip_model,
@@ -48,12 +50,13 @@ def write_trace_files(path, scen, sensor, turns):
 # file round trips
 
 def test_scenario_round_trip(tmp_path):
-    scen = scenario(slip_angle=2.0)
     path = tmp_path / "scenario.json"
-    write_scenario(path, scen, SENSOR)
-    back_scen, back_sensor = read_scenario(path)
-    assert back_scen == scen
-    assert back_sensor == SENSOR
+    for release_angle in (None, 0.2):
+        scen = scenario(slip_angle=2.0, release_angle=release_angle)
+        write_scenario(path, scen, SENSOR)
+        back_scen, back_sensor = read_scenario(path)
+        assert back_scen == scen
+        assert back_sensor == SENSOR
 
 
 def test_scenario_rejects_unknown_and_missing_fields(tmp_path):
@@ -105,14 +108,10 @@ def test_model_round_trips(tmp_path):
             for pressure in (29.0, 32.0, 35.0)
         ]
     )
-    patch = fit_patch_load_model(
-        [(800.0, 0.2), (1100.0, 0.23), (1500.0, 0.27)], 32.0, 8.0
-    )
     path = tmp_path / "load_model.json"
-    write_load_models(path, surface, patch)
-    surface_back, patch_back = read_load_models(path)
-    assert surface_back == surface
-    assert patch_back == patch
+    write_load_model(path, surface)
+    assert read_load_model(path) == surface
+    assert json.loads(path.read_text())["schema_version"] == "tiresense.load-model.v2"
 
     slip = fit_slip_model([(0.0, 0.0, 0.0), (10.0, 0.05, 3.0), (20.0, 0.09, 6.0)])
     slip_path = tmp_path / "slip_model.json"
@@ -517,8 +516,9 @@ def bad_inputs(tmp_path_factory):
             for pressure in (29.0, 32.0, 35.0)
         ]
     )
-    patch = fit_patch_load_model([(800.0, 0.2), (1500.0, 0.27)], 32.0, 8.0)
-    write_load_models(root / "lm.json", surface, patch)
+    write_load_model(root / "lm.json", surface)
+    write_slip_model(root / "sm.json",
+                     fit_slip_model([(0.0, 0.0, 0.0), (10.0, 0.05, 3.0), (20.0, 0.09, 6.0)]))
     return root
 
 
@@ -626,12 +626,43 @@ def _truth_load(root, load):
     return _evaluate_truth(root, sidecar)
 
 
-def _string_field(root):
-    payload = scenario_to_dict(scenario(), SENSOR)
-    payload["unloaded_radius"] = "0.3"
+def _scenario_file(root, **changes):
+    payload = {**scenario_to_dict(scenario(), SENSOR), **changes}
     (root / "scenario.json").write_text(json.dumps(payload))
     return ["simulate", "--scenario", root / "scenario.json", "--turns", 2,
             "--out", root / "out"]
+
+
+def _load_model_file(root, **changes):
+    payload = {**json.loads((root / "lm.json").read_text()), **changes}
+    (root / "bad_lm.json").write_text(json.dumps(payload))
+    return ["estimate", "--trace", root / "trace.csv", "--load-model",
+            root / "bad_lm.json", "--out", root / "out"]
+
+
+def _load_model_v1(root):
+    # The surface nested beside the patch-length model, as v1 wrote it.
+    argv = _load_model_file(root)
+    surface = json.loads((root / "lm.json").read_text())
+    del surface["schema_version"]
+    patch = {"q0": -1043.0, "q1": 8849.5, "reference_pressure": 29.0,
+             "reference_tread": 8.0, "patch_length_range": [0.204, 0.292],
+             "fit_residual_rms": 37.0}
+    (root / "bad_lm.json").write_text(json.dumps(
+        {"schema_version": "tiresense.load-model.v1", "surface": surface, "patch": patch}))
+    return argv
+
+
+def _slip_model_file(root, **changes):
+    payload = {**json.loads((root / "sm.json").read_text()), **changes}
+    (root / "bad_sm.json").write_text(json.dumps(payload))
+    return _estimate(root, "trace.csv", "--slip-model", root / "bad_sm.json")
+
+
+def _ragged_truth(root):
+    sidecar = json.loads((root / "trace.json").read_text())
+    sidecar["ground_truth"]["wheel_period_s"] = [1, 2]
+    return _evaluate_truth(root, sidecar)
 
 
 @pytest.mark.parametrize(
@@ -647,7 +678,8 @@ def _string_field(root):
         pytest.param(_truncated_csv, id="truncated-csv"),
         pytest.param(_rate_mismatch, id="sample-rate-mismatch"),
         pytest.param(_empty_trace, id="header-only-trace"),
-        pytest.param(_string_field, id="string-scenario-field"),
+        pytest.param(lambda root: _scenario_file(root, unloaded_radius="0.3"),
+                     id="string-scenario-field"),
         pytest.param(_short_estimates_row, id="estimates-short-row"),
         pytest.param(_two_column_estimates, id="estimates-two-columns"),
         pytest.param(lambda root: _ranges(root, tread=[2, 8, 9]), id="three-bounds"),
@@ -664,6 +696,26 @@ def _string_field(root):
         pytest.param(lambda root: _estimates_field(root, 1, "inf"), id="estimates-inf-load"),
         pytest.param(lambda root: _estimates_field(root, 3, "2"), id="estimates-valid-2"),
         pytest.param(lambda root: _estimates_field(root, 3, "nan"), id="estimates-valid-nan"),
+        pytest.param(_ragged_truth, id="truth-ragged-ground-truth"),
+        pytest.param(lambda root: _load_model_file(root, p00="x"),
+                     id="load-model-string-coefficient"),
+        pytest.param(lambda root: _load_model_file(root, p01=None),
+                     id="load-model-null-coefficient"),
+        pytest.param(lambda root: _load_model_file(root, p10=True),
+                     id="load-model-bool-coefficient"),
+        pytest.param(lambda root: _load_model_file(root, p11=float("nan")),
+                     id="load-model-nan-coefficient"),
+        pytest.param(_load_model_v1, id="load-model-v1"),
+        pytest.param(lambda root: _slip_model_file(root, slip_range=[0, 3, 6]),
+                     id="slip-model-three-bounds"),
+        pytest.param(lambda root: _slip_model_file(root, slip_range=[6, 0]),
+                     id="slip-model-reversed-range"),
+        pytest.param(lambda root: _scenario_file(root, unloaded_radius=float("inf")),
+                     id="scenario-infinite-radius"),
+        pytest.param(lambda root: _scenario_file(root, stiffness_c1=float("inf")),
+                     id="scenario-infinite-stiffness"),
+        pytest.param(lambda root: _scenario_file(root, vertical_load=True),
+                     id="scenario-bool-load"),
     ],
 )
 def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv):
@@ -674,6 +726,121 @@ def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert not (bad_inputs / "out").exists()
+
+
+def test_v1_load_model_error_names_v2(bad_inputs):
+    _load_model_v1(bad_inputs)
+    with pytest.raises(SchemaError, match="tiresense.load-model.v2"):
+        read_load_model(bad_inputs / "bad_lm.json")
+
+
+# ---------------------------------------------------------------------------
+# every JSON input, mutated one value at a time
+
+# The fixed replacement values; large finite numbers are left out because a
+# scenario may then ask simulate for an unbounded allocation.
+_REPLACEMENTS = ["x", None, True, [], {}, float("nan"), float("inf"), float("-inf"), -1, 0]
+_DROP = "drop"
+
+
+def _json_paths(value, prefix=()):
+    """The key or index path of every value nested in a JSON value."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, child in items:
+        yield (*prefix, key)
+        yield from _json_paths(child, (*prefix, key))
+
+
+def _no_constant(name):
+    raise AssertionError(f"output holds {name}")
+
+
+def _json_output(path):
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
+@pytest.fixture(scope="module")
+def json_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("json")
+    write_scenario(root / "scenario.json", scenario(), SENSOR)
+    write_trace_files(root / "trace.csv", scenario(slip_angle=2.0), SENSOR, 4)
+    write_load_model(root / "load_model.json", LoadSurfaceModel(
+        p00=8.34, p10=0.0433, p01=-0.667, p11=-0.000408, p02=0.0112,
+        fit_residual_rms=0.52, load_range=(800.0, 1500.0), pressure_range=(29.0, 35.0)))
+    write_slip_model(root / "slip_model.json", SlipModel(
+        beta0=0.0, beta1=0.3, beta2=1.0, fit_residual_rms=0.05, slip_range=(0.0, 6.0)))
+    write_estimates(root / "est.csv", np.full(4, 1000.0), np.full(4, 2.0),
+                    np.ones(4, dtype=bool))
+    (root / "ranges.json").write_text(json.dumps(
+        {"load": [800, 1500], "pressure": [29, 35], "tread": [2, 8], "points": 3}))
+    return root
+
+
+# input file -> (argv with that file replaced by bad.json, check of an exit-0 output)
+_JSON_RUNS = {
+    "scenario.json": (
+        lambda r: ["simulate", "--scenario", r / "bad.json", "--turns", 2,
+                   "--out", r / "sim.csv"],
+        lambda r: read_trace(r / "sim.csv")[1].n_turns == 2,
+    ),
+    "load_model.json": (
+        lambda r: ["estimate", "--trace", r / "trace.csv", "--load-model", r / "bad.json",
+                   "--slip-model", r / "slip_model.json", "--out", r / "out.csv"],
+        lambda r: len(read_estimates(r / "out.csv")[0]) == 4,
+    ),
+    "slip_model.json": (
+        lambda r: ["estimate", "--trace", r / "trace.csv", "--load-model",
+                   r / "load_model.json", "--slip-model", r / "bad.json",
+                   "--out", r / "out.csv"],
+        lambda r: len(read_estimates(r / "out.csv")[0]) == 4,
+    ),
+    "trace.json": (
+        lambda r: ["evaluate", "--estimates", r / "est.csv", "--truth", r / "bad.json",
+                   "--report", r / "out.json"],
+        lambda r: _json_output(r / "out.json")["n_turns"] == 4,
+    ),
+    "ranges.json": (
+        lambda r: ["sweep", "--ranges", r / "bad.json", "--out", r / "out.json"],
+        lambda r: _json_output(r / "out.json")["schema_version"] == "tiresense.sensitivity.v1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_RUNS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cli_survives_any_json_mutation(json_inputs, name, data):
+    # One key dropped or one value replaced, at any depth: no exception
+    # leaves main, and the command exits 0 with output that reads back, or
+    # 1 or 2 with one line on stderr.
+    root = json_inputs
+    bad = json.loads((root / name).read_text())
+    *parents, last = data.draw(st.sampled_from(sorted(_json_paths(bad), key=str)))
+    replacement = data.draw(st.sampled_from([_DROP, *_REPLACEMENTS]))
+    target = bad
+    for key in parents:
+        target = target[key]
+    if replacement == _DROP:
+        del target[last]
+    else:
+        target[last] = replacement
+    (root / "bad.json").write_text(json.dumps(bad))
+    for output in ("sim.csv", "sim.json", "out.csv", "out.json"):
+        (root / output).unlink(missing_ok=True)
+
+    make_argv, output_reads_back = _JSON_RUNS[name]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli(*make_argv(root))
+    assert code in (0, 1, 2)
+    assert len(stderr.getvalue().splitlines()) <= 1
+    if code == 0:
+        assert output_reads_back(root)
 
 
 def test_cli_import_does_not_load_scipy():
