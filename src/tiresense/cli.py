@@ -130,41 +130,42 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _feature_rows(traces_dir: Path, include_lateral: bool):
-    """(scenario, features) for every turn of every trace CSV in ``traces_dir``."""
+def _feature_tables(traces_dir: Path, include_lateral: bool):
+    """(scenario, feature table) for every trace CSV in ``traces_dir``."""
     paths = sorted(Path(traces_dir).glob("*.csv"))
     if not paths:
         raise SchemaError(f"{traces_dir}: no trace CSV files found")
     for path in paths:
         trace, truth, scenario, sensor = read_trace(path)
-        rows, skipped = extract_features(
+        table, _ = extract_features(
             trace,
             wheel_speed=scenario.vehicle_speed,
             radius_hint=scenario.unloaded_radius,
             include_lateral=include_lateral,
         )
-        for row in rows:
-            yield scenario, row
+        yield scenario, table
 
 
 def _cmd_calibrate_load(args) -> int:
-    samples = [
-        (scenario.vertical_load, scenario.inflation_pressure,
-         row.peak_radial_displacement)
-        for scenario, row in _feature_rows(args.traces, include_lateral=False)
-        if np.isfinite(row.peak_radial_displacement)
-    ]
-    write_load_model(args.out, fit_load_surface(samples))
+    blocks = []
+    for scenario, table in _feature_tables(args.traces, include_lateral=False):
+        kept = table[np.isfinite(table.peak_radial_displacement)]
+        blocks.append(np.column_stack(np.broadcast_arrays(
+            scenario.vertical_load, scenario.inflation_pressure,
+            kept.peak_radial_displacement,
+        )))
+    write_load_model(args.out, fit_load_surface(np.concatenate(blocks)))
     return 0
 
 
 def _cmd_calibrate_slip(args) -> int:
-    samples = [
-        (row.peak_lateral_displacement, row.lateral_slope, scenario.slip_angle)
-        for scenario, row in _feature_rows(args.traces, include_lateral=True)
-        if np.isfinite(row.peak_lateral_displacement)
-    ]
-    write_slip_model(args.out, fit_slip_model(samples))
+    blocks = []
+    for scenario, table in _feature_tables(args.traces, include_lateral=True):
+        kept = table[np.isfinite(table.peak_lateral_displacement)]
+        blocks.append(np.column_stack(np.broadcast_arrays(
+            kept.peak_lateral_displacement, kept.lateral_slope, scenario.slip_angle
+        )))
+    write_slip_model(args.out, fit_slip_model(np.concatenate(blocks)))
     return 0
 
 
@@ -173,39 +174,35 @@ def _cmd_estimate(args) -> int:
     surface = read_load_model(args.load_model)
     slip_model = read_slip_model(args.slip_model) if args.slip_model else None
 
-    rows, skipped = extract_features(
+    table, _ = extract_features(
         trace,
         wheel_speed=scenario.vehicle_speed,
         radius_hint=scenario.unloaded_radius,
         include_lateral=slip_model is not None,
     )
-    peaks = np.array([r.peak_radial_displacement for r in rows])
-    pressures = np.full(len(rows), scenario.inflation_pressure)
+    pressures = np.full(len(table), scenario.inflation_pressure)
     result = estimate_load_stream(
-        surface, peaks, pressures, forgetting=args.forgetting,
-        initial_covariance=args.p0,
+        surface, table.peak_radial_displacement, pressures,
+        forgetting=args.forgetting, initial_covariance=args.p0,
     )
     if slip_model is not None:
-        slips = np.array(
-            [
-                predict_slip(slip_model, r.peak_lateral_displacement, r.lateral_slope)
-                for r in rows
-            ]
+        slips = predict_slip(
+            slip_model, table.peak_lateral_displacement, table.lateral_slope
         )
     else:
-        slips = np.full(len(rows), np.nan)
+        slips = np.full(len(table), np.nan)
     write_estimates(args.out, result.estimates_lbf, slips, result.valid)
     if args.features is not None:
-        write_feature_table(args.features, rows)
+        write_feature_table(args.features, table)
     if args.plot_data is not None:
-        rows_out = [
-            ("estimate_lbf", i, v) for i, v in enumerate(result.estimates_lbf)
-        ]
-        rows_out += [
-            ("truth_lbf", i, scenario.vertical_load)
-            for i in range(len(result.estimates_lbf))
-        ]
-        write_plot_data(args.plot_data, rows_out)
+        n = len(table)
+        rows = np.empty((2 * n, 3), dtype=object)
+        rows[:, 0] = np.repeat(["estimate_lbf", "truth_lbf"], n)
+        rows[:, 1] = np.tile(np.arange(n), 2)
+        rows[:, 2] = np.concatenate(
+            (result.estimates_lbf, np.full(n, scenario.vertical_load))
+        )
+        write_plot_data(args.plot_data, rows)
     return 0
 
 
@@ -293,9 +290,6 @@ def main(argv: list[str] | None = None) -> int:
     except TireSenseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2

@@ -33,9 +33,10 @@ SWEEP_FEATURES = ("peak_radial_displacement", "contact_patch_length")
 
 
 def _solve_least_squares(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Ordinary least squares with an explicit rank check."""
+    """Ordinary least squares with an explicit rank check; fewer rows than
+    columns (no row at all, say) cannot reach full rank."""
     singular = np.linalg.svd(design, compute_uv=False)
-    if singular[-1] <= RANK_TOLERANCE * singular[0]:
+    if len(singular) < design.shape[1] or singular[-1] <= RANK_TOLERANCE * singular[0]:
         raise RankDeficiencyError(
             "design matrix is rank deficient; samples do not span the basis"
         )
@@ -204,7 +205,6 @@ def estimate_load_stream(
     state = RlsState(theta=0.0, covariance=initial_covariance, forgetting=forgetting)
     estimates = np.zeros(len(peaks))
     valid = np.zeros(len(peaks), dtype=bool)
-    skipped = 0
     for i, (peak, pressure) in enumerate(zip(peaks, pressures)):
         if np.isfinite(peak):
             try:
@@ -214,14 +214,12 @@ def estimate_load_stream(
             if y is not None and np.isfinite(y):
                 state = rls_update(state, y)
                 valid[i] = True
-        if not valid[i]:
-            skipped += 1
         estimates[i] = state.theta
     return LoadStreamResult(
         estimates_lbf=estimates,
         valid=valid,
         convergence_turn=convergence_turn(estimates, valid),
-        skipped_turns=skipped,
+        skipped_turns=int(np.count_nonzero(~valid)),
     )
 
 
@@ -305,12 +303,13 @@ def fit_slip_model(samples: list[tuple[float, float, float]]) -> SlipModel:
     )
 
 
-def predict_slip(model: SlipModel, peak_lateral_mm: float, lateral_slope: float) -> float:
-    """Slip angle prediction, clamped to the trained range plus 20% margin."""
+def predict_slip(model: SlipModel, peak_lateral_mm, lateral_slope):
+    """Slip angle prediction, clamped to the trained range plus 20% margin;
+    scalar features give a scalar, arrays an array, and NaN stays NaN."""
     raw = model.beta0 + model.beta1 * peak_lateral_mm + model.beta2 * lateral_slope
     lo, hi = model.slip_range
     margin = SLIP_CLAMP_MARGIN * (hi - lo)
-    return float(np.clip(raw, lo - margin, hi + margin))
+    return np.clip(raw, lo - margin, hi + margin)
 
 
 @dataclass(frozen=True)

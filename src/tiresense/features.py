@@ -3,87 +3,61 @@
 Each wheel turn reduces to four numbers: contact patch length from the
 tangential edge spikes, peak radial displacement (the dip amplitude of the
 integrated radial channel), peak lateral displacement, and the slope of the
-initial part of the lateral profile.  Wheel speed comes from trace
-metadata, not from an assumed radius, so the features stay independent of
-wear-state knowledge.
+initial part of the lateral profile.  Every feature is computed for all
+turns of a trace at once, into one table with a record per turn.  Wheel
+speed comes from trace metadata, not from an assumed radius, so the
+features stay independent of wear-state knowledge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .dsp import (
-    DisplacementProfile,
-    _line_slope,
-    _patch_edges,
-    accel_to_displacement,
-    estimate_period,
-    segment_turns,
-)
+from .dsp import _patch_edges, accel_to_displacement, estimate_period, segment_turns
 from .simulate import AccelTrace
 
 # Fraction of the patch window used for the "initial linear part" fit.
 SLOPE_FIT_FRACTION = 0.3
 
-
-@dataclass(frozen=True)
-class FootprintFeatures:
-    """Scalar features of one wheel turn."""
-
-    turn_index: int
-    patch_length: float              # m
-    peak_radial_displacement: float  # mm, dip amplitude, >= 0 for a real patch
-    peak_lateral_displacement: float # mm, magnitude
-    lateral_slope: float             # mm lateral per mm of patch travel
-
-
-def patch_length(
-    edges: tuple[int, int], wheel_speed: float, sample_rate: float
-) -> float:
-    """Patch length in metres from the edge spike separation."""
-    leading, trailing = edges
-    return wheel_speed * (trailing - leading) / sample_rate
-
-
-def peak_radial_displacement(
-    profile: DisplacementProfile, edges: tuple[int, int]
-) -> float:
-    """Dip amplitude of one turn's radial profile, millimetres.
-
-    Measured as the profile maximum minus the value midway between the
-    patch edges; relative rather than absolute so it is invariant to
-    detrending.
-    """
-    leading, trailing = edges
-    center = (leading + trailing) // 2
-    return float(np.max(profile.samples) - profile.samples[center])
+# The feature table's fields: turn number, patch length (m), dip amplitude
+# (mm, >= 0 for a real patch), peak lateral displacement (mm, magnitude) and
+# lateral slope (mm lateral per mm of patch travel).
+FEATURE_FIELDS = ("turn_index", "patch_length", "peak_radial_displacement",
+                  "peak_lateral_displacement", "lateral_slope")
 
 
 def lateral_features(
-    profile: DisplacementProfile,
-    edges: tuple[int, int],
+    lateral: np.ndarray,
+    leading: np.ndarray,
+    trailing: np.ndarray,
     wheel_speed: float,
     sample_rate: float,
-) -> tuple[float, float]:
-    """Peak lateral displacement (mm) and initial slope (mm/mm).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak lateral displacement (mm) and initial slope (mm/mm) of each row
+    of a ``(turns, samples)`` lateral profile, given each row's edges.
 
     The peak is searched over the patch plus one patch-length of release
     after the exit, where the brush deflection tops out.  The slope is the
     least-squares line through the first 30% of the patch window against
-    patch-travel distance.
+    patch-travel distance.  Both windows end at the row's end at the
+    latest, and only they are gathered.
     """
-    leading, trailing = edges
-    patch_samples = trailing - leading
-    search_end = min(len(profile.samples), trailing + patch_samples)
-    peak = float(np.max(np.abs(profile.samples[leading:search_end])))
+    n = lateral.shape[-1]
+    separation = trailing - leading
+    offsets = np.arange(2 * separation.max(initial=0))
+    # Clipped to the row, a window repeats the row's last sample, which
+    # leaves the peak as it is; the slope fit stops at the row's end.
+    window = lateral[np.arange(len(lateral))[:, None],
+                     np.minimum(leading[:, None] + offsets, n - 1)]
+    inside = offsets < 2 * separation[:, None]
+    peak = np.where(inside, np.abs(window), 0.0).max(axis=1, initial=0.0)
 
-    fit_n = max(2, int(round(SLOPE_FIT_FRACTION * patch_samples)))
-    segment = profile.samples[leading : leading + fit_n]
-    travel_mm_per_sample = wheel_speed / sample_rate * 1e3
-    slope = float(_line_slope(segment)) / travel_mm_per_sample
-    return peak, slope
+    fit_n = np.maximum(2, np.round(SLOPE_FIT_FRACTION * separation).astype(int))
+    fit_n = np.minimum(fit_n, n - leading)[:, None]
+    t = offsets[: fit_n.max(initial=0)] - (fit_n - 1) / 2.0
+    t[offsets[: t.shape[1]] >= fit_n] = 0.0
+    slope = (window[:, : t.shape[1]] * t).sum(axis=1) / (t * t).sum(axis=1)
+    return peak, slope / (wheel_speed / sample_rate * 1e3)
 
 
 def extract_features(
@@ -91,13 +65,15 @@ def extract_features(
     wheel_speed: float,
     radius_hint: float,
     include_lateral: bool = True,
-) -> tuple[list[FootprintFeatures], int]:
-    """Feature rows for every turn of a trace, one row per segment.
+) -> tuple[np.recarray, int]:
+    """Feature table of a trace: one record per turn, fields ``FEATURE_FIELDS``.
 
-    Turns whose edge detection fails keep their row with NaN features so
-    downstream tables stay aligned with the turn count; the second return
-    value counts them.  ``wheel_speed`` is the vehicle speed from trace
-    metadata and ``radius_hint`` seeds the period search only.
+    Turns whose edge detection fails keep their record, with their turn
+    index and NaN features, so downstream tables stay aligned with the turn
+    count; the second return value counts them.  Without ``include_lateral``
+    both lateral features are 0 on the other turns.  ``wheel_speed`` is the
+    vehicle speed from trace metadata and ``radius_hint`` seeds the period
+    search only.
     """
     period = estimate_period(trace, wheel_speed, radius_hint)
     segments = segment_turns(trace, period)
@@ -109,30 +85,20 @@ def extract_features(
     # Radial displacement uses the outward-positive convention, so the
     # patch shows up as a dip; the sensor channel is centre-positive.
     radial = accel_to_displacement(-turns[:, :, 2], fs, rotation_frequency).samples
+    edges = _patch_edges(turns[:, :, 0])
+    ok = np.flatnonzero(edges.failed == 0)
+    leading, trailing = edges.leading[ok], edges.trailing[ok]
+
+    columns = np.full((4, len(segments)), np.nan)
+    patch, dip, peak, slope = columns  # views: each fills one column
+    patch[ok] = wheel_speed * (trailing - leading) / fs
+    dip[ok] = radial.max(axis=1)[ok] - radial[ok, (leading + trailing) // 2]
     if include_lateral:
         lateral = accel_to_displacement(turns[:, :, 1], fs, rotation_frequency).samples
-    edges = _patch_edges(turns[:, :, 0])
-    rows: list[FootprintFeatures] = []
-    nan = float("nan")
-    for index in range(len(segments)):
-        if edges.failed[index]:
-            rows.append(FootprintFeatures(index, nan, nan, nan, nan))
-            continue
-        pair = (int(edges.leading[index]), int(edges.trailing[index]))
-        peak_lateral, slope = 0.0, 0.0
-        if include_lateral:
-            peak_lateral, slope = lateral_features(
-                DisplacementProfile(lateral[index]), pair, wheel_speed, fs
-            )
-        rows.append(
-            FootprintFeatures(
-                turn_index=index,
-                patch_length=patch_length(pair, wheel_speed, fs),
-                peak_radial_displacement=peak_radial_displacement(
-                    DisplacementProfile(radial[index]), pair
-                ),
-                peak_lateral_displacement=peak_lateral,
-                lateral_slope=slope,
-            )
+        peak[ok], slope[ok] = lateral_features(
+            lateral[ok], leading, trailing, wheel_speed, fs
         )
-    return rows, int(np.count_nonzero(edges.failed))
+    else:
+        peak[ok] = slope[ok] = 0.0
+    table = np.rec.fromarrays([np.arange(len(segments)), *columns], names=FEATURE_FIELDS)
+    return table, len(segments) - len(ok)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import SchemaError
 from .estimation import LoadSurfaceModel, SlipModel
+from .features import FEATURE_FIELDS
 from .scenario import SensorSpec, TireScenario
 from .simulate import AccelTrace, GroundTruth
 
@@ -319,12 +320,12 @@ def read_estimates(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return loads, slips, valid
 
 
-def write_feature_table(path: Path, rows) -> None:
-    table = np.array([(r.turn_index, r.patch_length, r.peak_radial_displacement,
-                       r.peak_lateral_displacement, r.lateral_slope) for r in rows])
+def write_feature_table(path: Path, table: np.recarray) -> None:
+    """The feature table ``extract_features`` returns, one line per turn."""
     _write_table(path, FEATURES_SCHEMA,
                  "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope",
-                 "%d,%.12g,%.12g,%.12g,%.12g\n", table)
+                 "%d,%.12g,%.12g,%.12g,%.12g\n",
+                 np.column_stack([table[name] for name in FEATURE_FIELDS]))
 
 
 def write_plot_data(path: Path, rows) -> None:

@@ -259,6 +259,19 @@ def test_slip_prediction_clamped():
     assert predict_slip(model, -100.0, 0.0) == pytest.approx(-1.2)
 
 
+def test_slip_prediction_on_arrays_matches_scalar_calls():
+    model = SlipModel(
+        beta0=0.3, beta1=0.25, beta2=11.0, fit_residual_rms=0.1, slip_range=(0.0, 6.0)
+    )
+    peaks = np.array([0.0, 3.7, 100.0, -100.0, np.nan, 5.0, 1e-3])
+    slopes = np.array([0.0, 0.021, 0.0, 0.0, 0.01, np.nan, -0.3])
+    batched = predict_slip(model, peaks, slopes)
+    scalars = [predict_slip(model, p, s) for p, s in zip(peaks.tolist(), slopes.tolist())]
+    assert batched.shape == peaks.shape
+    assert batched.tobytes() == np.array(scalars).tobytes()  # NaN bits too
+    assert np.isnan(batched[4:6]).all()
+
+
 @settings(max_examples=25, deadline=None)
 @given(scale=st.floats(0.1, 10.0))
 def test_slip_prediction_equivariant_under_feature_scaling(scale):

@@ -3,18 +3,14 @@ import pytest
 
 from tiresense import EdgeOrderError, SensorSpec, derive_geometry, simulate
 from tiresense.dsp import (
-    DisplacementProfile,
+    _line_slope,
     _patch_edges,
+    accel_to_displacement,
     detect_patch_edges,
     estimate_period,
     segment_turns,
 )
-from tiresense.features import (
-    extract_features,
-    lateral_features,
-    patch_length,
-    peak_radial_displacement,
-)
+from tiresense.features import FEATURE_FIELDS, extract_features, lateral_features
 from tiresense.simulate import AccelTrace
 
 from conftest import scenario
@@ -31,8 +27,36 @@ def features_of(scen, sensor=QUIET, turns=6, lateral=False):
     return rows
 
 
-def test_patch_length_formula():
-    assert patch_length((100, 210), 20.0, 10_000.0) == pytest.approx(0.22, rel=1e-12)
+# Per-turn references for the batched features: one turn's profile and its
+# (leading, trailing) edges in, one number (or pair) out.
+
+def reference_patch_length(edges, wheel_speed, sample_rate):
+    leading, trailing = edges
+    return wheel_speed * (trailing - leading) / sample_rate
+
+
+def reference_peak_radial(profile, edges):
+    # relative to the profile maximum, so invariant to detrending
+    leading, trailing = edges
+    return float(np.max(profile) - profile[(leading + trailing) // 2])
+
+
+def reference_lateral(profile, edges, wheel_speed, sample_rate):
+    leading, trailing = edges
+    patch_samples = trailing - leading
+    search_end = min(len(profile), trailing + patch_samples)
+    peak = float(np.max(np.abs(profile[leading:search_end])))
+    fit_n = max(2, int(round(0.3 * patch_samples)))
+    segment = profile[leading : leading + fit_n]
+    slope = float(_line_slope(segment)) / (wheel_speed / sample_rate * 1e3)
+    return peak, slope
+
+
+def test_references_pin_the_formulas():
+    assert reference_patch_length((100, 210), 20.0, 10_000.0) == pytest.approx(
+        0.22, rel=1e-12
+    )
+    assert reference_peak_radial(np.zeros(500), (200, 300)) == 0.0
 
 
 def test_patch_length_tracks_patch_arc():
@@ -62,11 +86,6 @@ def test_peak_radial_tracks_deflection_linearly():
     residual = np.array(dips) - np.polyval(coef, deflections)
     r_squared = 1 - residual.var() / np.var(dips)
     assert r_squared >= 0.98
-
-
-def test_flat_profile_has_zero_dip():
-    profile = DisplacementProfile(samples=np.zeros(500))
-    assert peak_radial_displacement(profile, (200, 300)) == 0.0
 
 
 def test_peak_radial_nearly_tread_blind():
@@ -184,12 +203,12 @@ def test_noise_only_turn_is_skipped():
         assert all(np.isfinite(r.patch_length) for i, r in enumerate(rows) if i != 1)
 
 
-def test_edge_batch_matches_each_turn_and_extract_features_skips_the_rest():
-    # healthy turns mixed with one turn per rejection rule, each written over
-    # the tangential channel of its own segment (the radial channel, which
-    # segment_turns reads, is untouched)
-    scen = scenario()
-    trace, _ = simulate(scen, QUIET, 10)
+def broken_turn_trace(slip_angle=0.0):
+    """A 10-turn trace with one turn broken per edge rule: healthy turns
+    mixed with turns whose tangential channel is written over (the radial
+    channel, which segment_turns reads, is untouched).  Returns the trace,
+    its segments and {turn: (rule, make, message)}."""
+    trace, _ = simulate(scenario(slip_angle=slip_angle), QUIET, 10)
     segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
     length = len(segments[0])  # 942: 9-sample smoothing, 471 = half a turn
     wiggle = np.where(np.arange(length) % 2, 1.0, -1.0)  # MAD 1: floor 14.8
@@ -211,7 +230,11 @@ def test_edge_batch_matches_each_turn_and_extract_features_skips_the_rest():
         start = segments[index].start_index
         samples[start : start + length, 0] = make(samples[start : start + length, 0])
     mixed = AccelTrace(trace.sample_rate, samples, trace.duration)
+    return mixed, segments, broken
 
+
+def test_edge_batch_matches_each_turn_and_extract_features_skips_the_rest():
+    mixed, segments, broken = broken_turn_trace()
     batch = np.stack([mixed.a_tangential[s.start_index : s.end_index] for s in segments])
     edges = _patch_edges(batch)
     expected = [broken[i][0] if i in broken else 0 for i in range(len(segments))]
@@ -233,15 +256,59 @@ def test_edge_batch_matches_each_turn_and_extract_features_skips_the_rest():
         assert np.isnan(rows[i].lateral_slope)
 
 
-def test_lateral_features_signature():
-    # synthetic triangle profile: slope of the first 30% is recovered
-    n = 400
-    profile_samples = np.zeros(n)
-    lead, trail = 100, 200
-    profile_samples[lead:trail] = np.linspace(0.0, 10.0, trail - lead)
-    profile = DisplacementProfile(profile_samples)
-    peak, slope = lateral_features(profile, (lead, trail), 20.0, 10_000.0)
-    assert peak == pytest.approx(10.0, rel=1e-6)
-    travel_per_sample_mm = 20.0 / 10_000.0 * 1e3
-    expected_slope = (10.0 / (trail - lead)) / travel_per_sample_mm
-    assert slope == pytest.approx(expected_slope, rel=0.05)
+def test_extract_features_matches_per_turn_reference():
+    mixed, segments, broken = broken_turn_trace(slip_angle=3.0)
+    table, skipped = extract_features(mixed, 20.0, 0.3, include_lateral=True)
+    assert table.dtype.names == FEATURE_FIELDS
+    assert skipped == len(broken)
+    # every turn keeps its number, the skipped ones included
+    assert table.turn_index.tolist() == list(range(len(segments)))
+
+    fs, length = mixed.sample_rate, len(segments[0])
+    turns = np.stack([mixed.samples[s.start_index : s.end_index] for s in segments])
+    radial = accel_to_displacement(-turns[:, :, 2], fs, fs / length).samples
+    lateral = accel_to_displacement(turns[:, :, 1], fs, fs / length).samples
+    for i, row in enumerate(table):
+        features = [row[name] for name in FEATURE_FIELDS[1:]]
+        if i in broken:
+            assert np.isnan(features).all()
+            continue
+        edges = detect_patch_edges(turns[i, :, 0])
+        peak, slope = reference_lateral(lateral[i], edges, 20.0, fs)
+        assert row.patch_length == reference_patch_length(edges, 20.0, fs)
+        assert row.peak_radial_displacement == reference_peak_radial(radial[i], edges)
+        assert row.peak_lateral_displacement == peak
+        assert row.lateral_slope == pytest.approx(slope, rel=1e-12, abs=0.0)
+        assert abs(slope) > 1e-3  # a slip-angle trace: the relative bound bites
+
+    without, _ = extract_features(mixed, 20.0, 0.3, include_lateral=False)
+    healthy = [i for i in range(len(segments)) if i not in broken]
+    assert (without.peak_lateral_displacement[healthy] == 0.0).all()
+    assert (without.lateral_slope[healthy] == 0.0).all()
+    assert np.isnan(without.lateral_slope[sorted(broken)]).all()
+    assert np.array_equal(without.patch_length, table.patch_length, equal_nan=True)
+
+
+def test_lateral_features_batch_matches_reference():
+    n, fs = 400, 10_000.0
+    profiles = np.zeros((3, n))
+    # a triangle: the slope of the first 30% is recovered
+    profiles[0, 100:200] = np.linspace(0.0, 10.0, 100)
+    # a peak window cut off by the profile end: [300, 400) of [300, 460);
+    # the larger value just before the leading edge is outside it
+    profiles[1, 299] = 50.0
+    profiles[1, 300:] = np.linspace(1.0, -7.0, 100)
+    # 3 samples apart: round(0.9) = 1, so the slope fits 2 samples
+    profiles[2, 50:60] = np.arange(10.0) ** 2
+    leading, trailing = np.array([100, 300, 50]), np.array([200, 380, 53])
+
+    peak, slope = lateral_features(profiles, leading, trailing, 20.0, fs)
+    travel_per_sample_mm = 20.0 / fs * 1e3
+    assert peak[0] == pytest.approx(10.0, rel=1e-6)
+    assert slope[0] == pytest.approx((10.0 / 100) / travel_per_sample_mm, rel=0.05)
+    assert peak[1] == 7.0
+    assert slope[2] == (1.0 - 0.0) / travel_per_sample_mm
+    for i, edges in enumerate(zip(leading, trailing)):
+        ref_peak, ref_slope = reference_lateral(profiles[i], edges, 20.0, fs)
+        assert peak[i] == ref_peak
+        assert slope[i] == pytest.approx(ref_slope, rel=1e-12, abs=0.0)

@@ -15,7 +15,7 @@ import tiresense
 from tiresense import SchemaError, SensorSpec, TireSenseError, simulate
 from tiresense.cli import main
 from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, fit_slip_model
-from tiresense.features import FootprintFeatures
+from tiresense.features import FEATURE_FIELDS
 from tiresense.io import (
     _BLOCK_ROWS,
     SIDECAR_SCHEMA,
@@ -140,7 +140,8 @@ def test_plot_data_empty_has_header_only(tmp_path):
     assert path.read_text().splitlines()[1:] == ["turn,load_lbf,slip_deg,valid"]
     loads, slips, valid = read_estimates(path)
     assert loads.shape == slips.shape == valid.shape == (0,) and valid.dtype == bool
-    write_feature_table(path, [])
+    empty = np.rec.fromarrays([np.arange(0)] + [np.empty(0)] * 4, names=FEATURE_FIELDS)
+    write_feature_table(path, empty)
     assert path.read_text().splitlines()[1:] == [
         "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope"
     ]
@@ -205,7 +206,7 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
     _assert_same_bits(slips, _g_values(with_nan[:, 1]))
     assert np.array_equal(valid_back, valid)
 
-    rows = [FootprintFeatures(i, *row) for i, row in enumerate(with_nan.tolist())]
+    rows = np.rec.fromarrays([np.arange(len(with_nan)), *with_nan.T], names=FEATURE_FIELDS)
     path = tmp_path / "features.csv"
     write_feature_table(path, rows)
     expected = [
@@ -583,6 +584,17 @@ def _empty_trace(root):
     return _estimate(root, "empty.csv")
 
 
+def _every_turn_skipped(root, command):
+    # a calibration set with no feature row left: no tangential edge anywhere
+    trace, truth, scen, sensor = read_trace(root / "trace.csv")
+    samples = trace.samples.copy()
+    samples[:, 0] = 0.0
+    (root / "dead").mkdir(exist_ok=True)
+    write_trace(root / "dead" / "dead.csv",
+                AccelTrace(trace.sample_rate, samples, trace.duration), truth, scen, sensor)
+    return [command, "--traces", root / "dead", "--out", root / "out"]
+
+
 def _non_utf8_trace(root):
     (root / "bytes.csv").write_bytes(b"\xff" + (root / "trace.csv").read_bytes())
     (root / "bytes.json").write_bytes((root / "trace.json").read_bytes())
@@ -689,6 +701,10 @@ def _ragged_truth(root):
                      id="truth-without-scenario"),
         pytest.param(lambda root: _truth_load(root, "x"), id="truth-string-load"),
         pytest.param(lambda root: _truth_load(root, 0), id="truth-zero-load"),
+        pytest.param(lambda root: _every_turn_skipped(root, "calibrate-load"),
+                     id="calibrate-load-every-turn-skipped"),
+        pytest.param(lambda root: _every_turn_skipped(root, "calibrate-slip"),
+                     id="calibrate-slip-every-turn-skipped"),
         pytest.param(_non_utf8_trace, id="trace-non-utf8"),
         pytest.param(_non_utf8_estimates, id="estimates-non-utf8"),
         pytest.param(_non_utf8_load_model, id="load-model-non-utf8"),
