@@ -52,10 +52,13 @@ def reference_lateral(profile, edges, wheel_speed, sample_rate):
     return peak, slope
 
 
-def test_references_pin_the_formulas():
+def test_patch_length_formula():
     assert reference_patch_length((100, 210), 20.0, 10_000.0) == pytest.approx(
         0.22, rel=1e-12
     )
+
+
+def test_flat_profile_has_zero_dip():
     assert reference_peak_radial(np.zeros(500), (200, 300)) == 0.0
 
 
