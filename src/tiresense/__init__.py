@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     DenominatorError,
-    EdgeOrderError,
     GeometryError,
     InvalidArgumentError,
     InvalidCutoffError,
@@ -30,7 +29,6 @@ from .simulate import AccelTrace, GroundTruth, simulate, wheel_period
 __all__ = [
     "AccelTrace",
     "DenominatorError",
-    "EdgeOrderError",
     "GeometryError",
     "GroundTruth",
     "InvalidArgumentError",

@@ -1,8 +1,8 @@
 """Command line surface tying the pipeline together.
 
 Subcommands: simulate, calibrate-load, calibrate-slip, estimate, evaluate,
-sweep.  Exit codes: 0 success, 1 validation or schema error, 2 I/O error.
-Diagnostics go to stderr as a single line.
+sweep.  Exit codes: 0 success, 1 validation, schema or floating-point
+error, 2 I/O error.  Diagnostics go to stderr as a single line.
 """
 
 from __future__ import annotations
@@ -124,7 +124,7 @@ def _cmd_simulate(args) -> int:
         filtered = accel_to_displacement(-turn, trace.sample_rate, 1.0 / period)
         raw = -double_integrate(turn, trace.sample_rate) * 1e3
         times = np.arange(len(segment)) / trace.sample_rate
-        rows = [("filtered_mm", t, v) for t, v in zip(times, filtered.samples)]
+        rows = [("filtered_mm", t, v) for t, v in zip(times, filtered)]
         rows += [("unfiltered_mm", t, v) for t, v in zip(times, raw)]
         write_plot_data(args.plot_integration, rows)
     return 0
@@ -286,8 +286,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except TireSenseError as exc:
+        # A finite but huge input can overflow deep in the arithmetic; that
+        # ends the command with one line instead of a stack of warnings.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
+    except (TireSenseError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

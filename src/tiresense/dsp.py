@@ -17,12 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EdgeOrderError,
-    InvalidCutoffError,
-    NoPeakError,
-    TooShortError,
-)
+from .errors import InvalidCutoffError, NoPeakError, TooShortError
 from .simulate import AccelTrace
 
 # High-pass corner as a fraction of the wheel rotation frequency: below the
@@ -59,14 +54,6 @@ class WheelTurnSegment:
 
     def __len__(self) -> int:
         return self.end_index - self.start_index
-
-
-@dataclass(frozen=True)
-class DisplacementProfile:
-    """Displacement in millimetres recovered by double integration: one turn,
-    or one turn per row of a 2-D ``samples`` (the last axis is time)."""
-
-    samples: np.ndarray
 
 
 def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
@@ -258,9 +245,9 @@ def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
 
 def accel_to_displacement(
     channel: np.ndarray, sample_rate: float, rotation_frequency: float
-) -> DisplacementProfile:
+) -> np.ndarray:
     """Drift-free double integration of one turn's acceleration channel, or
-    of one turn per row of a 2-D array.
+    of one turn per row of a 2-D array (the last axis is time).
 
     Pipeline: remove the per-turn mean, high-pass at 0.3x the rotation
     frequency, integrate, high-pass again, integrate again, subtract the
@@ -290,7 +277,7 @@ def accel_to_displacement(
     )
     t = np.arange(n) - (n - 1) / 2.0
     disp = disp - _line_slope(disp)[..., None] * t
-    return DisplacementProfile(samples=disp * 1e3)
+    return disp * 1e3
 
 
 def double_integrate(channel: np.ndarray, sample_rate: float) -> np.ndarray:
@@ -304,8 +291,8 @@ def double_integrate(channel: np.ndarray, sample_rate: float) -> np.ndarray:
     return _cumulative_trapezoid(velocity, dt)
 
 
-class _TurnEdges(NamedTuple):
-    """Edge candidates of a batch of turns, one entry per turn."""
+class PatchEdges(NamedTuple):
+    """Patch edges of a batch of turns, one entry per turn."""
 
     leading: np.ndarray   # sample of the positive spike
     trailing: np.ndarray  # sample of the negative spike
@@ -332,13 +319,31 @@ def _deviation_median(sorted_rows: np.ndarray, median: np.ndarray) -> np.ndarray
     return 0.5 * (smallest((n - 1) // 2) + smallest(n // 2))
 
 
-def _patch_edges(
+def detect_patch_edges(
     tangential: np.ndarray, smooth_fraction: float = EDGE_SMOOTH_FRACTION
-) -> _TurnEdges:
-    """Edges of every row of a ``(turns, samples)`` tangential array.
+) -> PatchEdges:
+    """Patch edges from the tangential extrema of each row of a
+    ``(turns, samples)`` array.
 
-    The rules, numbered as in ``failed``, are those ``detect_patch_edges``
-    lists: 1 order, 2 margin, 3 width, 4 noise floor.
+    The leading edge is the global maximum and the trailing edge the global
+    minimum after light smoothing (positive spike first is the sign
+    convention the simulator and any correctly mounted sensor follow).
+    ``failed`` is 0 where the extrema bracket a patch, and otherwise the
+    number of the first rule they break:
+
+    1. they are out of order, coincident, or more than half a turn apart,
+       which signals a wrong sign convention or no patch;
+    2. an edge lies within ``EDGE_MARGIN_WIDTHS`` smoothing widths of a
+       window end: turns are cut with the patch near the centre, so an
+       extremum at the boundary is a leftover sample of a neighbouring
+       turn, not a spike;
+    3. the edges are no more than ``EDGE_MIN_SEPARATION_WIDTHS`` smoothing
+       widths apart: the smoothing cannot resolve two spikes that close,
+       so they are one feature, not a patch entry and exit;
+    4. either spike fails to clear ``EDGE_NOISE_FLOOR_SIGMAS`` robust noise
+       sigmas (``MAD_TO_SIGMA`` x the turn's median absolute deviation)
+       above or below the turn's median: the extremum is then just the
+       largest noise sample, and a channel without spikes has no patch.
     """
     x = np.asarray(tangential, dtype=float)
     turns, n = x.shape
@@ -376,62 +381,4 @@ def _patch_edges(
         [1, 2, 3, 4],
         0,
     )
-    return _TurnEdges(leading, trailing, failed, spike, floor)
-
-
-def detect_patch_edges(
-    tangential: np.ndarray, smooth_fraction: float = EDGE_SMOOTH_FRACTION
-) -> tuple[int, int]:
-    """Patch edges from the tangential extrema of one turn.
-
-    The leading edge is the global maximum and the trailing edge the global
-    minimum after light smoothing (positive spike first is the sign
-    convention the simulator and any correctly mounted sensor follow).
-
-    Raises
-    ------
-    EdgeOrderError
-        When the extrema do not bracket a patch:
-
-        1. they are out of order, coincident, or more than half a turn apart,
-           which signals a wrong sign convention or no patch;
-        2. an edge lies within ``EDGE_MARGIN_WIDTHS`` smoothing widths of a
-           window end: turns are cut with the patch near the centre, so an
-           extremum at the boundary is a leftover sample of a neighbouring
-           turn, not a spike;
-        3. the edges are no more than ``EDGE_MIN_SEPARATION_WIDTHS`` smoothing
-           widths apart: the smoothing cannot resolve two spikes that close,
-           so they are one feature, not a patch entry and exit;
-        4. either spike fails to clear ``EDGE_NOISE_FLOOR_SIGMAS`` robust noise
-           sigmas (``MAD_TO_SIGMA`` x the turn's median absolute deviation)
-           above or below the turn's median: the extremum is then just the
-           largest noise sample, and a channel without spikes has no patch.
-
-        The message names the first rule that fails.
-    """
-    x = np.asarray(tangential, dtype=float)
-    edges = _patch_edges(x[None, :], smooth_fraction)
-    leading, trailing = int(edges.leading[0]), int(edges.trailing[0])
-    n = len(x)
-    width = int(round(n * smooth_fraction))
-    failed = edges.failed[0]
-    if failed == 1:
-        raise EdgeOrderError(
-            f"edge extrema at {leading} and {trailing} do not bracket a patch"
-        )
-    if failed == 2:
-        raise EdgeOrderError(
-            f"edge extrema at {leading} and {trailing} lie within "
-            f"{EDGE_MARGIN_WIDTHS * width} samples of the {n}-sample window end"
-        )
-    if failed == 3:
-        raise EdgeOrderError(
-            f"edge extrema {trailing - leading} samples apart are no wider than "
-            f"the {width}-sample smoothing"
-        )
-    if failed == 4:
-        raise EdgeOrderError(
-            f"edge spike of {edges.spike[0]:.3g} does not clear the noise floor "
-            f"{edges.floor[0]:.3g}"
-        )
-    return leading, trailing
+    return PatchEdges(leading, trailing, failed, spike, floor)

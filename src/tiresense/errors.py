@@ -34,10 +34,6 @@ class InvalidCutoffError(TireSenseError):
     """High-pass cutoff outside (0, Nyquist)."""
 
 
-class EdgeOrderError(TireSenseError):
-    """Patch edge extrema are missing, out of order, or implausibly far apart."""
-
-
 class RankDeficiencyError(TireSenseError):
     """Least-squares design matrix is singular within tolerance."""
 

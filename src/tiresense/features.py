@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dsp import _patch_edges, accel_to_displacement, estimate_period, segment_turns
+from .dsp import accel_to_displacement, detect_patch_edges, estimate_period, segment_turns
 from .simulate import AccelTrace
 
 # Fraction of the patch window used for the "initial linear part" fit.
@@ -84,8 +84,8 @@ def extract_features(
     rotation_frequency = fs / length
     # Radial displacement uses the outward-positive convention, so the
     # patch shows up as a dip; the sensor channel is centre-positive.
-    radial = accel_to_displacement(-turns[:, :, 2], fs, rotation_frequency).samples
-    edges = _patch_edges(turns[:, :, 0])
+    radial = accel_to_displacement(-turns[:, :, 2], fs, rotation_frequency)
+    edges = detect_patch_edges(turns[:, :, 0])
     ok = np.flatnonzero(edges.failed == 0)
     leading, trailing = edges.leading[ok], edges.trailing[ok]
 
@@ -94,7 +94,7 @@ def extract_features(
     patch[ok] = wheel_speed * (trailing - leading) / fs
     dip[ok] = radial.max(axis=1)[ok] - radial[ok, (leading + trailing) // 2]
     if include_lateral:
-        lateral = accel_to_displacement(turns[:, :, 1], fs, rotation_frequency).samples
+        lateral = accel_to_displacement(turns[:, :, 1], fs, rotation_frequency)
         peak[ok], slope[ok] = lateral_features(
             lateral[ok], leading, trailing, wheel_speed, fs
         )

@@ -263,18 +263,13 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
     """Read a trace CSV and its sidecar back into memory."""
     data = _read_table(path, TRACE_SCHEMA, _TRACE_HEADER)
     truth, scenario, sensor = read_sidecar(sidecar_path(path))
-    n = data.shape[0]
     # The t column must agree with the sidecar's rate to within half a sample.
-    if not np.all(np.abs(data[:, 0] * sensor.sample_rate - np.arange(n)) <= 0.5):
+    if not np.all(np.abs(data[:, 0] * sensor.sample_rate - np.arange(len(data))) <= 0.5):
         raise SchemaError(
             f"{path}: t column does not match the sidecar sample_rate "
             f"{sensor.sample_rate:g} Hz"
         )
-    trace = AccelTrace(
-        sample_rate=sensor.sample_rate,
-        samples=data[:, 1:4],
-        duration=n / sensor.sample_rate,
-    )
+    trace = AccelTrace(sample_rate=sensor.sample_rate, samples=data[:, 1:4])
     return trace, truth, scenario, sensor
 
 

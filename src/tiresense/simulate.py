@@ -51,14 +51,11 @@ class AccelTrace:
 
     sample_rate: float
     samples: np.ndarray
-    duration: float
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 3:
             raise ScenarioError("trace samples must have shape (n, 3)")
-        if samples.shape[0] != round(self.duration * self.sample_rate):
-            raise ScenarioError("sample count does not match duration * sample_rate")
         if not np.all(np.isfinite(samples)):
             raise ScenarioError("trace samples must be finite")
         object.__setattr__(self, "samples", samples)
@@ -103,9 +100,6 @@ class GroundTruth:
     @property
     def n_turns(self) -> int:
         return len(self.turn_start_time_s)
-
-    def __len__(self) -> int:
-        return self.n_turns
 
 
 def wheel_period(scenario: TireScenario, geometry: TireGeometry | None = None) -> float:
@@ -181,8 +175,7 @@ def simulate(
         raise GeometryError("release window extends past the top of the wheel")
 
     fs = sensor.sample_rate
-    duration = n_turns * period
-    n = round(duration * fs)
+    n = round(n_turns * period * fs)
     dt = 1.0 / fs
 
     # Positions at (i - 1) * dt for i in 0..n+1, so the second central
@@ -207,7 +200,7 @@ def simulate(
         samples = samples + rng.normal(0.0, sensor.noise_std, samples.shape)
     samples = samples + np.asarray(sensor.dc_bias, dtype=float)
 
-    trace = AccelTrace(sample_rate=fs, samples=samples, duration=duration)
+    trace = AccelTrace(sample_rate=fs, samples=samples)
 
     ones = np.ones(n_turns)
     tan_slip = math.tan(math.radians(scenario.slip_angle))

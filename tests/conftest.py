@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tiresense import SensorSpec, TireScenario, simulate
+from tiresense.dsp import detect_patch_edges
 
 
 def scenario(**overrides) -> TireScenario:
@@ -47,3 +48,16 @@ def clean_trace(default_scenario, biased_sensor):
 @pytest.fixture(scope="session")
 def noisy_trace(default_scenario, noisy_sensor):
     return simulate(default_scenario, noisy_sensor, 10)
+
+
+def edges_of(turn):
+    """(leading, trailing) of one turn through the batched edge detector;
+    the turn must pass every edge rule."""
+    edges = detect_patch_edges(np.asarray(turn)[None])
+    assert edges.failed[0] == 0, f"edge rule {edges.failed[0]} failed"
+    return int(edges.leading[0]), int(edges.trailing[0])
+
+
+def rule_failed(turn):
+    """Number of the first edge rule one turn breaks, 0 if none."""
+    return int(detect_patch_edges(np.asarray(turn)[None]).failed[0])

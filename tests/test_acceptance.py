@@ -93,8 +93,8 @@ def test_criterion_1_drift_elimination(default_scenario, biased_sensor):
     period_samples = round(truth.wheel_period_s[0] * FS)
     turn = trace.a_radial[:period_samples]
     rotation = 1.0 / truth.wheel_period_s[0]
-    with_bias = accel_to_displacement(turn + 5.0, FS, rotation).samples
-    without = accel_to_displacement(turn, FS, rotation).samples
+    with_bias = accel_to_displacement(turn + 5.0, FS, rotation)
+    without = accel_to_displacement(turn, FS, rotation)
     worst = np.abs(with_bias - without).max()
     assert worst < 0.01
     print(f"\nPASS criterion 1: unfiltered drift 2.5 m; biased-vs-clean "
@@ -114,7 +114,7 @@ def test_criterion_2_integration_fidelity():
             [np.sin(2 * np.pi * freq * t), np.cos(2 * np.pi * freq * t),
              np.ones_like(t), t]
         )
-        coef, *_ = np.linalg.lstsq(design, profile.samples, rcond=None)
+        coef, *_ = np.linalg.lstsq(design, profile, rcond=None)
         recovered = np.hypot(coef[0], coef[1])
         error = abs(recovered - amp * 1e3) / (amp * 1e3)
         worst = max(worst, error)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from tiresense import EdgeOrderError, SensorSpec, derive_geometry, simulate
+from tiresense import SensorSpec, derive_geometry, simulate
 from tiresense.dsp import (
     _line_slope,
-    _patch_edges,
     accel_to_displacement,
     detect_patch_edges,
     estimate_period,
@@ -13,7 +12,7 @@ from tiresense.dsp import (
 from tiresense.features import FEATURE_FIELDS, extract_features, lateral_features
 from tiresense.simulate import AccelTrace
 
-from conftest import scenario
+from conftest import edges_of, scenario
 
 QUIET = SensorSpec(noise_std=0.0, dc_bias=(5.0, 5.0, 5.0), seed=1)
 
@@ -176,9 +175,7 @@ def test_failed_turn_keeps_row_with_nan_features():
     samples[2 * period : 3 * period, 0] = 0.0
     from tiresense.simulate import AccelTrace
 
-    broken = AccelTrace(
-        sample_rate=trace.sample_rate, samples=samples, duration=trace.duration
-    )
+    broken = AccelTrace(sample_rate=trace.sample_rate, samples=samples)
     rows, skipped = extract_features(broken, 20.0, 0.3, include_lateral=False)
     assert len(rows) == 6
     assert skipped == 1
@@ -198,7 +195,7 @@ def test_noise_only_turn_is_skipped():
         samples[period : 2 * period, 0] = np.random.default_rng(seed).normal(
             0.0, 25.0, period
         )
-        noisy = AccelTrace(trace.sample_rate, samples, trace.duration)
+        noisy = AccelTrace(trace.sample_rate, samples)
         rows, skipped = extract_features(noisy, 20.0, 0.3, include_lateral=False)
         assert len(rows) == 5
         assert skipped == 1, f"seed {seed}"
@@ -210,7 +207,7 @@ def broken_turn_trace(slip_angle=0.0):
     """A 10-turn trace with one turn broken per edge rule: healthy turns
     mixed with turns whose tangential channel is written over (the radial
     channel, which segment_turns reads, is untouched).  Returns the trace,
-    its segments and {turn: (rule, make, message)}."""
+    its segments and {turn: (rule, make)}."""
     trace, _ = simulate(scenario(slip_angle=slip_angle), QUIET, 10)
     segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
     length = len(segments[0])  # 942: 9-sample smoothing, 471 = half a turn
@@ -224,31 +221,28 @@ def broken_turn_trace(slip_angle=0.0):
 
     samples = trace.samples.copy()
     broken = {
-        1: (1, lambda turn: -turn, "do not bracket a patch"),
-        3: (2, lambda turn: spikes(3, 300, 100.0), "window end"),
-        5: (3, lambda turn: spikes(400, 405, 100.0), "no wider than"),
-        7: (4, lambda turn: spikes(300, 500, 5.0), "noise floor"),
+        1: (1, lambda turn: -turn),
+        3: (2, lambda turn: spikes(3, 300, 100.0)),
+        5: (3, lambda turn: spikes(400, 405, 100.0)),
+        7: (4, lambda turn: spikes(300, 500, 5.0)),
     }
-    for index, (_, make, _) in broken.items():
+    for index, (_, make) in broken.items():
         start = segments[index].start_index
         samples[start : start + length, 0] = make(samples[start : start + length, 0])
-    mixed = AccelTrace(trace.sample_rate, samples, trace.duration)
+    mixed = AccelTrace(trace.sample_rate, samples)
     return mixed, segments, broken
 
 
 def test_edge_batch_matches_each_turn_and_extract_features_skips_the_rest():
     mixed, segments, broken = broken_turn_trace()
     batch = np.stack([mixed.a_tangential[s.start_index : s.end_index] for s in segments])
-    edges = _patch_edges(batch)
+    edges = detect_patch_edges(batch)
     expected = [broken[i][0] if i in broken else 0 for i in range(len(segments))]
     assert edges.failed.tolist() == expected
+    # each row on its own gives the same edges, rule and spike heights
     for index, turn in enumerate(batch):
-        if index in broken:
-            with pytest.raises(EdgeOrderError, match=broken[index][2]):
-                detect_patch_edges(turn)
-        else:
-            single = detect_patch_edges(turn)
-            assert (edges.leading[index], edges.trailing[index]) == single
+        single = detect_patch_edges(turn[None])
+        assert [field[0] for field in single] == [field[index] for field in edges]
 
     rows, skipped = extract_features(mixed, 20.0, 0.3)
     assert skipped == len(broken)
@@ -269,14 +263,14 @@ def test_extract_features_matches_per_turn_reference():
 
     fs, length = mixed.sample_rate, len(segments[0])
     turns = np.stack([mixed.samples[s.start_index : s.end_index] for s in segments])
-    radial = accel_to_displacement(-turns[:, :, 2], fs, fs / length).samples
-    lateral = accel_to_displacement(turns[:, :, 1], fs, fs / length).samples
+    radial = accel_to_displacement(-turns[:, :, 2], fs, fs / length)
+    lateral = accel_to_displacement(turns[:, :, 1], fs, fs / length)
     for i, row in enumerate(table):
         features = [row[name] for name in FEATURE_FIELDS[1:]]
         if i in broken:
             assert np.isnan(features).all()
             continue
-        edges = detect_patch_edges(turns[i, :, 0])
+        edges = edges_of(turns[i, :, 0])
         peak, slope = reference_lateral(lateral[i], edges, 20.0, fs)
         assert row.patch_length == reference_patch_length(edges, 20.0, fs)
         assert row.peak_radial_displacement == reference_peak_radial(radial[i], edges)

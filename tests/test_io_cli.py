@@ -179,7 +179,7 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
     with_nan[2, 1:3] = np.nan
 
     rate = 10000.0
-    trace = AccelTrace(sample_rate=rate, samples=table[:, 1:], duration=n_rows / rate)
+    trace = AccelTrace(sample_rate=rate, samples=table[:, 1:])
     _, truth = simulate(scenario(), SENSOR, 1)
     path = tmp_path / "trace.csv"
     write_trace(path, trace, truth, scenario(), SENSOR)
@@ -246,8 +246,9 @@ def clean_tables(tmp_path_factory):
     return root
 
 
-_BYTES = st.sampled_from([b"\xff", b"\xc3", b"\n", b"\r", b",", b"#", b"\x00", b"-",
-                          b"nan", b"inf", b"1e999"]) | st.binary(min_size=1, max_size=4)
+_INSERTS = [b"\xff", b"\xc3", b"\n", b"\r", b",", b"#", b"\x00", b"-", b".", b"9",
+            b"nan", b"inf", b"1e999", b"1e300"]
+_BYTES = st.sampled_from(_INSERTS) | st.binary(min_size=1, max_size=4)
 _MUTATION = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 2**31)),
     st.tuples(st.just("insert"), st.integers(0, 2**31), _BYTES),
@@ -434,8 +435,7 @@ def test_cli_skipped_turn_still_evaluates(workspace, tmp_path):
     samples[period : 2 * period, 0] = 0.0
     from tiresense.simulate import AccelTrace
 
-    broken = AccelTrace(sample_rate=trace.sample_rate, samples=samples,
-                        duration=trace.duration)
+    broken = AccelTrace(sample_rate=trace.sample_rate, samples=samples)
     path = tmp_path / "broken.csv"
     write_trace(path, broken, truth, scen, sensor)
     est = tmp_path / "est.csv"
@@ -591,7 +591,7 @@ def _every_turn_skipped(root, command):
     samples[:, 0] = 0.0
     (root / "dead").mkdir(exist_ok=True)
     write_trace(root / "dead" / "dead.csv",
-                AccelTrace(trace.sample_rate, samples, trace.duration), truth, scen, sensor)
+                AccelTrace(trace.sample_rate, samples), truth, scen, sensor)
     return [command, "--traces", root / "dead", "--out", root / "out"]
 
 
@@ -855,6 +855,100 @@ def test_cli_survives_any_json_mutation(json_inputs, name, data):
         code = cli(*make_argv(root))
     assert code in (0, 1, 2)
     assert len(stderr.getvalue().splitlines()) <= 1
+    if code == 0:
+        assert output_reads_back(root)
+
+
+# ---------------------------------------------------------------------------
+# damaged trace and estimates bytes, through the whole command
+
+@pytest.fixture(scope="module")
+def csv_inputs(json_inputs, tmp_path_factory):
+    """The 4-turn trace and models of ``json_inputs`` plus the estimates
+    they give; damaged copies go to bad.csv, next to a copy of the sidecar."""
+    root = tmp_path_factory.mktemp("csv")
+    for name in ("trace.csv", "trace.json", "load_model.json", "slip_model.json"):
+        (root / name).write_bytes((json_inputs / name).read_bytes())
+    (root / "bad.json").write_bytes((root / "trace.json").read_bytes())
+    assert cli("estimate", "--trace", root / "trace.csv", "--load-model",
+               root / "load_model.json", "--slip-model", root / "slip_model.json",
+               "--out", root / "est.csv") == 0
+    return root
+
+
+# damaged file -> (argv that reads it as bad.csv, check of an exit-0 output)
+_CSV_RUNS = {
+    "trace.csv": (
+        lambda r: ["estimate", "--trace", r / "bad.csv", "--load-model",
+                   r / "load_model.json", "--slip-model", r / "slip_model.json",
+                   "--out", r / "out.csv"],
+        lambda r: len(read_estimates(r / "out.csv")[0]) > 0,
+    ),
+    "est.csv": (
+        lambda r: ["evaluate", "--estimates", r / "bad.csv", "--truth", r / "trace.json",
+                   "--report", r / "out.json"],
+        lambda r: _json_output(r / "out.json")["n_turns"] == 4,
+    ),
+}
+
+
+def _set_field(data: bytes, row: int, column: int, text: bytes) -> bytes:
+    """``data`` with one field of one body row (after the header lines) replaced."""
+    lines = data.split(b"\n")
+    fields = lines[2 + row].split(b",")
+    fields[column] = text
+    lines[2 + row] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+_KINDS = ["truncate", "insert", "drop-comma", "double-comma"]
+
+
+def _random_damage(data: bytes, seed: int) -> bytes:
+    """One to three random mutations of the kinds ``_mutate`` applies."""
+    rng = np.random.default_rng(seed)
+    return _mutate(data, [
+        (_KINDS[rng.integers(len(_KINDS))], int(rng.integers(2**31)),
+         _INSERTS[rng.integers(len(_INSERTS))])
+        for _ in range(rng.integers(1, 4))
+    ])
+
+
+@pytest.mark.parametrize(
+    "name, damage, expected_code",
+    [
+        # finite, so the readers accept them; the arithmetic then overflows
+        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 3, b"1e300"), 1,
+                     id="radial-1e300"),
+        pytest.param("est.csv", lambda d: _set_field(d, 2, 1, b"1e300"), 1,
+                     id="load-1e300"),
+        pytest.param("est.csv", lambda d: _set_field(d, 2, 2, b"1e300"), 1,
+                     id="slip-1e300"),
+        # still a valid table, so the command runs through
+        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 3, b"2000"), 0,
+                     id="radial-2000"),
+        pytest.param("trace.csv", lambda d: d[: d.rindex(b"\n", 0, len(d) * 9 // 10) + 1],
+                     0, id="last-rows-cut"),
+        pytest.param("est.csv", lambda d: _set_field(d, 2, 3, b"0"), 0, id="valid-0"),
+        *(pytest.param(name, lambda d, seed=seed: _random_damage(d, seed), None,
+                       id=f"{name}-{seed}")
+          for name in _CSV_RUNS for seed in range(20)),
+    ],
+)
+def test_cli_survives_damaged_csv(csv_inputs, capsys, name, damage, expected_code):
+    # A damaged table ends the command with 0 and output that reads back,
+    # or with 1 or 2 and one line on stderr.
+    root = csv_inputs
+    (root / "bad.csv").write_bytes(damage((root / name).read_bytes()))
+    for output in ("out.csv", "out.json"):
+        (root / output).unlink(missing_ok=True)
+    make_argv, output_reads_back = _CSV_RUNS[name]
+    capsys.readouterr()
+    code = cli(*make_argv(root))
+    assert code in (0, 1, 2)
+    assert len(capsys.readouterr().err.splitlines()) == (code != 0)
+    if expected_code is not None:
+        assert code == expected_code
     if code == 0:
         assert output_reads_back(root)
 

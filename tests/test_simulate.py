@@ -102,7 +102,7 @@ def test_seed_irrelevant_without_noise(default_scenario):
 
 def test_sample_count_and_finiteness(default_scenario, noisy_sensor):
     trace, truth = simulate(default_scenario, noisy_sensor, 3)
-    assert len(trace) == round(trace.duration * trace.sample_rate)
+    assert len(trace) == round(3 * truth.wheel_period_s[0] * trace.sample_rate)
     assert np.all(np.isfinite(trace.samples))
     assert truth.n_turns == 3
 
@@ -126,8 +126,8 @@ def test_n_turns_must_be_positive(default_scenario, quiet_sensor):
 
 def test_trace_invariants_enforced():
     with pytest.raises(ScenarioError):
-        AccelTrace(sample_rate=100.0, samples=np.zeros((5, 3)), duration=1.0)
+        AccelTrace(sample_rate=100.0, samples=np.zeros((5, 2)))
     bad = np.zeros((10, 3))
     bad[3, 1] = np.inf
     with pytest.raises(ScenarioError):
-        AccelTrace(sample_rate=10.0, samples=bad, duration=1.0)
+        AccelTrace(sample_rate=10.0, samples=bad)
