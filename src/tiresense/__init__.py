@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geometry import TireGeometry, derive_geometry
 from .scenario import SensorSpec, TireScenario
-from .simulate import AccelTrace, GroundTruth, simulate, wheel_period
+from .simulate import AccelTrace, GroundTruth, ground_truth, simulate
 
 __all__ = [
     "AccelTrace",
@@ -44,7 +44,7 @@ __all__ = [
     "TireSenseError",
     "TooShortError",
     "derive_geometry",
+    "ground_truth",
     "simulate",
-    "wheel_period",
     "__version__",
 ]

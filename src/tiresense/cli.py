@@ -208,10 +208,9 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     loads, slips, valid = read_estimates(args.estimates)
-    truth, scenario, _ = read_sidecar(args.truth)
+    scenario, _, n_truth = read_sidecar(args.truth)
     true_load = float(scenario.vertical_load)
     true_slip = float(scenario.slip_angle)
-    n_truth = truth.n_turns
     if len(loads) != n_truth:
         raise SchemaError(
             f"estimate rows ({len(loads)}) do not match truth turns ({n_truth})"
@@ -286,11 +285,12 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # A finite but huge input can overflow deep in the arithmetic; that
-        # ends the command with one line instead of a stack of warnings.
+        # A finite but huge input can overflow deep in the arithmetic, or ask
+        # for an array no allocator grants; either ends the command with one
+        # line instead of a stack of warnings or a traceback.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _COMMANDS[args.command](args)
-    except (TireSenseError, FloatingPointError) as exc:
+    except (TireSenseError, FloatingPointError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

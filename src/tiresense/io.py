@@ -13,7 +13,7 @@ import hashlib
 import json
 import sys
 import warnings
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -23,10 +23,10 @@ from .errors import SchemaError
 from .estimation import LoadSurfaceModel, SlipModel
 from .features import FEATURE_FIELDS
 from .scenario import SensorSpec, TireScenario
-from .simulate import AccelTrace, GroundTruth
+from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace, GroundTruth, ground_truth
 
 TRACE_SCHEMA = "tiresense.trace.v1"
-SIDECAR_SCHEMA = "tiresense.sidecar.v1"
+SIDECAR_SCHEMA = "tiresense.sidecar.v2"
 LOAD_MODEL_SCHEMA = "tiresense.load-model.v2"
 SLIP_MODEL_SCHEMA = "tiresense.slip-model.v1"
 ESTIMATES_SCHEMA = "tiresense.estimates.v1"
@@ -54,16 +54,6 @@ def _read_object(path: Path) -> dict:
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: expected a JSON object")
-    return payload
-
-
-def read_json(path: Path, expected_schema: str) -> dict:
-    payload = _read_object(path)
-    version = payload.get("schema_version")
-    if version != expected_schema:
-        raise SchemaError(
-            f"{path}: schema_version {version!r} is not {expected_schema!r}"
-        )
     return payload
 
 
@@ -102,6 +92,8 @@ def _describe(hint) -> str:
 
 
 def _field(path: Path, name: str, hint, value):
+    if is_dataclass(hint):
+        return _record(path, hint, value)
     try:
         return _decode(hint, value)
     except ValueError:
@@ -127,8 +119,11 @@ def _record(path: Path, cls, payload):
 
 
 def _read_record(path: Path, schema: str, cls):
-    payload = read_json(Path(path), schema)
-    del payload["schema_version"]
+    """The dataclass ``cls`` from a JSON file that names ``schema``."""
+    payload = _read_object(path)
+    version = payload.pop("schema_version", None)
+    if version != schema:
+        raise SchemaError(f"{path}: schema_version {version!r} is not {schema!r}")
     return _record(path, cls, payload)
 
 
@@ -205,6 +200,15 @@ def write_scenario(path: Path, scenario: TireScenario, sensor: SensorSpec) -> No
 # ---------------------------------------------------------------------------
 # trace CSV + sidecar
 
+@dataclass(frozen=True)
+class _Sidecar:
+    """A trace's JSON sidecar; the truth follows from it by ``ground_truth``."""
+
+    scenario: TireScenario
+    sensor: SensorSpec
+    n_turns: int
+
+
 def write_trace(
     path: Path,
     trace: AccelTrace,
@@ -217,13 +221,8 @@ def write_trace(
     _write_table(path, TRACE_SCHEMA, _TRACE_HEADER, "%.12g,%.12g,%.12g,%.12g\n", table)
 
     sidecar = sidecar_path(path)
-    _write_json(sidecar, {
-        "schema_version": SIDECAR_SCHEMA,
-        "scenario": asdict(scenario),
-        "sensor": asdict(sensor),
-        "ground_truth": {k: list(map(float, v)) for k, v in asdict(truth).items()},
-        "n_turns": truth.n_turns,
-    })
+    _write_json(sidecar, {"schema_version": SIDECAR_SCHEMA,
+                          **asdict(_Sidecar(scenario, sensor, truth.n_turns))})
     return sidecar
 
 
@@ -231,46 +230,27 @@ def sidecar_path(trace_path: Path) -> Path:
     return Path(trace_path).with_suffix(".json")
 
 
-def read_sidecar(path: Path) -> tuple[GroundTruth, TireScenario, SensorSpec]:
-    """Read and validate a trace's JSON sidecar."""
-    payload = read_json(path, SIDECAR_SCHEMA)
-    scenario = _record(path, TireScenario, payload.get("scenario"))
-    sensor = _record(path, SensorSpec, payload.get("sensor"))
-    n_turns = _field(path, "n_turns", int, payload.get("n_turns"))
-    columns = payload.get("ground_truth")
-    names = [f.name for f in fields(GroundTruth)]
-    if not isinstance(columns, dict) or sorted(columns) != sorted(names):
-        raise SchemaError(f"{path}: ground_truth must be an object with fields {names}")
-    truth = GroundTruth(**{k: _column(path, k, columns[k], n_turns) for k in names})
-    return truth, scenario, sensor
-
-
-def _column(path: Path, name: str, values, n_turns: int) -> np.ndarray:
-    """One ground-truth entry: a list of ``n_turns`` finite numbers."""
-    try:
-        if isinstance(values, list) and set(map(type, values)) <= {int, float}:
-            column = np.array(values, dtype=float)
-            if len(column) == n_turns and np.isfinite(column).all():
-                return column
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise SchemaError(
-        f"{path}: ground_truth.{name} must be a list of {n_turns} finite numbers"
-    )
+def read_sidecar(path: Path) -> tuple[TireScenario, SensorSpec, int]:
+    """Read and validate a trace's JSON sidecar: scenario, sensor, turn count."""
+    sidecar = _read_record(path, SIDECAR_SCHEMA, _Sidecar)
+    return sidecar.scenario, sidecar.sensor, sidecar.n_turns
 
 
 def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, SensorSpec]:
     """Read a trace CSV and its sidecar back into memory."""
     data = _read_table(path, TRACE_SCHEMA, _TRACE_HEADER)
-    truth, scenario, sensor = read_sidecar(sidecar_path(path))
+    scenario, sensor, n_turns = read_sidecar(sidecar_path(path))
     # The t column must agree with the sidecar's rate to within half a sample.
     if not np.all(np.abs(data[:, 0] * sensor.sample_rate - np.arange(len(data))) <= 0.5):
         raise SchemaError(
             f"{path}: t column does not match the sidecar sample_rate "
             f"{sensor.sample_rate:g} Hz"
         )
+    # Bounds the truth arrays by the trace: simulate never writes fewer rows.
+    if not 1 <= n_turns <= len(data) / MIN_SAMPLES_PER_TURN:
+        raise SchemaError(f"{path}: n_turns {n_turns} does not fit {len(data)} rows")
     trace = AccelTrace(sample_rate=sensor.sample_rate, samples=data[:, 1:4])
-    return trace, truth, scenario, sensor
+    return trace, ground_truth(scenario, n_turns), scenario, sensor
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +288,12 @@ def write_estimates(
 def read_estimates(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     data = _read_table(path, ESTIMATES_SCHEMA, _ESTIMATES_HEADER)
     loads, slips, valid = data[:, 1], data[:, 2], data[:, 3] == 1.0
+    if not np.array_equal(data[:, 0], np.arange(len(data))):
+        raise SchemaError(f"{path}: turn must count 0, 1, 2, ... by row")
     if not np.isfinite(loads).all():
         raise SchemaError(f"{path}: load_lbf must be finite")
+    if np.isinf(slips).any():
+        raise SchemaError(f"{path}: slip_deg must be finite or nan")
     if not (valid | (data[:, 3] == 0.0)).all():
         raise SchemaError(f"{path}: valid must be 0 or 1")
     return loads, slips, valid

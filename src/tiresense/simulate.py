@@ -41,6 +41,9 @@ from .units import M_TO_MM
 # Minimum samples per wheel revolution for the patch to be resolvable.
 MIN_SAMPLES_PER_TURN = 20
 
+# Elements in the largest float64 array numpy can size; more raise ValueError.
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
+
 
 @dataclass(frozen=True)
 class AccelTrace:
@@ -102,10 +105,31 @@ class GroundTruth:
         return len(self.turn_start_time_s)
 
 
-def wheel_period(scenario: TireScenario, geometry: TireGeometry | None = None) -> float:
-    """Revolution period in seconds at the scenario's speed and wear state."""
-    geom = geometry if geometry is not None else derive_geometry(scenario)
-    return 2.0 * math.pi * geom.effective_radius / scenario.vehicle_speed
+def _rolling(scenario: TireScenario) -> tuple[TireGeometry, float, float]:
+    """Geometry, rolling rate in rad/s and revolution period in seconds."""
+    geom = derive_geometry(scenario)
+    omega = scenario.vehicle_speed / geom.effective_radius
+    return geom, omega, 2.0 * math.pi / omega
+
+
+def ground_truth(scenario: TireScenario, n_turns: int) -> GroundTruth:
+    """Exact truth for ``n_turns`` revolutions of ``scenario``, which fixes
+    every turn's values; only the turn start times differ."""
+    if n_turns < 1:
+        raise ScenarioError("n_turns must be at least 1")
+    geom, _, period = _rolling(scenario)
+    ones = np.ones(n_turns)
+    tan_slip = math.tan(math.radians(scenario.slip_angle))
+    return GroundTruth(
+        true_deflection_mm=geom.deflection_mm * ones,
+        true_patch_chord_m=geom.patch_chord * ones,
+        true_patch_arc_m=geom.patch_arc * ones,
+        contact_half_angle_rad=geom.contact_half_angle * ones,
+        true_peak_lateral_mm=tan_slip * geom.patch_chord * M_TO_MM * ones,
+        true_lateral_slope=tan_slip * ones,
+        turn_start_time_s=np.arange(n_turns) * period,
+        wheel_period_s=period * ones,
+    )
 
 
 def _liner_positions(
@@ -155,12 +179,10 @@ def simulate(
         does not fit between patch exit and the top of the wheel.
     ResolutionError
         When the sample rate resolves fewer than 20 samples per turn.
+    ScenarioError
+        When ``n_turns`` is below 1 or needs more samples than one array holds.
     """
-    if n_turns < 1:
-        raise ScenarioError("n_turns must be at least 1")
-    geom = derive_geometry(scenario)
-    omega = scenario.vehicle_speed / geom.effective_radius
-    period = 2.0 * math.pi / omega
+    geom, omega, period = _rolling(scenario)
     if sensor.sample_rate < MIN_SAMPLES_PER_TURN / period:
         raise ResolutionError(
             f"sample rate {sensor.sample_rate:.0f} Hz gives fewer than "
@@ -175,6 +197,11 @@ def simulate(
         raise GeometryError("release window extends past the top of the wheel")
 
     fs = sensor.sample_rate
+    if not n_turns < _MAX_SAMPLES / (period * fs):  # int < float cannot overflow
+        raise ScenarioError(
+            f"{n_turns} turns at {fs:g} Hz need more samples than one array holds"
+        )
+    truth = ground_truth(scenario, n_turns)
     n = round(n_turns * period * fs)
     dt = 1.0 / fs
 
@@ -200,18 +227,4 @@ def simulate(
         samples = samples + rng.normal(0.0, sensor.noise_std, samples.shape)
     samples = samples + np.asarray(sensor.dc_bias, dtype=float)
 
-    trace = AccelTrace(sample_rate=fs, samples=samples)
-
-    ones = np.ones(n_turns)
-    tan_slip = math.tan(math.radians(scenario.slip_angle))
-    truth = GroundTruth(
-        true_deflection_mm=geom.deflection_mm * ones,
-        true_patch_chord_m=geom.patch_chord * ones,
-        true_patch_arc_m=geom.patch_arc * ones,
-        contact_half_angle_rad=geom.contact_half_angle * ones,
-        true_peak_lateral_mm=tan_slip * geom.patch_chord * M_TO_MM * ones,
-        true_lateral_slope=tan_slip * ones,
-        turn_start_time_s=np.arange(n_turns) * period,
-        wheel_period_s=period * ones,
-    )
-    return trace, truth
+    return AccelTrace(sample_rate=fs, samples=samples), truth

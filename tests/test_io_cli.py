@@ -4,11 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiresense
@@ -87,6 +88,36 @@ def test_trace_round_trip(tmp_path):
     np.testing.assert_allclose(
         back_truth.true_patch_chord_m, truth.true_patch_chord_m
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    radius=st.floats(0.25, 0.4),
+    tread=st.floats(0.0, 8.0),
+    load=st.floats(500.0, 1800.0),
+    pressure=st.floats(25.0, 40.0),
+    slip=st.floats(-6.0, 6.0),
+    speed=st.floats(5.0, 40.0),
+    turns=st.integers(1, 3),
+)
+# For these radius, tread and speed, 2*pi*r_eff/speed differs in the last bit
+# from the simulator's 2*pi/(speed/r_eff).
+@example(radius=0.3, tread=8.0, load=1000.0, pressure=32.0, slip=0.0, speed=25.0, turns=3)
+@example(radius=0.31, tread=6.0, load=1000.0, pressure=32.0, slip=2.0, speed=25.0, turns=2)
+@example(radius=0.3, tread=4.5, load=1000.0, pressure=32.0, slip=-3.0, speed=10.0, turns=1)
+def test_read_trace_truth_is_simulate_truth(
+    tmp_path_factory, radius, tread, load, pressure, slip, speed, turns
+):
+    # The sidecar stores no truth; read_trace derives it from the scenario,
+    # and it must carry the same bits as the truth simulate returned.
+    scen = scenario(unloaded_radius=radius, tread_depth=tread, vertical_load=load,
+                    inflation_pressure=pressure, slip_angle=slip, vehicle_speed=speed)
+    sensor = SensorSpec(sample_rate=2000.0, noise_std=0.0, dc_bias=(0.0, 0.0, 0.0))
+    path = tmp_path_factory.mktemp("truth") / "trace.csv"
+    _, truth = write_trace_files(path, scen, sensor, turns)
+    back = read_trace(path)[1]
+    for name, values in asdict(truth).items():
+        assert np.array_equal(getattr(back, name), values), name
 
 
 def test_trace_rejects_wrong_schema(tmp_path):
@@ -638,10 +669,10 @@ def _truth_load(root, load):
     return _evaluate_truth(root, sidecar)
 
 
-def _scenario_file(root, **changes):
+def _scenario_file(root, turns=2, **changes):
     payload = {**scenario_to_dict(scenario(), SENSOR), **changes}
     (root / "scenario.json").write_text(json.dumps(payload))
-    return ["simulate", "--scenario", root / "scenario.json", "--turns", 2,
+    return ["simulate", "--scenario", root / "scenario.json", "--turns", turns,
             "--out", root / "out"]
 
 
@@ -671,10 +702,20 @@ def _slip_model_file(root, **changes):
     return _estimate(root, "trace.csv", "--slip-model", root / "bad_sm.json")
 
 
-def _ragged_truth(root):
-    sidecar = json.loads((root / "trace.json").read_text())
-    sidecar["ground_truth"]["wheel_period_s"] = [1, 2]
-    return _evaluate_truth(root, sidecar)
+def _estimate_sidecar(root, **changes):
+    """estimate on a copy of trace.csv whose sidecar has ``changes`` at the top."""
+    sidecar = {**json.loads((root / "trace.json").read_text()), **changes}
+    (root / "edited.json").write_text(json.dumps(sidecar))
+    (root / "edited.csv").write_bytes((root / "trace.csv").read_bytes())
+    return _estimate(root, "edited.csv")
+
+
+def _sidecar_v1(root):
+    # The truth stored beside the scenario, one list per field, as v1 wrote it.
+    _, truth, _, _ = read_trace(root / "trace.csv")
+    stored = {k: v.tolist() for k, v in asdict(truth).items()}
+    return _estimate_sidecar(root, schema_version="tiresense.sidecar.v1",
+                             ground_truth=stored)
 
 
 @pytest.mark.parametrize(
@@ -712,7 +753,28 @@ def _ragged_truth(root):
         pytest.param(lambda root: _estimates_field(root, 1, "inf"), id="estimates-inf-load"),
         pytest.param(lambda root: _estimates_field(root, 3, "2"), id="estimates-valid-2"),
         pytest.param(lambda root: _estimates_field(root, 3, "nan"), id="estimates-valid-nan"),
-        pytest.param(_ragged_truth, id="truth-ragged-ground-truth"),
+        *(pytest.param(lambda root, v=value: _estimates_field(root, 0, v),
+                       id=f"estimates-turn-{name}")
+          for name, value in [("1e300", "1e300"), ("nan", "nan"), ("repeat", "0"),
+                              ("4", "4"), ("2.5", "2.5")]),
+        pytest.param(lambda root: _estimates_field(root, 2, "inf"), id="estimates-inf-slip"),
+        pytest.param(lambda root: _estimates_field(root, 2, "-inf"),
+                     id="estimates-minus-inf-slip"),
+        pytest.param(_sidecar_v1, id="sidecar-v1"),
+        pytest.param(lambda root: _estimate_sidecar(root, spin_rate=3.0),
+                     id="sidecar-unknown-field"),
+        pytest.param(lambda root: _estimate_sidecar(root, n_turns=10**12),
+                     id="sidecar-n-turns-1e12"),
+        pytest.param(lambda root: _estimate_sidecar(root, n_turns=0),
+                     id="sidecar-n-turns-0"),
+        pytest.param(lambda root: _scenario_file(root, sample_rate=1e300),
+                     id="simulate-sample-rate-1e300"),
+        pytest.param(lambda root: _scenario_file(root, turns=10**17),
+                     id="simulate-turns-1e17"),
+        # about 700 TiB of truth arrays: more than the address space, so the
+        # allocator refuses it at once
+        pytest.param(lambda root: _scenario_file(root, turns=10**14),
+                     id="simulate-turns-1e14"),
         pytest.param(lambda root: _load_model_file(root, p00="x"),
                      id="load-model-string-coefficient"),
         pytest.param(lambda root: _load_model_file(root, p01=None),
@@ -748,6 +810,11 @@ def test_v1_load_model_error_names_v2(bad_inputs):
     _load_model_v1(bad_inputs)
     with pytest.raises(SchemaError, match="tiresense.load-model.v2"):
         read_load_model(bad_inputs / "bad_lm.json")
+
+
+def test_v1_sidecar_error_names_v2(bad_inputs, capsys):
+    assert cli(*_sidecar_v1(bad_inputs)) == 1
+    assert "'tiresense.sidecar.v2'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

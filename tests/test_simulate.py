@@ -6,8 +6,8 @@ from tiresense import (
     ScenarioError,
     SensorSpec,
     derive_geometry,
+    ground_truth,
     simulate,
-    wheel_period,
 )
 from tiresense.simulate import AccelTrace
 
@@ -72,7 +72,7 @@ def test_ground_truth_matches_geometry(default_scenario, quiet_sensor):
         2 * geom.effective_radius * truth.contact_half_angle_rad,
     )
     assert truth.wheel_period_s[0] == pytest.approx(
-        wheel_period(default_scenario), rel=1e-12
+        2 * np.pi * geom.effective_radius / default_scenario.vehicle_speed, rel=1e-12
     )
 
 
@@ -122,6 +122,8 @@ def test_geometry_error_propagates(quiet_sensor):
 def test_n_turns_must_be_positive(default_scenario, quiet_sensor):
     with pytest.raises(ScenarioError):
         simulate(default_scenario, quiet_sensor, 0)
+    with pytest.raises(ScenarioError):
+        ground_truth(default_scenario, 0)
 
 
 def test_trace_invariants_enforced():
