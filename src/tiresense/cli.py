@@ -180,9 +180,8 @@ def _cmd_estimate(args) -> int:
         radius_hint=scenario.unloaded_radius,
         include_lateral=slip_model is not None,
     )
-    pressures = np.full(len(table), scenario.inflation_pressure)
     result = estimate_load_stream(
-        surface, table.peak_radial_displacement, pressures,
+        surface, table.peak_radial_displacement, scenario.inflation_pressure,
         forgetting=args.forgetting, initial_covariance=args.p0,
     )
     if slip_model is not None:

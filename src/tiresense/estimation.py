@@ -11,7 +11,9 @@ ranges.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,10 +106,9 @@ def fit_load_surface(
     )
 
 
-def load_measurement(
-    model: LoadSurfaceModel, peak_disp_mm: float, pressure_psi: float
-) -> float:
-    """Invert the surface into the per-turn load measurement, in lbf.
+def load_measurement(model: LoadSurfaceModel, peak_disp_mm, pressure_psi: float):
+    """Invert the surface into per-turn load measurements, in lbf; a scalar
+    dip gives a scalar, an array of dips an array.
 
     Raises
     ------
@@ -119,58 +120,48 @@ def load_measurement(
         raise DenominatorError(
             f"load sensitivity vanishes at {pressure_psi} psi; cannot invert"
         )
-    y = (
+    return (
         peak_disp_mm
         - model.p00
         - model.p01 * pressure_psi
         - model.p02 * pressure_psi**2
     ) / denominator
-    return y
 
 
-@dataclass(frozen=True)
-class RlsState:
-    """Scalar recursive least-squares state (value type, update returns new)."""
-
-    theta: float = 0.0
-    covariance: float = DEFAULT_INITIAL_COVARIANCE
-    forgetting: float = DEFAULT_FORGETTING
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.forgetting <= 1.0:
-            raise InvalidArgumentError("forgetting factor must lie in (0, 1]")
-        if not self.covariance > 0.0:
-            raise InvalidArgumentError("covariance must stay positive")
-
-
-def rls_update(state: RlsState, y: float) -> RlsState:
-    """One exponentially weighted recursive least-squares step for a
-    constant (the regressor is 1).
+def rls(
+    measurements,
+    forgetting: float = DEFAULT_FORGETTING,
+    initial_covariance: float = DEFAULT_INITIAL_COVARIANCE,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exponentially weighted recursive least squares for a constant (the
+    regressor is 1), from theta = 0; returns theta and P after each turn.
 
     gain  = P / (lambda + P)
     theta = theta + gain * (y - theta)
     P     = (P - gain * P) / lambda
+
+    A non-finite measurement is skipped: theta and P carry forward.
     """
-    lam = state.forgetting
-    p = state.covariance
-    gain = p / (lam + p)
-    theta = state.theta + gain * (y - state.theta)
-    covariance = (p - gain * p) / lam
-    return replace(state, theta=theta, covariance=covariance)
-
-
-@dataclass(frozen=True)
-class LoadStreamResult:
-    """Per-turn output of the online load estimator."""
-
-    estimates_lbf: np.ndarray
-    valid: np.ndarray
-    convergence_turn: int
-    skipped_turns: int
-
-    @property
-    def converged_estimate(self) -> float:
-        return float(self.estimates_lbf[-1])
+    lam, p, theta = forgetting, initial_covariance, 0.0
+    if not 0.0 < lam <= 1.0:
+        raise InvalidArgumentError("forgetting factor must lie in (0, 1]")
+    if not p > 0.0:
+        raise InvalidArgumentError("covariance must stay positive")
+    estimates, covariances = [], []
+    for y in np.asarray(measurements, dtype=float).tolist():
+        if math.isfinite(y):
+            gain = p / (lam + p)
+            theta += gain * (y - theta)
+            p = (p - gain * p) / lam
+            if not p > 0.0:
+                raise InvalidArgumentError("covariance must stay positive")
+        estimates.append(theta)
+        covariances.append(p)
+    # theta mixes finite values, so only y - theta can overflow, and an
+    # infinite theta turns NaN at the next update and stays so
+    if not math.isfinite(theta):
+        raise FloatingPointError("overflow encountered in the RLS update")
+    return np.array(estimates), np.array(covariances)
 
 
 def convergence_turn(estimates: np.ndarray, valid: np.ndarray) -> int:
@@ -185,42 +176,33 @@ def convergence_turn(estimates: np.ndarray, valid: np.ndarray) -> int:
     return int(beyond[-1]) + 2  # converged from the turn after the last excursion
 
 
+class LoadStream(NamedTuple):
+    """Per-turn output of the online load estimator."""
+
+    estimates_lbf: np.ndarray
+    valid: np.ndarray
+
+
 def estimate_load_stream(
     model: LoadSurfaceModel,
     peaks_mm: np.ndarray,
-    pressures_psi: np.ndarray,
+    pressure_psi: float,
     forgetting: float = DEFAULT_FORGETTING,
     initial_covariance: float = DEFAULT_INITIAL_COVARIANCE,
-) -> LoadStreamResult:
-    """Run measurement inversion plus RLS over per-turn features.
+) -> LoadStream:
+    """Run measurement inversion plus RLS over one trace's per-turn dips.
 
-    Turns whose measurement cannot be formed (inversion failure or
-    non-finite feature) are skipped: the previous estimate is carried
-    forward and the turn is flagged invalid.
+    Turns whose measurement cannot be formed (inversion failure at this
+    pressure or non-finite feature) are skipped: the previous estimate is
+    carried forward and the turn is flagged invalid.
     """
     peaks = np.asarray(peaks_mm, dtype=float)
-    pressures = np.asarray(pressures_psi, dtype=float)
-    if peaks.shape != pressures.shape:
-        raise InvalidArgumentError("need one pressure per peak displacement")
-    state = RlsState(theta=0.0, covariance=initial_covariance, forgetting=forgetting)
-    estimates = np.zeros(len(peaks))
-    valid = np.zeros(len(peaks), dtype=bool)
-    for i, (peak, pressure) in enumerate(zip(peaks, pressures)):
-        if np.isfinite(peak):
-            try:
-                y = load_measurement(model, peak, pressure)
-            except DenominatorError:
-                y = None
-            if y is not None and np.isfinite(y):
-                state = rls_update(state, y)
-                valid[i] = True
-        estimates[i] = state.theta
-    return LoadStreamResult(
-        estimates_lbf=estimates,
-        valid=valid,
-        convergence_turn=convergence_turn(estimates, valid),
-        skipped_turns=int(np.count_nonzero(~valid)),
-    )
+    try:
+        measurements = load_measurement(model, peaks, pressure_psi)
+    except DenominatorError:
+        measurements = np.full(len(peaks), np.nan)
+    estimates, _ = rls(measurements, forgetting, initial_covariance)
+    return LoadStream(estimates, np.isfinite(measurements))
 
 
 @dataclass(frozen=True)
@@ -229,17 +211,10 @@ class PatchLoadModel:
 
     q0: float
     q1: float
-    reference_pressure: float
-    reference_tread: float
-    patch_length_range: tuple[float, float]
     fit_residual_rms: float
 
 
-def fit_patch_load_model(
-    samples: list[tuple[float, float]],
-    reference_pressure: float,
-    reference_tread: float,
-) -> PatchLoadModel:
+def fit_patch_load_model(samples: list[tuple[float, float]]) -> PatchLoadModel:
     """Fit load ~ q0 + q1 * patch_length to (load_lbf, patch_length_m) rows."""
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2:
@@ -251,24 +226,8 @@ def fit_patch_load_model(
     return PatchLoadModel(
         q0=float(coeff[0]),
         q1=float(coeff[1]),
-        reference_pressure=float(reference_pressure),
-        reference_tread=float(reference_tread),
-        patch_length_range=(float(length.min()), float(length.max())),
         fit_residual_rms=float(np.sqrt(np.mean(residual**2))),
     )
-
-
-def estimate_load_patch(
-    model: PatchLoadModel, patch_length_m: float
-) -> tuple[float, bool]:
-    """Baseline load estimate plus an in-trained-range flag.
-
-    Inputs outside the trained patch-length range still evaluate (the map
-    is affine) but come back flagged as extrapolation.
-    """
-    lo, hi = model.patch_length_range
-    in_range = lo <= patch_length_m <= hi
-    return model.q0 + model.q1 * patch_length_m, in_range
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import SchemaError
 from .estimation import LoadSurfaceModel, SlipModel
 from .features import FEATURE_FIELDS
+from .geometry import derive_geometry
 from .scenario import SensorSpec, TireScenario
 from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace, GroundTruth, ground_truth
 
@@ -233,6 +234,7 @@ def sidecar_path(trace_path: Path) -> Path:
 def read_sidecar(path: Path) -> tuple[TireScenario, SensorSpec, int]:
     """Read and validate a trace's JSON sidecar: scenario, sensor, turn count."""
     sidecar = _read_record(path, SIDECAR_SCHEMA, _Sidecar)
+    derive_geometry(sidecar.scenario)  # a scenario no tire can have is no truth
     return sidecar.scenario, sidecar.sensor, sidecar.n_turns
 
 

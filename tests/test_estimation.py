@@ -6,16 +6,15 @@ from hypothesis import strategies as st
 from tiresense import DenominatorError, RankDeficiencyError, SensorSpec, simulate
 from tiresense.estimation import (
     LoadSurfaceModel,
-    RlsState,
     SlipModel,
-    estimate_load_patch,
+    convergence_turn,
     estimate_load_stream,
     fit_load_surface,
     fit_patch_load_model,
     fit_slip_model,
     load_measurement,
     predict_slip,
-    rls_update,
+    rls,
     sensitivity_sweep,
 )
 from tiresense.features import extract_features
@@ -117,23 +116,47 @@ def test_round_trip_identity_random_coefficients():
         checked += 1
 
 
+def test_measurement_of_an_array_equals_the_scalar_calls():
+    model = surface_from(-5.0, 0.02, 0.1, -2e-4, -1e-3)
+    peaks = np.random.default_rng(3).uniform(5.0, 40.0, 200)
+    peaks[[4, 9]] = np.nan, np.inf
+    array = load_measurement(model, peaks, 31.7)
+    scalars = np.array([load_measurement(model, float(p), 31.7) for p in peaks])
+    assert np.array_equal(array, scalars, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # recursive least squares
 
+def rls_reference(values, forgetting, covariance=1e6):
+    """The per-step scalar update, one call per turn, skipping non-finite."""
+    theta, estimates = 0.0, []
+    for y in values:
+        if np.isfinite(y):
+            gain = covariance / (forgetting + covariance)
+            theta = theta + gain * (y - theta)
+            covariance = (covariance - gain * covariance) / forgetting
+        estimates.append(theta)
+    return np.array(estimates)
+
+
 def test_rls_hand_iterated_example():
-    state = RlsState(theta=0.0, covariance=1e6, forgetting=1.0)
-    state = rls_update(state, 1000.0)
-    assert state.theta == pytest.approx(1000.0 * 1e6 / (1.0 + 1e6), rel=1e-12)
-    assert 999.99 < state.theta < 1000.0
-    for _ in range(19):
-        state = rls_update(state, 1000.0)
-    assert state.theta == pytest.approx(1000.0, rel=1e-4)
+    estimates, _ = rls(np.full(20, 1000.0), forgetting=1.0, initial_covariance=1e6)
+    assert estimates[0] == pytest.approx(1000.0 * 1e6 / (1.0 + 1e6), rel=1e-12)
+    assert 999.99 < estimates[0] < 1000.0
+    assert estimates[-1] == pytest.approx(1000.0, rel=1e-4)
 
 
-def test_rls_fixed_point():
-    state = RlsState(theta=750.0, covariance=100.0, forgetting=0.98)
-    updated = rls_update(state, 750.0)
-    assert updated.theta == pytest.approx(750.0, rel=1e-12)
+@pytest.mark.parametrize("forgetting", [0.9, 0.98, 1.0])
+def test_rls_matches_scalar_reference_bit_for_bit(forgetting):
+    rng = np.random.default_rng(11)
+    values = rng.normal(1000.0, 50.0, 300)
+    values[[0, 7, 100]] = np.nan
+    values[[8, 150]] = np.inf
+    values[[9, 299]] = -np.inf
+    estimates, _ = rls(values, forgetting=forgetting)
+    assert np.array_equal(estimates, rls_reference(values, forgetting))
+    assert estimates[0] == 0.0  # a leading gap keeps the start value
 
 
 def test_rls_matches_batch_least_squares():
@@ -141,30 +164,32 @@ def test_rls_matches_batch_least_squares():
     for _ in range(100):
         n = rng.integers(5, 100)
         y = rng.normal(1000.0, 50.0, n)
-        state = RlsState(theta=0.0, covariance=1e6, forgetting=1.0)
-        for value in y:
-            state = rls_update(state, value)
-            assert state.covariance > 0.0
-        assert state.theta == pytest.approx(np.mean(y), rel=1e-3)
+        estimates, covariances = rls(y, forgetting=1.0, initial_covariance=1e6)
+        assert np.all(covariances > 0.0)
+        assert estimates[-1] == pytest.approx(np.mean(y), rel=1e-3)
 
 
 @pytest.mark.parametrize("forgetting", [0.95, 0.98, 1.0])
 def test_covariance_stays_positive_over_long_runs(forgetting):
     rng = np.random.default_rng(int(forgetting * 100))
-    state = RlsState(theta=0.0, covariance=1e6, forgetting=forgetting)
-    low = np.inf
-    for value in rng.normal(1000.0, 100.0, 100_000):
-        state = rls_update(state, value)
-        low = min(low, state.covariance)
-    assert low > 0.0
-    assert np.isfinite(state.theta)
+    estimates, covariances = rls(
+        rng.normal(1000.0, 100.0, 100_000), forgetting=forgetting, initial_covariance=1e6
+    )
+    assert covariances.min() > 0.0
+    assert np.isfinite(estimates[-1])
 
 
 def test_rls_state_validation():
     with pytest.raises(ValueError):
-        RlsState(forgetting=0.0)
+        rls([1000.0], forgetting=0.0)
     with pytest.raises(ValueError):
-        RlsState(covariance=-1.0)
+        rls([1000.0], initial_covariance=-1.0)
+
+
+def test_rls_overflow_raises():
+    # y - theta overflows when measurements near the float limit change sign
+    with pytest.raises(FloatingPointError):
+        rls([1.7e308, -1.7e308])
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +211,26 @@ def test_noise_free_stream_reaches_calibration_floor():
     trace, _ = simulate(scenario(vertical_load=1000.0), sensor, 12)
     rows, _ = extract_features(trace, 20.0, 0.3, include_lateral=False)
     result = estimate_load_stream(
-        model,
-        np.array([r.peak_radial_displacement for r in rows]),
-        np.full(len(rows), 32.0),
+        model, np.array([r.peak_radial_displacement for r in rows]), 32.0
     )
-    assert abs(result.converged_estimate - 1000.0) / 1000.0 < 0.01
-    assert result.convergence_turn <= 20
-    assert result.skipped_turns == 0
+    assert abs(result.estimates_lbf[-1] - 1000.0) / 1000.0 < 0.01
+    assert convergence_turn(*result) <= 20
+    assert result.valid.all()
 
 
 def test_stream_skips_invalid_features():
     model = surface_from(0.0, 0.03, 0.0, 0.0, 0.0)
     peaks = np.array([30.0, np.nan, 30.0, np.inf, 30.0])
-    result = estimate_load_stream(model, peaks, np.full(5, 32.0))
-    assert result.skipped_turns == 2
+    result = estimate_load_stream(model, peaks, 32.0)
     assert list(result.valid) == [True, False, True, False, True]
     assert result.estimates_lbf[1] == result.estimates_lbf[0]  # carried forward
+
+
+def test_stream_without_inversion_marks_every_turn_invalid():
+    model = surface_from(0.0, 1.0, 0.0, -1.0 / 32.0, 0.0)  # no load term at 32 psi
+    result = estimate_load_stream(model, np.array([5.0, 6.0, np.nan]), 32.0)
+    assert not result.valid.any()
+    assert np.array_equal(result.estimates_lbf, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +238,15 @@ def test_stream_skips_invalid_features():
 
 def test_patch_model_exact_fit_and_flagging():
     samples = [(600.0 + 4000.0 * length, length) for length in (0.18, 0.2, 0.22, 0.25)]
-    model = fit_patch_load_model(samples, 32.0, 8.0)
+    model = fit_patch_load_model(samples)
     assert model.q0 == pytest.approx(600.0, rel=1e-9)
     assert model.q1 == pytest.approx(4000.0, rel=1e-9)
-    inside, in_range = estimate_load_patch(model, 0.21)
-    assert in_range
-    assert inside == pytest.approx(600.0 + 4000.0 * 0.21, rel=1e-12)
-    zero, in_range = estimate_load_patch(model, 0.0)
-    assert not in_range  # extrapolation is flagged
-    assert zero == pytest.approx(model.q0, rel=1e-12)
+    assert model.fit_residual_rms == pytest.approx(0.0, abs=1e-9)
 
 
 def test_patch_model_collinear_raises():
     with pytest.raises(RankDeficiencyError):
-        fit_patch_load_model([(1000.0, 0.2), (1100.0, 0.2), (1200.0, 0.2)], 32.0, 8.0)
+        fit_patch_load_model([(1000.0, 0.2), (1100.0, 0.2), (1200.0, 0.2)])
 
 
 # ---------------------------------------------------------------------------

@@ -723,6 +723,14 @@ def _sidecar_v1(root):
     [
         pytest.param(lambda root: _estimate(root, "trace.csv", "--lambda", 0),
                      id="lambda-zero"),
+        *(pytest.param(lambda root, o=option, v=value: _estimate(root, "trace.csv", o, v),
+                       id=name)
+          for name, option, value in [
+              ("lambda-nan", "--lambda", "nan"), ("lambda-1.5", "--lambda", "1.5"),
+              ("p0-inf", "--p0", "inf"), ("p0-nan", "--p0", "nan"),
+              ("p0-minus-1", "--p0", "-1"),
+              # the first gain rounds to 1, so P collapses to 0 after one turn
+              ("p0-1e308", "--p0", "1e308")]),
         pytest.param(lambda root: _ranges(root, speed=[10, 30]), id="extra-factor"),
         pytest.param(lambda root: _ranges(root, points=1), id="points-1"),
         pytest.param(lambda root: _ranges(root, points=2.5), id="points-2.5"),
@@ -742,6 +750,7 @@ def _sidecar_v1(root):
                      id="truth-without-scenario"),
         pytest.param(lambda root: _truth_load(root, "x"), id="truth-string-load"),
         pytest.param(lambda root: _truth_load(root, 0), id="truth-zero-load"),
+        pytest.param(lambda root: _truth_load(root, 20000), id="truth-degenerate-geometry"),
         pytest.param(lambda root: _every_turn_skipped(root, "calibrate-load"),
                      id="calibrate-load-every-turn-skipped"),
         pytest.param(lambda root: _every_turn_skipped(root, "calibrate-slip"),
