@@ -12,7 +12,7 @@ ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +31,8 @@ DEFAULT_INITIAL_COVARIANCE = 1e6
 SLIP_CLAMP_MARGIN = 0.2
 
 SWEEP_FACTORS = ("load", "pressure", "tread")
+# Unloaded radius of the swept tire; fields other than the factors keep their defaults.
+SWEEP_RADIUS = 0.3
 SWEEP_FEATURES = ("peak_radial_displacement", "contact_patch_length")
 
 
@@ -295,7 +297,6 @@ def _sweep_feature_values(scenario: TireScenario) -> dict[str, float]:
 
 def sensitivity_sweep(
     ranges: dict[str, tuple[float, float]],
-    base: TireScenario | None = None,
     points: int = 7,
 ) -> SensitivityReport:
     """One-at-a-time sensitivity of the footprint features.
@@ -309,19 +310,11 @@ def sensitivity_sweep(
     required = set(SWEEP_FACTORS)
     if set(ranges) != required:
         raise InvalidArgumentError(f"ranges must cover exactly {sorted(required)}")
-    if base is None:
-        # swept fields (load, pressure, tread) are overwritten per point
-        base = TireScenario(
-            unloaded_radius=0.3,
-            tread_depth=5.0,
-            vertical_load=1000.0,
-            inflation_pressure=32.0,
-        )
     center = {factor: 0.5 * (lo + hi) for factor, (lo, hi) in ranges.items()}
 
     def scenario_at(values: dict[str, float]) -> TireScenario:
-        return replace(
-            base,
+        return TireScenario(
+            unloaded_radius=SWEEP_RADIUS,
             vertical_load=values["load"],
             inflation_pressure=values["pressure"],
             tread_depth=values["tread"],

@@ -26,7 +26,7 @@ from .geometry import derive_geometry
 from .scenario import SensorSpec, TireScenario
 from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace, GroundTruth, ground_truth
 
-TRACE_SCHEMA = "tiresense.trace.v1"
+TRACE_SCHEMA = "tiresense.trace.v2"
 SIDECAR_SCHEMA = "tiresense.sidecar.v2"
 LOAD_MODEL_SCHEMA = "tiresense.load-model.v2"
 SLIP_MODEL_SCHEMA = "tiresense.slip-model.v1"
@@ -35,7 +35,7 @@ REPORT_SCHEMA = "tiresense.report.v1"
 SENSITIVITY_SCHEMA = "tiresense.sensitivity.v1"
 PLOT_SCHEMA = "tiresense.plot.v1"
 FEATURES_SCHEMA = "tiresense.features.v1"
-_TRACE_HEADER = "t,a_tangential,a_lateral,a_radial"
+_TRACE_HEADER = "a_tangential,a_lateral,a_radial"
 _ESTIMATES_HEADER = "turn,load_lbf,slip_deg,valid"
 
 # Rows formatted per write of a CSV table: enough to make the per-block cost
@@ -218,8 +218,7 @@ def write_trace(
     sensor: SensorSpec,
 ) -> Path:
     """Write trace CSV plus its JSON sidecar; returns the sidecar path."""
-    table = np.column_stack((trace.times, trace.samples))
-    _write_table(path, TRACE_SCHEMA, _TRACE_HEADER, "%.12g,%.12g,%.12g,%.12g\n", table)
+    _write_table(path, TRACE_SCHEMA, _TRACE_HEADER, "%.12g,%.12g,%.12g\n", trace.samples)
 
     sidecar = sidecar_path(path)
     _write_json(sidecar, {"schema_version": SIDECAR_SCHEMA,
@@ -239,20 +238,19 @@ def read_sidecar(path: Path) -> tuple[TireScenario, SensorSpec, int]:
 
 
 def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, SensorSpec]:
-    """Read a trace CSV and its sidecar back into memory."""
+    """Read a trace CSV and its sidecar back into memory.  Sample ``i`` was
+    taken at ``i / sample_rate``, and the trace must hold exactly the rows
+    ``simulate`` writes for the sidecar's turns."""
     data = _read_table(path, TRACE_SCHEMA, _TRACE_HEADER)
     scenario, sensor, n_turns = read_sidecar(sidecar_path(path))
-    # The t column must agree with the sidecar's rate to within half a sample.
-    if not np.all(np.abs(data[:, 0] * sensor.sample_rate - np.arange(len(data))) <= 0.5):
-        raise SchemaError(
-            f"{path}: t column does not match the sidecar sample_rate "
-            f"{sensor.sample_rate:g} Hz"
-        )
-    # Bounds the truth arrays by the trace: simulate never writes fewer rows.
+    # Bounds the truth arrays by the trace before ground_truth allocates them.
     if not 1 <= n_turns <= len(data) / MIN_SAMPLES_PER_TURN:
         raise SchemaError(f"{path}: n_turns {n_turns} does not fit {len(data)} rows")
-    trace = AccelTrace(sample_rate=sensor.sample_rate, samples=data[:, 1:4])
-    return trace, ground_truth(scenario, n_turns), scenario, sensor
+    truth = ground_truth(scenario, n_turns)
+    rows = truth.n_samples(sensor.sample_rate)
+    if len(data) != rows:
+        raise SchemaError(f"{path}: {len(data)} rows, but the sidecar's turns take {rows}")
+    return AccelTrace(sensor.sample_rate, data), truth, scenario, sensor
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,6 @@ class AccelTrace:
     def a_radial(self) -> np.ndarray:
         return self.samples[:, 2]
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(len(self)) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -103,6 +99,10 @@ class GroundTruth:
     @property
     def n_turns(self) -> int:
         return len(self.turn_start_time_s)
+
+    def n_samples(self, sample_rate: float) -> int:
+        """Samples ``simulate`` takes of these turns at ``sample_rate``."""
+        return round(self.n_turns * float(self.wheel_period_s[0]) * sample_rate)
 
 
 def _rolling(scenario: TireScenario) -> tuple[TireGeometry, float, float]:
@@ -202,7 +202,7 @@ def simulate(
             f"{n_turns} turns at {fs:g} Hz need more samples than one array holds"
         )
     truth = ground_truth(scenario, n_turns)
-    n = round(n_turns * period * fs)
+    n = truth.n_samples(fs)
     dt = 1.0 / fs
 
     # Positions at (i - 1) * dt for i in 0..n+1, so the second central

@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -209,16 +209,15 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
     with_nan = table.copy()
     with_nan[2, 1:3] = np.nan
 
-    rate = 10000.0
-    trace = AccelTrace(sample_rate=rate, samples=table[:, 1:])
     _, truth = simulate(scenario(), SENSOR, 1)
+    # one turn at the rate that makes the turn exactly n_rows samples long
+    sensor = replace(SENSOR, sample_rate=float(n_rows / truth.wheel_period_s[0]))
+    trace = AccelTrace(sample_rate=sensor.sample_rate, samples=table[:, 1:])
     path = tmp_path / "trace.csv"
-    write_trace(path, trace, truth, scenario(), SENSOR)
-    expected = [
-        ",".join(_g(v) for v in (i / rate, *row)) for i, row in enumerate(table[:, 1:])
-    ]
+    write_trace(path, trace, truth, scenario(), sensor)
+    expected = [",".join(map(_g, row)) for row in table[:, 1:]]
     assert path.read_bytes() == _reference(
-        "tiresense.trace.v1", "t,a_tangential,a_lateral,a_radial", expected
+        "tiresense.trace.v2", "a_tangential,a_lateral,a_radial", expected
     ).encode()
     _assert_same_bits(read_trace(path)[0].samples, _g_values(table[:, 1:]))
 
@@ -577,12 +576,33 @@ def _no_valid_turn(root):
     return _evaluate(root)
 
 
+def _edited_trace(root, name, edit):
+    """estimate on ``edit`` of trace.csv's lines, beside a copy of its sidecar."""
+    lines = edit((root / "trace.csv").read_text().splitlines())
+    (root / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    (root / f"{name}.json").write_bytes((root / "trace.json").read_bytes())
+    return _estimate(root, f"{name}.csv")
+
+
+def _v1_lines(lines):
+    # The same samples behind a t column, as v1 wrote them.
+    return ["# schema=tiresense.trace.v1", "t,a_tangential,a_lateral,a_radial",
+            *(f"{_g(i / SENSOR.sample_rate)},{line}" for i, line in enumerate(lines[2:]))]
+
+
+def _without_middle_row(lines):
+    middle = len(lines) // 2
+    return lines[:middle] + lines[middle + 1 :]
+
+
+def _middle_row_twice(lines):
+    middle = len(lines) // 2
+    return lines[: middle + 1] + lines[middle:]
+
+
 def _truncated_csv(root):
-    lines = (root / "trace.csv").read_text().splitlines()
-    lines[-1] = lines[-1].rsplit(",", 2)[0]
-    (root / "cut.csv").write_text("\n".join(lines) + "\n")
-    (root / "cut.json").write_bytes((root / "trace.json").read_bytes())
-    return _estimate(root, "cut.csv")
+    # the last row cut after its first field
+    return _edited_trace(root, "cut", lambda lines: [*lines[:-1], lines[-1].split(",")[0]])
 
 
 def _rate_mismatch(root):
@@ -609,10 +629,7 @@ def _two_column_estimates(root):
 
 
 def _empty_trace(root):
-    lines = (root / "trace.csv").read_text().splitlines()[:2]
-    (root / "empty.csv").write_text("\n".join(lines) + "\n")
-    (root / "empty.json").write_bytes((root / "trace.json").read_bytes())
-    return _estimate(root, "empty.csv")
+    return _edited_trace(root, "empty", lambda lines: lines[:2])
 
 
 def _every_turn_skipped(root, command):
@@ -710,6 +727,12 @@ def _estimate_sidecar(root, **changes):
     return _estimate(root, "edited.csv")
 
 
+def _estimate_scenario(root, **changes):
+    """estimate on a copy of trace.csv whose sidecar scenario has ``changes``."""
+    sidecar = json.loads((root / "trace.json").read_text())
+    return _estimate_sidecar(root, scenario={**sidecar["scenario"], **changes})
+
+
 def _sidecar_v1(root):
     # The truth stored beside the scenario, one list per field, as v1 wrote it.
     _, truth, _, _ = read_trace(root / "trace.csv")
@@ -770,6 +793,17 @@ def _sidecar_v1(root):
         pytest.param(lambda root: _estimates_field(root, 2, "-inf"),
                      id="estimates-minus-inf-slip"),
         pytest.param(_sidecar_v1, id="sidecar-v1"),
+        pytest.param(lambda root: _edited_trace(root, "v1", _v1_lines), id="trace-v1"),
+        # the trace is unchanged; the sidecar's scenario takes a different
+        # number of rows for its turns
+        pytest.param(lambda root: _estimate_scenario(root, vehicle_speed=24.0),
+                     id="sidecar-vehicle-speed-24"),
+        pytest.param(lambda root: _estimate_scenario(root, tread_depth=2.0),
+                     id="sidecar-tread-2"),
+        pytest.param(lambda root: _edited_trace(root, "dropped", _without_middle_row),
+                     id="trace-dropped-row"),
+        pytest.param(lambda root: _edited_trace(root, "repeated", _middle_row_twice),
+                     id="trace-repeated-row"),
         pytest.param(lambda root: _estimate_sidecar(root, spin_rate=3.0),
                      id="sidecar-unknown-field"),
         pytest.param(lambda root: _estimate_sidecar(root, n_turns=10**12),
@@ -994,17 +1028,18 @@ def _random_damage(data: bytes, seed: int) -> bytes:
     "name, damage, expected_code",
     [
         # finite, so the readers accept them; the arithmetic then overflows
-        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 3, b"1e300"), 1,
+        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 2, b"1e300"), 1,
                      id="radial-1e300"),
         pytest.param("est.csv", lambda d: _set_field(d, 2, 1, b"1e300"), 1,
                      id="load-1e300"),
         pytest.param("est.csv", lambda d: _set_field(d, 2, 2, b"1e300"), 1,
                      id="slip-1e300"),
-        # still a valid table, so the command runs through
-        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 3, b"2000"), 0,
-                     id="radial-2000"),
+        # fewer rows than the sidecar's turns take
         pytest.param("trace.csv", lambda d: d[: d.rindex(b"\n", 0, len(d) * 9 // 10) + 1],
-                     0, id="last-rows-cut"),
+                     1, id="last-rows-cut"),
+        # still a valid table, so the command runs through
+        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 2, b"2000"), 0,
+                     id="radial-2000"),
         pytest.param("est.csv", lambda d: _set_field(d, 2, 3, b"0"), 0, id="valid-0"),
         *(pytest.param(name, lambda d, seed=seed: _random_damage(d, seed), None,
                        id=f"{name}-{seed}")

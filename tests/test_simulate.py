@@ -18,7 +18,7 @@ def phase_angle(trace, scen):
     """Wrapped liner angle from the downward vertical at each sample."""
     geom = derive_geometry(scen)
     omega = scen.vehicle_speed / geom.effective_radius
-    psi = np.pi - omega * trace.times
+    psi = np.pi - omega * np.arange(len(trace)) / trace.sample_rate
     return np.mod(psi + np.pi, 2 * np.pi) - np.pi
 
 
