@@ -121,7 +121,9 @@ def _circular_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """
     n = x.shape[-1]
     m = _fast_length(2 * n - 1)
-    full = np.fft.irfft(np.fft.rfft(x, m) * np.fft.rfft(kernel, m), m)
+    spectrum = np.fft.rfft(x, m)
+    spectrum *= np.fft.rfft(kernel, m)
+    full = np.fft.irfft(spectrum, m)
     out = full[..., :n]
     out[..., : n - 1] += full[..., n : 2 * n - 1]
     return out
@@ -156,14 +158,15 @@ def estimate_period(
     x = trace.a_radial[: int(round(PERIOD_PREFIX_TURNS * hinted * fs))]
     x = x - x.mean()
     n = len(x)
-    m = 1 << (2 * n - 1).bit_length()  # no circular wrap-around of lags < n
-    spectrum = np.fft.rfft(x, m)
-    autocorr = np.fft.irfft(spectrum * np.conj(spectrum), m)[:n]
-
     lo = max(1, int(np.floor(0.8 * hinted * fs)))
     hi = min(n - 2, int(np.ceil(1.2 * hinted * fs)))
     if lo >= hi:
         raise NoPeakError("autocorrelation search window is empty")
+    # Circular wrap-around reaches only lags > m - n, so m >= n + hi + 1
+    # keeps it off every lag up to hi + 1, the last one read.
+    m = _fast_length(n + hi + 1)
+    spectrum = np.fft.rfft(x, m)
+    autocorr = np.fft.irfft(spectrum * np.conj(spectrum), m)[: hi + 2]
     window = autocorr[lo : hi + 1]
     k = int(np.argmax(window)) + lo
     if autocorr[k] <= 0.0 or not (
@@ -276,8 +279,9 @@ def accel_to_displacement(
         x - x.mean(axis=-1, keepdims=True), response - response.mean()
     )
     t = np.arange(n) - (n - 1) / 2.0
-    disp = disp - _line_slope(disp)[..., None] * t
-    return disp * 1e3
+    disp -= _line_slope(disp)[..., None] * t
+    disp *= 1e3
+    return disp
 
 
 def double_integrate(channel: np.ndarray, sample_rate: float) -> np.ndarray:

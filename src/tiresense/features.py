@@ -79,22 +79,24 @@ def extract_features(
     segments = segment_turns(trace, period)
     length = len(segments[0])
     starts = np.array([seg.start_index for seg in segments])
-    turns = trace.samples[starts[:, None] + np.arange(length)]  # (turns, length, 3)
+    # windows[starts, c] gathers channel c as (turns, length), one channel at a time
+    windows = np.lib.stride_tricks.sliding_window_view(trace.samples, length, axis=0)
     fs = trace.sample_rate
     rotation_frequency = fs / length
-    # Radial displacement uses the outward-positive convention, so the
-    # patch shows up as a dip; the sensor channel is centre-positive.
-    radial = accel_to_displacement(-turns[:, :, 2], fs, rotation_frequency)
-    edges = detect_patch_edges(turns[:, :, 0])
+    edges = detect_patch_edges(windows[starts, 0])
     ok = np.flatnonzero(edges.failed == 0)
     leading, trailing = edges.leading[ok], edges.trailing[ok]
 
     columns = np.full((4, len(segments)), np.nan)
     patch, dip, peak, slope = columns  # views: each fills one column
     patch[ok] = wheel_speed * (trailing - leading) / fs
+    # Radial displacement uses the outward-positive convention, so the
+    # patch shows up as a dip; the sensor channel is centre-positive.
+    radial = accel_to_displacement(-windows[starts, 2], fs, rotation_frequency)
     dip[ok] = radial.max(axis=1)[ok] - radial[ok, (leading + trailing) // 2]
+    del radial  # one full-length profile at a time
     if include_lateral:
-        lateral = accel_to_displacement(turns[:, :, 1], fs, rotation_frequency)
+        lateral = accel_to_displacement(windows[starts, 1], fs, rotation_frequency)
         peak[ok], slope[ok] = lateral_features(
             lateral[ok], leading, trailing, wheel_speed, fs
         )

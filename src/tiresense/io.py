@@ -42,6 +42,10 @@ _ESTIMATES_HEADER = "turn,load_lbf,slip_deg,valid"
 # vanish, few enough that a block's text stays a few hundred kB.
 _BLOCK_ROWS = 8192
 
+# Largest trace sample magnitude read_trace accepts, m/s^2: decades above any real
+# acceleration, and small enough that a trace's sum of squares stays finite.
+MAX_ABS_SAMPLE = 1e100
+
 
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
@@ -242,6 +246,11 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
     taken at ``i / sample_rate``, and the trace must hold exactly the rows
     ``simulate`` writes for the sidecar's turns."""
     data = _read_table(path, TRACE_SCHEMA, _TRACE_HEADER)
+    # NaN fails both comparisons; body rows start on line 3, after the header lines.
+    bad = ~((-MAX_ABS_SAMPLE <= data) & (data <= MAX_ABS_SAMPLE)).all(axis=1)
+    if bad.any():
+        raise SchemaError(f"{path}: line {np.argmax(bad) + 3}: samples must be finite "
+                          f"and at most {MAX_ABS_SAMPLE:g} m/s^2 in magnitude")
     scenario, sensor, n_turns = read_sidecar(sidecar_path(path))
     # Bounds the truth arrays by the trace before ground_truth allocates them.
     if not 1 <= n_turns <= len(data) / MIN_SAMPLES_PER_TURN:

@@ -206,25 +206,28 @@ def simulate(
     dt = 1.0 / fs
 
     # Positions at (i - 1) * dt for i in 0..n+1, so the second central
-    # difference lands acceleration samples exactly on t = i * dt.
+    # difference lands acceleration samples exactly on t = i * dt.  Each
+    # full-length array is dropped once read, so the peak stays near three
+    # times the samples returned.
     t_pos = (np.arange(n + 2) - 1.0) * dt
     x, y, z, psi = _liner_positions(t_pos, scenario, geom, omega, release_angle)
-
+    del t_pos
     ax = (x[2:] - 2.0 * x[1:-1] + x[:-2]) * fs * fs
-    ay = (y[2:] - 2.0 * y[1:-1] + y[:-2]) * fs * fs
+    del x
     az = (z[2:] - 2.0 * z[1:-1] + z[:-2]) * fs * fs
-    psi_c = psi[1:-1]
+    del z
+    samples = np.empty((n, 3))  # columns tangential, lateral, radial
+    samples[:, 1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) * fs * fs
+    del y
+    sin_psi, cos_psi = np.sin(psi[1:-1]), np.cos(psi[1:-1])
+    del psi
+    samples[:, 2] = -ax * sin_psi + az * cos_psi
+    samples[:, 0] = ax * cos_psi + az * sin_psi
+    del ax, az, sin_psi, cos_psi
 
-    sin_psi = np.sin(psi_c)
-    cos_psi = np.cos(psi_c)
-    a_radial = -ax * sin_psi + az * cos_psi
-    a_tangential = ax * cos_psi + az * sin_psi
-    a_lateral = ay
-
-    samples = np.column_stack([a_tangential, a_lateral, a_radial])
     rng = np.random.default_rng(sensor.seed)
     if sensor.noise_std > 0.0:
-        samples = samples + rng.normal(0.0, sensor.noise_std, samples.shape)
-    samples = samples + np.asarray(sensor.dc_bias, dtype=float)
+        samples += rng.normal(0.0, sensor.noise_std, samples.shape)
+    samples += np.asarray(sensor.dc_bias, dtype=float)
 
     return AccelTrace(sample_rate=fs, samples=samples), truth

@@ -12,6 +12,7 @@ from tiresense import (
     simulate,
 )
 from tiresense.dsp import (
+    PERIOD_PREFIX_TURNS,
     _deviation_median,
     _fast_length,
     accel_to_displacement,
@@ -70,6 +71,26 @@ def test_period_needs_three_hinted_periods(default_scenario, quiet_sensor):
     trace, _ = simulate(default_scenario, quiet_sensor, 2)
     with pytest.raises(TooShortError):
         estimate_period(trace, default_scenario.vehicle_speed, 0.3)
+
+
+def direct_period(trace, speed, radius):
+    """estimate_period's lag from the lag products x[:-k] @ x[k:] themselves."""
+    fs = trace.sample_rate
+    hinted = 2 * np.pi * radius / speed
+    x = trace.a_radial[: int(round(PERIOD_PREFIX_TURNS * hinted * fs))]
+    x = x - x.mean()
+    lo = max(1, int(np.floor(0.8 * hinted * fs)))
+    hi = min(len(x) - 2, int(np.ceil(1.2 * hinted * fs)))
+    lags = np.arange(lo, hi + 1)
+    return lags[np.argmax([x[:-k] @ x[k:] for k in lags])] / fs
+
+
+@pytest.mark.parametrize("speed", [5.0, 20.0, 33.0])
+@pytest.mark.parametrize("turns", [40, 400])
+def test_period_lag_matches_direct_autocorrelation(speed, turns):
+    sensor = SensorSpec(seed=turns + int(speed))
+    trace, _ = simulate(scenario(vehicle_speed=speed), sensor, turns)
+    assert estimate_period(trace, speed, 0.3) == direct_period(trace, speed, 0.3)
 
 
 # ---------------------------------------------------------------------------

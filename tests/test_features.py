@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -309,3 +311,16 @@ def test_lateral_features_batch_matches_reference():
         ref_peak, ref_slope = reference_lateral(profiles[i], edges, 20.0, fs)
         assert peak[i] == ref_peak
         assert slope[i] == pytest.approx(ref_slope, rel=1e-12, abs=0.0)
+
+
+def test_peak_memory_stays_within_2_8_traces():
+    # tracemalloc sees numpy's buffers; the trace itself is made before it starts.
+    trace, _ = simulate(scenario(slip_angle=2.0), SensorSpec(seed=7), 400)
+    tracemalloc.start()
+    try:
+        table, skipped = extract_features(trace, 20.0, 0.3, include_lateral=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert skipped == 0 and len(table) >= 399
+    assert peak <= 2.8 * trace.samples.nbytes

@@ -19,6 +19,7 @@ from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, 
 from tiresense.features import FEATURE_FIELDS
 from tiresense.io import (
     _BLOCK_ROWS,
+    MAX_ABS_SAMPLE,
     SIDECAR_SCHEMA,
     read_estimates,
     read_load_model,
@@ -212,14 +213,16 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
     _, truth = simulate(scenario(), SENSOR, 1)
     # one turn at the rate that makes the turn exactly n_rows samples long
     sensor = replace(SENSOR, sample_rate=float(n_rows / truth.wheel_period_s[0]))
-    trace = AccelTrace(sample_rate=sensor.sample_rate, samples=table[:, 1:])
+    samples = table[:, 1:].copy()
+    samples[1, 1] = MAX_ABS_SAMPLE  # 1e300 there: read_trace accepts no larger sample
+    trace = AccelTrace(sample_rate=sensor.sample_rate, samples=samples)
     path = tmp_path / "trace.csv"
     write_trace(path, trace, truth, scenario(), sensor)
-    expected = [",".join(map(_g, row)) for row in table[:, 1:]]
+    expected = [",".join(map(_g, row)) for row in samples]
     assert path.read_bytes() == _reference(
         "tiresense.trace.v2", "a_tangential,a_lateral,a_radial", expected
     ).encode()
-    _assert_same_bits(read_trace(path)[0].samples, _g_values(table[:, 1:]))
+    _assert_same_bits(read_trace(path)[0].samples, _g_values(samples))
 
     valid = with_nan[:, 3] > 0
     path = tmp_path / "est.csv"
@@ -1027,9 +1030,15 @@ def _random_damage(data: bytes, seed: int) -> bytes:
 @pytest.mark.parametrize(
     "name, damage, expected_code",
     [
-        # finite, so the readers accept them; the arithmetic then overflows
+        # beyond MAX_ABS_SAMPLE, so read_trace rejects them
         pytest.param("trace.csv", lambda d: _set_field(d, 1000, 2, b"1e300"), 1,
                      id="radial-1e300"),
+        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 2, b"-1e160"), 1,
+                     id="radial-minus-1e160"),
+        # at the bound, so read_trace accepts it; the command still ends cleanly
+        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 2, b"1e100"), None,
+                     id="radial-1e100"),
+        # finite, so the reader accepts them; the arithmetic then overflows
         pytest.param("est.csv", lambda d: _set_field(d, 2, 1, b"1e300"), 1,
                      id="load-1e300"),
         pytest.param("est.csv", lambda d: _set_field(d, 2, 2, b"1e300"), 1,
@@ -1062,6 +1071,21 @@ def test_cli_survives_damaged_csv(csv_inputs, capsys, name, damage, expected_cod
         assert code == expected_code
     if code == 0:
         assert output_reads_back(root)
+
+
+@pytest.mark.parametrize("value", [b"1e300", b"1e200", b"-1e160", b"1.0000001e100",
+                                   b"nan", b"-inf"])
+def test_bad_trace_sample_error_names_file_and_first_line(csv_inputs, capsys, value):
+    # body row 1000 is line 1003, after the schema and header lines
+    root = csv_inputs
+    data = (root / "trace.csv").read_bytes()
+    (root / "bad.csv").write_bytes(_set_field(_set_field(data, 2000, 0, value), 1000, 2, value))
+    capsys.readouterr()
+    assert cli(*_CSV_RUNS["trace.csv"][0](root)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {root / 'bad.csv'}: line 1003: samples must be finite "
+        "and at most 1e+100 m/s^2 in magnitude\n"
+    )
 
 
 def test_cli_import_does_not_load_scipy():

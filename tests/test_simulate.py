@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from tiresense import (
     ground_truth,
     simulate,
 )
-from tiresense.simulate import AccelTrace
+from tiresense.simulate import AccelTrace, _liner_positions, _rolling
 
 from conftest import scenario
 
@@ -133,3 +135,54 @@ def test_trace_invariants_enforced():
     bad[3, 1] = np.inf
     with pytest.raises(ScenarioError):
         AccelTrace(sample_rate=10.0, samples=bad)
+
+
+def reference_samples(scen, sensor, n_turns):
+    """simulate's samples by the plain formula: the channels stacked by
+    column_stack, then noise and bias each added out of place."""
+    geom, omega, _ = _rolling(scen)
+    release_angle = (scen.release_angle if scen.release_angle is not None
+                     else geom.contact_half_angle)
+    fs = sensor.sample_rate
+    n = ground_truth(scen, n_turns).n_samples(fs)
+    dt = 1.0 / fs
+    t_pos = (np.arange(n + 2) - 1.0) * dt
+    x, y, z, psi = _liner_positions(t_pos, scen, geom, omega, release_angle)
+    ax = (x[2:] - 2.0 * x[1:-1] + x[:-2]) * fs * fs
+    ay = (y[2:] - 2.0 * y[1:-1] + y[:-2]) * fs * fs
+    az = (z[2:] - 2.0 * z[1:-1] + z[:-2]) * fs * fs
+    sin_psi, cos_psi = np.sin(psi[1:-1]), np.cos(psi[1:-1])
+    samples = np.column_stack([ax * cos_psi + az * sin_psi, ay,
+                               -ax * sin_psi + az * cos_psi])
+    rng = np.random.default_rng(sensor.seed)
+    if sensor.noise_std > 0.0:
+        samples = samples + rng.normal(0.0, sensor.noise_std, samples.shape)
+    return samples + np.asarray(sensor.dc_bias, dtype=float)
+
+
+@pytest.mark.parametrize(
+    "slip, sensor, n_turns",
+    [
+        (0.0, SensorSpec(seed=7), 3),
+        (2.5, SensorSpec(noise_std=0.0, dc_bias=(5.0, -3.0, 0.5), seed=1), 7),
+        (-2.5, SensorSpec(sample_rate=7919.0, seed=11), 40),
+        (1.0, SensorSpec(seed=5), 400),
+    ],
+)
+def test_samples_match_reference_formula_bit_for_bit(slip, sensor, n_turns):
+    trace, _ = simulate(scenario(slip_angle=slip), sensor, n_turns)
+    expected = reference_samples(scenario(slip_angle=slip), sensor, n_turns)
+    assert trace.samples.flags.c_contiguous
+    assert trace.samples.shape == expected.shape
+    assert trace.samples.tobytes() == expected.tobytes()
+
+
+def test_peak_memory_stays_within_four_traces(noisy_sensor):
+    # tracemalloc sees numpy's buffers; the samples alone are one trace.
+    tracemalloc.start()
+    try:
+        trace, _ = simulate(scenario(slip_angle=2.0), noisy_sensor, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * trace.samples.nbytes
