@@ -131,10 +131,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _feature_tables(traces_dir: Path, include_lateral: bool):
-    """(scenario, feature table) for every trace CSV in ``traces_dir``."""
-    paths = sorted(Path(traces_dir).glob("*.csv"))
+    """(scenario, feature table) for each file in ``traces_dir`` but the .json sidecars."""
+    paths = sorted(p for p in Path(traces_dir).iterdir() if p.is_file() and p.suffix != ".json")
     if not paths:
-        raise SchemaError(f"{traces_dir}: no trace CSV files found")
+        raise SchemaError(f"{traces_dir}: no trace files found")
     for path in paths:
         trace, truth, scenario, sensor = read_trace(path)
         table, _ = extract_features(

@@ -124,9 +124,9 @@ def _circular_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     spectrum = np.fft.rfft(x, m)
     spectrum *= np.fft.rfft(kernel, m)
     full = np.fft.irfft(spectrum, m)
-    out = full[..., :n]
-    out[..., : n - 1] += full[..., n : 2 * n - 1]
-    return out
+    del spectrum  # freed before the copy below, so the peak stays at the irfft
+    full[..., : n - 1] += full[..., n : 2 * n - 1]
+    return full[..., :n].copy()
 
 
 def estimate_period(

@@ -1,9 +1,10 @@
-"""File formats: scenario JSON, trace CSV with JSON sidecar, model files,
-estimate tables, reports and plot data.
+"""File formats: scenario JSON, trace ``.npy`` array with JSON sidecar,
+model files, estimate tables, reports and plot data.
 
-Every file this package writes names its schema version; readers reject
-unknown versions rather than guessing.  All numeric formatting is fixed so
-identical inputs produce byte-identical files.
+Every file this package writes names its schema version, but the trace, whose
+version is its ``.npy`` header layout; readers reject unknown versions rather
+than guessing.  All numeric formatting is fixed so identical inputs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import os
 import sys
+import tokenize
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -26,7 +29,7 @@ from .geometry import derive_geometry
 from .scenario import SensorSpec, TireScenario
 from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace, GroundTruth, ground_truth
 
-TRACE_SCHEMA = "tiresense.trace.v2"
+TRACE_SCHEMA = "tiresense.trace.v3"
 SIDECAR_SCHEMA = "tiresense.sidecar.v2"
 LOAD_MODEL_SCHEMA = "tiresense.load-model.v2"
 SLIP_MODEL_SCHEMA = "tiresense.slip-model.v1"
@@ -35,12 +38,7 @@ REPORT_SCHEMA = "tiresense.report.v1"
 SENSITIVITY_SCHEMA = "tiresense.sensitivity.v1"
 PLOT_SCHEMA = "tiresense.plot.v1"
 FEATURES_SCHEMA = "tiresense.features.v1"
-_TRACE_HEADER = "a_tangential,a_lateral,a_radial"
 _ESTIMATES_HEADER = "turn,load_lbf,slip_deg,valid"
-
-# Rows formatted per write of a CSV table: enough to make the per-block cost
-# vanish, few enough that a block's text stays a few hundred kB.
-_BLOCK_ROWS = 8192
 
 # Largest trace sample magnitude read_trace accepts, m/s^2: decades above any real
 # acceleration, and small enough that a trace's sum of squares stays finite.
@@ -135,45 +133,11 @@ def _read_record(path: Path, schema: str, cls):
 def _write_table(
     path: Path, schema: str, header: str, row_format: str, table: np.ndarray
 ) -> None:
-    """Write the schema and header lines, then one ``row_format`` line per
-    row of the 2-D array ``table``.
-
-    Each block of rows is formatted with a single ``%``; its ``%.12g`` is the
-    conversion ``format(x, ".12g")`` makes, so the bytes do not depend on the
-    block size.
-    """
+    """Write the schema and header lines, then one ``row_format`` line per row
+    of the 2-D array ``table``; ``%.12g`` is the conversion ``format(x, ".12g")`` makes."""
     with Path(path).open("w") as handle:
         handle.write(f"# schema={schema}\n{header}\n")
-        for start in range(0, len(table), _BLOCK_ROWS):
-            block = table[start : start + _BLOCK_ROWS]
-            handle.write(row_format * len(block) % tuple(block.ravel().tolist()))
-
-
-def _read_table(path: Path, schema: str, header: str) -> np.ndarray:
-    """Rows of a table ``_write_table`` wrote, one float column per header field.
-
-    The two header lines are checked on their own handle; the body is then
-    parsed from the path, which lets numpy's reader take the file in large
-    chunks instead of one line at a time from an open handle.
-    """
-    columns = header.count(",") + 1
-    try:
-        with Path(path).open() as handle:
-            first, found = handle.readline().strip(), handle.readline().strip()
-        if first != f"# schema={schema}":
-            raise SchemaError(f"{path}: first line does not name schema {schema}")
-        if found != header:
-            raise SchemaError(f"{path}: unexpected CSV header {found!r}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a table may have no row
-            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=2)
-    except ValueError as exc:  # a malformed row, or a UnicodeDecodeError
-        raise SchemaError(f"{path}: malformed table ({exc})") from exc
-    if data.size == 0:
-        return np.empty((0, columns))
-    if data.shape[1] != columns:
-        raise SchemaError(f"{path}: expected {columns} columns")
-    return data
+        handle.write(row_format * len(table) % tuple(table.ravel().tolist()))
 
 
 def sha256_of(path: Path) -> str:
@@ -203,7 +167,7 @@ def write_scenario(path: Path, scenario: TireScenario, sensor: SensorSpec) -> No
 
 
 # ---------------------------------------------------------------------------
-# trace CSV + sidecar
+# trace .npy + sidecar
 
 @dataclass(frozen=True)
 class _Sidecar:
@@ -221,9 +185,9 @@ def write_trace(
     scenario: TireScenario,
     sensor: SensorSpec,
 ) -> Path:
-    """Write trace CSV plus its JSON sidecar; returns the sidecar path."""
-    _write_table(path, TRACE_SCHEMA, _TRACE_HEADER, "%.12g,%.12g,%.12g\n", trace.samples)
-
+    """Write the samples to exactly ``path`` and the JSON sidecar; returns the sidecar path."""
+    with Path(path).open("wb") as handle:
+        np.save(handle, np.ascontiguousarray(trace.samples, dtype="<f8"), allow_pickle=False)
     sidecar = sidecar_path(path)
     _write_json(sidecar, {"schema_version": SIDECAR_SCHEMA,
                           **asdict(_Sidecar(scenario, sensor, truth.n_turns))})
@@ -242,24 +206,45 @@ def read_sidecar(path: Path) -> tuple[TireScenario, SensorSpec, int]:
 
 
 def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, SensorSpec]:
-    """Read a trace CSV and its sidecar back into memory.  Sample ``i`` was
-    taken at ``i / sample_rate``, and the trace must hold exactly the rows
-    ``simulate`` writes for the sidecar's turns."""
-    data = _read_table(path, TRACE_SCHEMA, _TRACE_HEADER)
-    # NaN fails both comparisons; body rows start on line 3, after the header lines.
-    bad = ~((-MAX_ABS_SAMPLE <= data) & (data <= MAX_ABS_SAMPLE)).all(axis=1)
-    if bad.any():
-        raise SchemaError(f"{path}: line {np.argmax(bad) + 3}: samples must be finite "
+    """Read a trace and its sidecar back into memory.  Sample ``i`` was
+    taken at ``i / sample_rate``.  The ``.npy`` header, the file size and the
+    sidecar's turns must agree on the rows before the samples are read."""
+    with Path(path).open("rb") as handle:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # numpy may warn on a Python 2 header
+                if np.lib.format.read_magic(handle) != (1, 0):  # what np.save writes
+                    raise ValueError("not .npy format 1.0")
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+        except (ValueError, tokenize.TokenError) as exc:
+            handle.seek(0)
+            if handle.read(25) == b"# schema=tiresense.trace.":
+                raise SchemaError(f"{path}: a CSV trace from before {TRACE_SCHEMA}; "
+                                  "regenerate it with simulate") from None
+            reason = str(exc).partition("\n")[0]
+            raise SchemaError(f"{path}: not a {TRACE_SCHEMA} .npy array ({reason})") from None
+        if dtype != np.dtype("<f8") or len(shape) != 2 or shape[1] != 3 or fortran_order:
+            raise SchemaError(f"{path}: a {'Fortran' if fortran_order else 'C'}-order "
+                              f"{dtype.str} array of shape {shape}, not a C-order <f8 "
+                              "array of shape (rows, 3)")
+        rows, left = shape[0], os.fstat(handle.fileno()).st_size - handle.tell()
+        if rows * 24 != left:
+            raise SchemaError(f"{path}: the header's {rows} rows take {rows * 24} bytes, "
+                              f"but {left} follow it")
+        scenario, sensor, n_turns = read_sidecar(sidecar_path(path))
+        # Bounds the truth arrays by the trace before ground_truth allocates them.
+        if not 1 <= n_turns <= rows / MIN_SAMPLES_PER_TURN:
+            raise SchemaError(f"{path}: n_turns {n_turns} does not fit {rows} rows")
+        truth = ground_truth(scenario, n_turns)
+        if rows != (expected := truth.n_samples(sensor.sample_rate)):
+            raise SchemaError(f"{path}: {rows} rows, but the sidecar's turns take {expected}")
+        samples = np.fromfile(handle, dtype="<f8", count=3 * rows).reshape(rows, 3)
+    # min and max carry a NaN, which fails every comparison; the row search runs on failure only.
+    if not -MAX_ABS_SAMPLE <= samples.min() <= samples.max() <= MAX_ABS_SAMPLE:
+        row = np.argmax(~((-MAX_ABS_SAMPLE <= samples) & (samples <= MAX_ABS_SAMPLE)).all(axis=1))
+        raise SchemaError(f"{path}: row {row}: samples must be finite "
                           f"and at most {MAX_ABS_SAMPLE:g} m/s^2 in magnitude")
-    scenario, sensor, n_turns = read_sidecar(sidecar_path(path))
-    # Bounds the truth arrays by the trace before ground_truth allocates them.
-    if not 1 <= n_turns <= len(data) / MIN_SAMPLES_PER_TURN:
-        raise SchemaError(f"{path}: n_turns {n_turns} does not fit {len(data)} rows")
-    truth = ground_truth(scenario, n_turns)
-    rows = truth.n_samples(sensor.sample_rate)
-    if len(data) != rows:
-        raise SchemaError(f"{path}: {len(data)} rows, but the sidecar's turns take {rows}")
-    return AccelTrace(sensor.sample_rate, data), truth, scenario, sensor
+    return AccelTrace(sensor.sample_rate, samples), truth, scenario, sensor
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +280,22 @@ def write_estimates(
 
 
 def read_estimates(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    data = _read_table(path, ESTIMATES_SCHEMA, _ESTIMATES_HEADER)
+    """The table ``write_estimates`` wrote.  The two header lines are checked
+    on their own handle; the body is then parsed from the path, which lets
+    numpy's reader take the file in large chunks."""
+    try:
+        with Path(path).open() as handle:
+            found = [handle.readline().strip(), handle.readline().strip()]
+        if found != [f"# schema={ESTIMATES_SCHEMA}", _ESTIMATES_HEADER]:
+            raise SchemaError(f"{path}: header lines {found} are not {ESTIMATES_SCHEMA}'s")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a table may have no row
+            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=2)
+    except ValueError as exc:  # a malformed row, or a UnicodeDecodeError
+        raise SchemaError(f"{path}: malformed table ({exc})") from exc
+    if data.size and data.shape[1] != 4:
+        raise SchemaError(f"{path}: expected 4 columns")
+    data = data.reshape(-1, 4)  # a table with no row reads as shape (0, 1)
     loads, slips, valid = data[:, 1], data[:, 2], data[:, 3] == 1.0
     if not np.array_equal(data[:, 0], np.arange(len(data))):
         raise SchemaError(f"{path}: turn must count 0, 1, 2, ... by row")

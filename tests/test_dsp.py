@@ -282,6 +282,8 @@ def test_batched_integration_matches_each_row(length):
     turns += 400.0 * np.sin(2 * np.pi * 2 * FS / length * t + rng.uniform(0, 6, (6, 1)))
     batched = accel_to_displacement(turns, FS, FS / length)
     assert batched.shape == turns.shape
+    # its own buffer, not a view that keeps the larger FFT output alive
+    assert batched.flags.owndata and batched.flags.c_contiguous
     for row, turn in zip(batched, turns):
         single = accel_to_displacement(turn, FS, FS / length)
         assert np.abs(row - single).max() <= 1e-12 * np.abs(single).max()

@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -18,9 +20,9 @@ from tiresense.cli import main
 from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, fit_slip_model
 from tiresense.features import FEATURE_FIELDS
 from tiresense.io import (
-    _BLOCK_ROWS,
     MAX_ABS_SAMPLE,
     SIDECAR_SCHEMA,
+    TRACE_SCHEMA,
     read_estimates,
     read_load_model,
     read_scenario,
@@ -77,15 +79,14 @@ def test_scenario_rejects_unknown_and_missing_fields(tmp_path):
 
 def test_trace_round_trip(tmp_path):
     scen = scenario()
-    path = tmp_path / "trace.csv"
+    path = tmp_path / "trace.csv"  # the format does not depend on the name
     trace, truth = write_trace_files(path, scen, SENSOR, 9)
-    assert len(trace) > _BLOCK_ROWS  # written in more than one block
+    assert np.array_equal(np.load(path, allow_pickle=False), trace.samples)
     back_trace, back_truth, back_scen, back_sensor = read_trace(path)
     assert back_scen == scen
     assert back_sensor == SENSOR
     assert back_truth.n_turns == truth.n_turns
-    # 12 significant digits: within 5e-12 of each value
-    np.testing.assert_allclose(back_trace.samples, trace.samples, rtol=1e-11, atol=0)
+    assert back_trace.samples.tobytes() == trace.samples.tobytes()
     np.testing.assert_allclose(
         back_truth.true_patch_chord_m, truth.true_patch_chord_m
     )
@@ -122,14 +123,35 @@ def test_read_trace_truth_is_simulate_truth(
 
 
 def test_trace_rejects_wrong_schema(tmp_path):
+    # a CSV trace, as v1 and v2 wrote them, is named as one in a single line
     scen = scenario()
     path = tmp_path / "trace.csv"
-    write_trace_files(path, scen, SENSOR, 1)
-    body = path.read_text().splitlines()
-    body[0] = "# schema=tiresense.trace.v999"
-    path.write_text("\n".join(body) + "\n")
-    with pytest.raises(SchemaError):
-        read_trace(path)
+    trace, _ = write_trace_files(path, scen, SENSOR, 1)
+    for version in ("v1", "v2", "v999"):
+        path.write_bytes(_csv_trace(version, trace.samples))
+        with pytest.raises(SchemaError, match=f"CSV trace from before {TRACE_SCHEMA}; "
+                           "regenerate it with simulate$"):
+            read_trace(path)
+
+
+_SAMPLES = st.floats(-MAX_ABS_SAMPLE, MAX_ABS_SAMPLE)
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(_SAMPLES, min_size=3 * 40, max_size=3 * 400))
+@example(values=[-0.0, 5e-324, MAX_ABS_SAMPLE, -MAX_ABS_SAMPLE, 0.1, -5e-324] * 20)
+def test_trace_samples_round_trip_bit_for_bit(tmp_path_factory, values):
+    # write_trace stores the samples simulate made, and read_trace returns
+    # them with every bit, -0.0 and subnormals included.
+    samples = np.array(values[: len(values) // 3 * 3]).reshape(-1, 3)
+    _, truth = simulate(scenario(), SENSOR, 1)
+    # one turn at the rate that makes the turn exactly len(samples) long
+    sensor = replace(SENSOR, sample_rate=float(len(samples) / truth.wheel_period_s[0]))
+    path = tmp_path_factory.mktemp("bits") / "trace.npy"
+    write_trace(path, AccelTrace(sensor.sample_rate, samples), truth, scenario(), sensor)
+    back = read_trace(path)[0].samples
+    assert back.dtype == np.float64 and back.flags.c_contiguous
+    assert back.tobytes() == samples.tobytes()
 
 
 def test_model_round_trips(tmp_path):
@@ -199,30 +221,16 @@ def _reference(schema, header, lines):
     return "".join(f"{line}\n" for line in [f"# schema={schema}", header, *lines])
 
 
-@pytest.mark.parametrize("n_rows", [_BLOCK_ROWS, 2 * _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", [8192, 16385])
 def test_writers_match_row_by_row_reference(tmp_path, n_rows):
-    # Each writer against the same table formatted one row and one value
-    # at a time with format(x, ".12g"); the trace and estimates readers
-    # return exactly the floats of that text.
+    # Each table writer against the same table formatted one row and one
+    # value at a time with format(x, ".12g"); the estimates reader returns
+    # exactly the floats of that text.
     rng = np.random.default_rng(n_rows)
     table = rng.standard_normal((n_rows, 4)) * 10.0 ** rng.integers(-20, 20, (n_rows, 4))
     table[1, :] = [-0.0, 5e-324, 1e300, 123456789012345.0]
     with_nan = table.copy()
     with_nan[2, 1:3] = np.nan
-
-    _, truth = simulate(scenario(), SENSOR, 1)
-    # one turn at the rate that makes the turn exactly n_rows samples long
-    sensor = replace(SENSOR, sample_rate=float(n_rows / truth.wheel_period_s[0]))
-    samples = table[:, 1:].copy()
-    samples[1, 1] = MAX_ABS_SAMPLE  # 1e300 there: read_trace accepts no larger sample
-    trace = AccelTrace(sample_rate=sensor.sample_rate, samples=samples)
-    path = tmp_path / "trace.csv"
-    write_trace(path, trace, truth, scenario(), sensor)
-    expected = [",".join(map(_g, row)) for row in samples]
-    assert path.read_bytes() == _reference(
-        "tiresense.trace.v2", "a_tangential,a_lateral,a_radial", expected
-    ).encode()
-    _assert_same_bits(read_trace(path)[0].samples, _g_values(samples))
 
     valid = with_nan[:, 3] > 0
     path = tmp_path / "est.csv"
@@ -269,7 +277,7 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
 
 @pytest.fixture(scope="module")
 def clean_tables(tmp_path_factory):
-    """A 2-turn trace (CSV and sidecar) and a 4-row estimates table; the
+    """A 2-turn trace (.npy and sidecar) and a 4-row estimates table; the
     damaged copies go to bad.csv, next to a copy of the sidecar."""
     root = tmp_path_factory.mktemp("damaged")
     write_trace_files(root / "trace.csv", scenario(), SENSOR, 2)
@@ -279,12 +287,17 @@ def clean_tables(tmp_path_factory):
     return root
 
 
+# Bytes read_trace may allocate beyond twice the file: the sidecar, the
+# truth and the header, not the samples.
+_READ_OVERHEAD = 2**18
+
 _INSERTS = [b"\xff", b"\xc3", b"\n", b"\r", b",", b"#", b"\x00", b"-", b".", b"9",
             b"nan", b"inf", b"1e999", b"1e300"]
 _BYTES = st.sampled_from(_INSERTS) | st.binary(min_size=1, max_size=4)
 _MUTATION = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 2**31)),
     st.tuples(st.just("insert"), st.integers(0, 2**31), _BYTES),
+    st.tuples(st.just("overwrite"), st.integers(0, 2**31), _BYTES),
     st.tuples(st.sampled_from(["drop-comma", "double-comma"]), st.integers(0, 2**31)),
 )
 
@@ -293,9 +306,10 @@ def _mutate(data: bytes, mutations) -> bytes:
     for kind, position, *inserted in mutations:
         if kind == "truncate":
             data = data[: position % (len(data) + 1)]
-        elif kind == "insert":
+        elif kind in ("insert", "overwrite"):
             at = position % (len(data) + 1)
-            data = data[:at] + inserted[0] + data[at:]
+            end = at + len(inserted[0]) if kind == "overwrite" else at
+            data = data[:at] + inserted[0] + data[end:]
         else:
             commas = [i for i, byte in enumerate(data) if byte == ord(",")]
             if commas:
@@ -308,15 +322,22 @@ def _mutate(data: bytes, mutations) -> bytes:
 @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
 def test_readers_return_or_raise_tiresense_error(clean_tables, mutations):
     # A damaged trace or estimates table is either still a valid table or
-    # a TireSenseError; no other exception leaves the reader.
+    # a TireSenseError; no other exception leaves the reader.  Reading a
+    # damaged trace allocates no more than the file holds, whatever its
+    # header claims.
     root = clean_tables
     (root / "bad.csv").write_bytes(_mutate((root / "trace.csv").read_bytes(), mutations))
+    tracemalloc.start()
     try:
         trace = read_trace(root / "bad.csv")[0]
     except TireSenseError:
         pass
     else:
         assert np.isfinite(trace.samples).all()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 2 * (root / "bad.csv").stat().st_size + _READ_OVERHEAD
 
     (root / "bad.csv").write_bytes(_mutate((root / "est.csv").read_bytes(), mutations))
     try:
@@ -579,33 +600,35 @@ def _no_valid_turn(root):
     return _evaluate(root)
 
 
+def _npy(array, save=np.save) -> bytes:
+    out = io.BytesIO()
+    save(out, array)
+    return out.getvalue()
+
+
 def _edited_trace(root, name, edit):
-    """estimate on ``edit`` of trace.csv's lines, beside a copy of its sidecar."""
-    lines = edit((root / "trace.csv").read_text().splitlines())
-    (root / f"{name}.csv").write_text("\n".join(lines) + "\n")
+    """estimate on ``edit`` of trace.csv's bytes and samples, beside a copy
+    of its sidecar."""
+    data = (root / "trace.csv").read_bytes()
+    (root / f"{name}.csv").write_bytes(edit(data, np.load(io.BytesIO(data))))
     (root / f"{name}.json").write_bytes((root / "trace.json").read_bytes())
     return _estimate(root, f"{name}.csv")
 
 
-def _v1_lines(lines):
-    # The same samples behind a t column, as v1 wrote them.
-    return ["# schema=tiresense.trace.v1", "t,a_tangential,a_lateral,a_radial",
-            *(f"{_g(i / SENSOR.sample_rate)},{line}" for i, line in enumerate(lines[2:]))]
+def _csv_trace(version, samples) -> bytes:
+    """The samples as the CSV trace ``version`` wrote them: v1 with a t column."""
+    time = version == "v1"
+    rows = "".join(f"{_g(i / SENSOR.sample_rate)}," * time + ",".join(map(_g, row)) + "\n"
+                   for i, row in enumerate(samples))
+    return (f"# schema=tiresense.trace.{version}\n{'t,' * time}a_tangential,a_lateral,"
+            f"a_radial\n{rows}").encode()
 
 
-def _without_middle_row(lines):
-    middle = len(lines) // 2
-    return lines[:middle] + lines[middle + 1 :]
-
-
-def _middle_row_twice(lines):
-    middle = len(lines) // 2
-    return lines[: middle + 1] + lines[middle:]
-
-
-def _truncated_csv(root):
-    # the last row cut after its first field
-    return _edited_trace(root, "cut", lambda lines: [*lines[:-1], lines[-1].split(",")[0]])
+def _with_header(data: bytes, **changes) -> bytes:
+    """``data`` with fields of its .npy header changed, at the same length."""
+    end = 10 + int.from_bytes(data[8:10], "little")
+    header = {**ast.literal_eval(data[10:end].decode("latin1")), **changes}
+    return data[:10] + repr(header).encode("latin1").ljust(end - 11) + b"\n" + data[end:]
 
 
 def _rate_mismatch(root):
@@ -631,10 +654,6 @@ def _two_column_estimates(root):
     return _evaluate(root)
 
 
-def _empty_trace(root):
-    return _edited_trace(root, "empty", lambda lines: lines[:2])
-
-
 def _every_turn_skipped(root, command):
     # a calibration set with no feature row left: no tangential edge anywhere
     trace, truth, scen, sensor = read_trace(root / "trace.csv")
@@ -646,10 +665,39 @@ def _every_turn_skipped(root, command):
     return [command, "--traces", root / "dead", "--out", root / "out"]
 
 
-def _non_utf8_trace(root):
-    (root / "bytes.csv").write_bytes(b"\xff" + (root / "trace.csv").read_bytes())
-    (root / "bytes.json").write_bytes((root / "trace.json").read_bytes())
-    return _estimate(root, "bytes.csv")
+# Damaged traces read_trace must reject with a one-line SchemaError; each
+# edit maps the clean trace's bytes and samples to the damaged file's bytes.
+_DAMAGED_TRACES = {
+    # the last row cut after its first field
+    "truncated-csv": lambda data, samples: data[:-16],
+    # the .npy header, and no sample after it
+    "header-only-trace": lambda data, samples: data[: -samples.nbytes],
+    # a non-UTF-8 byte before the magic string
+    "trace-non-utf8": lambda data, samples: b"\xff" + data,
+    "trace-v1": lambda data, samples: _csv_trace("v1", samples),
+    "trace-v2-csv": lambda data, samples: _csv_trace("v2", samples),
+    "trace-dropped-row": lambda data, samples: _npy(np.delete(samples, len(samples) // 2, 0)),
+    "trace-repeated-row": lambda data, samples: _npy(np.insert(
+        samples, len(samples) // 2, samples[len(samples) // 2], 0)),
+    "trace-empty-file": lambda data, samples: b"",
+    "trace-truncated-body": lambda data, samples: data[: -samples.nbytes // 2],
+    "trace-bad-magic": lambda data, samples: b"\x93NUMPX" + data[6:],
+    "trace-format-2.0": lambda data, samples: data[:6] + b"\x02" + data[7:],
+    "trace-float32": lambda data, samples: _npy(samples.astype("<f4")),
+    "trace-big-endian": lambda data, samples: _npy(samples.astype(">f8")),
+    "trace-fortran-order": lambda data, samples: _npy(np.asfortranarray(samples)),
+    "trace-two-columns": lambda data, samples: _npy(samples[:, :2]),
+    "trace-one-dimension": lambda data, samples: _npy(samples.ravel()),
+    "trace-object-pickle": lambda data, samples: _npy(samples.astype(object)),
+    "trace-npz": lambda data, samples: _npy(samples, np.savez),
+    # a 1e11-row header on the clean body: np.load would try to allocate
+    # 2.18 TiB before it found the body short
+    "trace-header-1e11-rows": lambda data, samples: _with_header(data, shape=(10**11, 3)),
+    # numpy reads a Python 2 long in the shape, with a warning in newer
+    # versions that must not reach stderr
+    "trace-header-python2": lambda data, samples: data.replace(b", 3), } ", b"L, 2), }", 1),
+    "trace-header-unclosed": lambda data, samples: data.replace(b"}", b" ", 1),
+}
 
 
 def _non_utf8_estimates(root):
@@ -762,9 +810,9 @@ def _sidecar_v1(root):
         pytest.param(lambda root: _ranges(root, points=2.5), id="points-2.5"),
         pytest.param(lambda root: _ranges(root, points="x"), id="points-x"),
         pytest.param(_no_valid_turn, id="no-valid-turn"),
-        pytest.param(_truncated_csv, id="truncated-csv"),
         pytest.param(_rate_mismatch, id="sample-rate-mismatch"),
-        pytest.param(_empty_trace, id="header-only-trace"),
+        *(pytest.param(lambda root, n=name, e=edit: _edited_trace(root, n, e), id=name)
+          for name, edit in _DAMAGED_TRACES.items()),
         pytest.param(lambda root: _scenario_file(root, unloaded_radius="0.3"),
                      id="string-scenario-field"),
         pytest.param(_short_estimates_row, id="estimates-short-row"),
@@ -781,7 +829,6 @@ def _sidecar_v1(root):
                      id="calibrate-load-every-turn-skipped"),
         pytest.param(lambda root: _every_turn_skipped(root, "calibrate-slip"),
                      id="calibrate-slip-every-turn-skipped"),
-        pytest.param(_non_utf8_trace, id="trace-non-utf8"),
         pytest.param(_non_utf8_estimates, id="estimates-non-utf8"),
         pytest.param(_non_utf8_load_model, id="load-model-non-utf8"),
         pytest.param(lambda root: _estimates_field(root, 1, "nan"), id="estimates-nan-load"),
@@ -796,17 +843,12 @@ def _sidecar_v1(root):
         pytest.param(lambda root: _estimates_field(root, 2, "-inf"),
                      id="estimates-minus-inf-slip"),
         pytest.param(_sidecar_v1, id="sidecar-v1"),
-        pytest.param(lambda root: _edited_trace(root, "v1", _v1_lines), id="trace-v1"),
         # the trace is unchanged; the sidecar's scenario takes a different
         # number of rows for its turns
         pytest.param(lambda root: _estimate_scenario(root, vehicle_speed=24.0),
                      id="sidecar-vehicle-speed-24"),
         pytest.param(lambda root: _estimate_scenario(root, tread_depth=2.0),
                      id="sidecar-tread-2"),
-        pytest.param(lambda root: _edited_trace(root, "dropped", _without_middle_row),
-                     id="trace-dropped-row"),
-        pytest.param(lambda root: _edited_trace(root, "repeated", _middle_row_twice),
-                     id="trace-repeated-row"),
         pytest.param(lambda root: _estimate_sidecar(root, spin_rate=3.0),
                      id="sidecar-unknown-field"),
         pytest.param(lambda root: _estimate_sidecar(root, n_turns=10**12),
@@ -850,6 +892,53 @@ def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert not (bad_inputs / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(_DAMAGED_TRACES))
+def test_damaged_trace_is_one_line_schema_error(bad_inputs, name):
+    # In-process, so an unclosed handle fails as a ResourceWarning, and a
+    # MemoryError or any other exception fails the test; the read
+    # allocates no more than the file holds.
+    path = _edited_trace(bad_inputs, name, _DAMAGED_TRACES[name])[2]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError) as raised:
+            read_trace(path)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert str(raised.value).startswith(f"{path}: ")
+    assert "\n" not in str(raised.value)
+    assert peak < 2 * path.stat().st_size + _READ_OVERHEAD
+
+
+def test_calibrate_takes_every_file_but_the_sidecars(workspace, tmp_path, capsys):
+    # The trace format does not depend on the file name: a.npy, b.csv and c
+    # give the model that slip_0, slip_3 and slip_6 give, and a
+    # subdirectory is not a trace.
+    mixed = tmp_path / "mixed"
+    (mixed / "sub").mkdir(parents=True)
+    for source, name in zip(("slip_0", "slip_3", "slip_6"), ("a.npy", "b.csv", "c")):
+        source = workspace / "slip" / source
+        (mixed / name).write_bytes(source.with_suffix(".csv").read_bytes())
+        (mixed / name).with_suffix(".json").write_bytes(source.with_suffix(".json").read_bytes())
+    assert cli("calibrate-slip", "--traces", workspace / "slip", "--out", tmp_path / "ref.json") == 0
+    assert cli("calibrate-slip", "--traces", mixed, "--out", tmp_path / "mixed.json") == 0
+    assert (tmp_path / "mixed.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    # a trace with no sidecar is an i/o error, not a file to skip
+    (mixed / "d.csv").write_bytes((mixed / "b.csv").read_bytes())
+    capsys.readouterr()
+    assert cli("calibrate-slip", "--traces", mixed, "--out", tmp_path / "out.json") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and "d.json" in err and len(err.splitlines()) == 1
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for command in ("calibrate-load", "calibrate-slip"):
+        assert cli(command, "--traces", empty, "--out", tmp_path / "out.json") == 1
+        assert capsys.readouterr().err == f"error: {empty}: no trace files found\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_v1_load_model_error_names_v2(bad_inputs):
@@ -1005,6 +1094,13 @@ _CSV_RUNS = {
 }
 
 
+def _set_sample(data: bytes, row: int, column: int, value) -> bytes:
+    """The .npy trace ``data`` with one sample replaced."""
+    samples = np.load(io.BytesIO(data))
+    samples[row, column] = float(value)
+    return _npy(samples)
+
+
 def _set_field(data: bytes, row: int, column: int, text: bytes) -> bytes:
     """``data`` with one field of one body row (after the header lines) replaced."""
     lines = data.split(b"\n")
@@ -1031,12 +1127,12 @@ def _random_damage(data: bytes, seed: int) -> bytes:
     "name, damage, expected_code",
     [
         # beyond MAX_ABS_SAMPLE, so read_trace rejects them
-        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 2, b"1e300"), 1,
+        pytest.param("trace.csv", lambda d: _set_sample(d, 1000, 2, 1e300), 1,
                      id="radial-1e300"),
-        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 2, b"-1e160"), 1,
+        pytest.param("trace.csv", lambda d: _set_sample(d, 1000, 2, -1e160), 1,
                      id="radial-minus-1e160"),
         # at the bound, so read_trace accepts it; the command still ends cleanly
-        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 2, b"1e100"), None,
+        pytest.param("trace.csv", lambda d: _set_sample(d, 1000, 2, 1e100), None,
                      id="radial-1e100"),
         # finite, so the reader accepts them; the arithmetic then overflows
         pytest.param("est.csv", lambda d: _set_field(d, 2, 1, b"1e300"), 1,
@@ -1044,10 +1140,10 @@ def _random_damage(data: bytes, seed: int) -> bytes:
         pytest.param("est.csv", lambda d: _set_field(d, 2, 2, b"1e300"), 1,
                      id="slip-1e300"),
         # fewer rows than the sidecar's turns take
-        pytest.param("trace.csv", lambda d: d[: d.rindex(b"\n", 0, len(d) * 9 // 10) + 1],
+        pytest.param("trace.csv", lambda d: _npy(np.load(io.BytesIO(d))[: -len(d) // 240]),
                      1, id="last-rows-cut"),
         # still a valid table, so the command runs through
-        pytest.param("trace.csv", lambda d: _set_field(d, 1000, 2, b"2000"), 0,
+        pytest.param("trace.csv", lambda d: _set_sample(d, 1000, 2, 2000), 0,
                      id="radial-2000"),
         pytest.param("est.csv", lambda d: _set_field(d, 2, 3, b"0"), 0, id="valid-0"),
         *(pytest.param(name, lambda d, seed=seed: _random_damage(d, seed), None,
@@ -1076,14 +1172,14 @@ def test_cli_survives_damaged_csv(csv_inputs, capsys, name, damage, expected_cod
 @pytest.mark.parametrize("value", [b"1e300", b"1e200", b"-1e160", b"1.0000001e100",
                                    b"nan", b"-inf"])
 def test_bad_trace_sample_error_names_file_and_first_line(csv_inputs, capsys, value):
-    # body row 1000 is line 1003, after the schema and header lines
+    # the first bad sample is in row 1000, counting from 0 as numpy indexes
     root = csv_inputs
     data = (root / "trace.csv").read_bytes()
-    (root / "bad.csv").write_bytes(_set_field(_set_field(data, 2000, 0, value), 1000, 2, value))
+    (root / "bad.csv").write_bytes(_set_sample(_set_sample(data, 2000, 0, value), 1000, 2, value))
     capsys.readouterr()
     assert cli(*_CSV_RUNS["trace.csv"][0](root)) == 1
     assert capsys.readouterr().err == (
-        f"error: {root / 'bad.csv'}: line 1003: samples must be finite "
+        f"error: {root / 'bad.csv'}: row 1000: samples must be finite "
         "and at most 1e+100 m/s^2 in magnitude\n"
     )
 
