@@ -323,15 +323,14 @@ def _deviation_median(sorted_rows: np.ndarray, median: np.ndarray) -> np.ndarray
     return 0.5 * (smallest((n - 1) // 2) + smallest(n // 2))
 
 
-def detect_patch_edges(
-    tangential: np.ndarray, smooth_fraction: float = EDGE_SMOOTH_FRACTION
-) -> PatchEdges:
+def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
     """Patch edges from the tangential extrema of each row of a
     ``(turns, samples)`` array.
 
     The leading edge is the global maximum and the trailing edge the global
-    minimum after light smoothing (positive spike first is the sign
-    convention the simulator and any correctly mounted sensor follow).
+    minimum after a moving average over ``EDGE_SMOOTH_FRACTION`` of the row
+    (positive spike first is the sign convention the simulator and any
+    correctly mounted sensor follow).
     ``failed`` is 0 where the extrema bracket a patch, and otherwise the
     number of the first rule they break:
 
@@ -351,7 +350,7 @@ def detect_patch_edges(
     """
     x = np.asarray(tangential, dtype=float)
     turns, n = x.shape
-    width = int(round(n * smooth_fraction))
+    width = int(round(n * EDGE_SMOOTH_FRACTION))
     smooth = moving_average(x, width)
     rows = np.arange(turns)
     offsets = np.arange(-width, width + 1)

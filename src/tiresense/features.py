@@ -79,11 +79,13 @@ def extract_features(
     segments = segment_turns(trace, period)
     length = len(segments[0])
     starts = np.array([seg.start_index for seg in segments])
-    # windows[starts, c] gathers channel c as (turns, length), one channel at a time
-    windows = np.lib.stride_tricks.sliding_window_view(trace.samples, length, axis=0)
+
+    def by_turn(channel: np.ndarray) -> np.ndarray:  # a (turns, length) copy of one channel
+        return np.lib.stride_tricks.sliding_window_view(channel, length)[starts]
+
     fs = trace.sample_rate
     rotation_frequency = fs / length
-    edges = detect_patch_edges(windows[starts, 0])
+    edges = detect_patch_edges(by_turn(trace.a_tangential))
     ok = np.flatnonzero(edges.failed == 0)
     leading, trailing = edges.leading[ok], edges.trailing[ok]
 
@@ -92,11 +94,11 @@ def extract_features(
     patch[ok] = wheel_speed * (trailing - leading) / fs
     # Radial displacement uses the outward-positive convention, so the
     # patch shows up as a dip; the sensor channel is centre-positive.
-    radial = accel_to_displacement(-windows[starts, 2], fs, rotation_frequency)
+    radial = accel_to_displacement(-by_turn(trace.a_radial), fs, rotation_frequency)
     dip[ok] = radial.max(axis=1)[ok] - radial[ok, (leading + trailing) // 2]
     del radial  # one full-length profile at a time
     if include_lateral:
-        lateral = accel_to_displacement(windows[starts, 1], fs, rotation_frequency)
+        lateral = accel_to_displacement(by_turn(trace.a_lateral), fs, rotation_frequency)
         peak[ok], slope[ok] = lateral_features(
             lateral[ok], leading, trailing, wheel_speed, fs
         )

@@ -36,10 +36,13 @@ import numpy as np
 from .errors import GeometryError, ResolutionError, ScenarioError
 from .geometry import TireGeometry, derive_geometry
 from .scenario import SensorSpec, TireScenario
-from .units import M_TO_MM
 
 # Minimum samples per wheel revolution for the patch to be resolvable.
 MIN_SAMPLES_PER_TURN = 20
+
+# Largest sample magnitude a trace may hold, m/s^2: decades above any real
+# acceleration, and small enough that a trace's sum of squares stays finite.
+MAX_ABS_SAMPLE = 1e100
 
 # Elements in the largest float64 array numpy can size; more raise ValueError.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
@@ -49,7 +52,10 @@ _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 class AccelTrace:
     """Uniformly sampled tri-axial acceleration, m/s^2.
 
-    ``samples`` has shape (n, 3) with columns tangential, lateral, radial.
+    ``samples`` has shape (n, 3) with columns tangential, lateral, radial;
+    readers take a channel through ``a_tangential``, ``a_lateral`` or
+    ``a_radial``.  Every sample is finite and at most ``MAX_ABS_SAMPLE`` in
+    magnitude, whether simulated or read from a file.
     """
 
     sample_rate: float
@@ -59,8 +65,12 @@ class AccelTrace:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != 3:
             raise ScenarioError("trace samples must have shape (n, 3)")
-        if not np.all(np.isfinite(samples)):
-            raise ScenarioError("trace samples must be finite")
+        # min and max carry a NaN, which fails every comparison; rows are searched on failure only.
+        if not (-MAX_ABS_SAMPLE <= samples.min(initial=0)
+                <= samples.max(initial=0) <= MAX_ABS_SAMPLE):
+            row = np.argmax(~(np.abs(samples) <= MAX_ABS_SAMPLE).all(axis=1))
+            raise ScenarioError(f"row {row}: samples must be finite "
+                                f"and at most {MAX_ABS_SAMPLE:g} m/s^2 in magnitude")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -81,18 +91,13 @@ class AccelTrace:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact per-turn truth for every simulated revolution.
+    """Exact timing and contact angle of every simulated revolution.
 
-    All arrays have one entry per turn.  ``true_peak_lateral_mm`` and
-    ``true_lateral_slope`` are signed (odd in slip angle).
+    All arrays have one entry per turn.  The rest of the contact geometry
+    is ``derive_geometry(scenario)``, the same for every turn.
     """
 
-    true_deflection_mm: np.ndarray
-    true_patch_chord_m: np.ndarray
-    true_patch_arc_m: np.ndarray
     contact_half_angle_rad: np.ndarray
-    true_peak_lateral_mm: np.ndarray
-    true_lateral_slope: np.ndarray
     turn_start_time_s: np.ndarray
     wheel_period_s: np.ndarray
 
@@ -118,17 +123,10 @@ def ground_truth(scenario: TireScenario, n_turns: int) -> GroundTruth:
     if n_turns < 1:
         raise ScenarioError("n_turns must be at least 1")
     geom, _, period = _rolling(scenario)
-    ones = np.ones(n_turns)
-    tan_slip = math.tan(math.radians(scenario.slip_angle))
     return GroundTruth(
-        true_deflection_mm=geom.deflection_mm * ones,
-        true_patch_chord_m=geom.patch_chord * ones,
-        true_patch_arc_m=geom.patch_arc * ones,
-        contact_half_angle_rad=geom.contact_half_angle * ones,
-        true_peak_lateral_mm=tan_slip * geom.patch_chord * M_TO_MM * ones,
-        true_lateral_slope=tan_slip * ones,
+        contact_half_angle_rad=np.full(n_turns, geom.contact_half_angle),
         turn_start_time_s=np.arange(n_turns) * period,
-        wheel_period_s=period * ones,
+        wheel_period_s=np.full(n_turns, period),
     )
 
 

@@ -7,4 +7,3 @@ The conversion constants are fixed, not configurable.
 
 LBF_TO_N = 4.4482216
 MM_TO_M = 1e-3
-M_TO_MM = 1e3

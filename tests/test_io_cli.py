@@ -20,7 +20,6 @@ from tiresense.cli import main
 from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, fit_slip_model
 from tiresense.features import FEATURE_FIELDS
 from tiresense.io import (
-    MAX_ABS_SAMPLE,
     SIDECAR_SCHEMA,
     TRACE_SCHEMA,
     read_estimates,
@@ -37,7 +36,7 @@ from tiresense.io import (
     write_slip_model,
     write_trace,
 )
-from tiresense.simulate import AccelTrace
+from tiresense.simulate import MAX_ABS_SAMPLE, AccelTrace
 
 from conftest import scenario
 
@@ -87,9 +86,8 @@ def test_trace_round_trip(tmp_path):
     assert back_sensor == SENSOR
     assert back_truth.n_turns == truth.n_turns
     assert back_trace.samples.tobytes() == trace.samples.tobytes()
-    np.testing.assert_allclose(
-        back_truth.true_patch_chord_m, truth.true_patch_chord_m
-    )
+    for name, values in asdict(truth).items():
+        assert getattr(back_truth, name).tobytes() == values.tobytes(), name
 
 
 @settings(max_examples=25, deadline=None)
@@ -859,6 +857,11 @@ def _sidecar_v1(root):
                      id="simulate-sample-rate-1e300"),
         pytest.param(lambda root: _scenario_file(root, turns=10**17),
                      id="simulate-turns-1e17"),
+        # finite, but the samples they make exceed MAX_ABS_SAMPLE
+        pytest.param(lambda root: _scenario_file(root, noise_std=1e200),
+                     id="simulate-noise-1e200"),
+        pytest.param(lambda root: _scenario_file(root, dc_bias=[1e308] * 3),
+                     id="simulate-bias-1e308"),
         # about 700 TiB of truth arrays: more than the address space, so the
         # allocator refuses it at once
         pytest.param(lambda root: _scenario_file(root, turns=10**14),

@@ -60,32 +60,13 @@ def test_tangential_extrema_at_patch_edges(default_scenario, quiet_sensor):
 def test_ground_truth_matches_geometry(default_scenario, quiet_sensor):
     trace, truth = simulate(default_scenario, quiet_sensor, 3)
     geom = derive_geometry(default_scenario)
-    assert np.all(truth.true_deflection_mm == geom.deflection_mm)
     np.testing.assert_allclose(
         truth.contact_half_angle_rad,
         np.arccos((geom.effective_radius - geom.deflection) / geom.effective_radius),
     )
-    np.testing.assert_allclose(
-        truth.true_patch_chord_m,
-        2 * geom.effective_radius * np.sin(truth.contact_half_angle_rad),
-    )
-    np.testing.assert_allclose(
-        truth.true_patch_arc_m,
-        2 * geom.effective_radius * truth.contact_half_angle_rad,
-    )
     assert truth.wheel_period_s[0] == pytest.approx(
         2 * np.pi * geom.effective_radius / default_scenario.vehicle_speed, rel=1e-12
     )
-
-
-def test_brush_truth_is_odd_in_slip(quiet_sensor):
-    pos = simulate(scenario(slip_angle=3.0), quiet_sensor, 2)[1]
-    neg = simulate(scenario(slip_angle=-3.0), quiet_sensor, 2)[1]
-    geom = derive_geometry(scenario(slip_angle=3.0))
-    expected = np.tan(np.radians(3.0)) * geom.patch_chord * 1e3
-    assert pos.true_peak_lateral_mm[0] == pytest.approx(expected, rel=1e-12)
-    assert neg.true_peak_lateral_mm[0] == pytest.approx(-expected, rel=1e-12)
-    assert neg.true_lateral_slope[0] == -pos.true_lateral_slope[0]
 
 
 def test_fixed_seed_reproduces_trace_bit_for_bit(default_scenario):
@@ -96,10 +77,9 @@ def test_fixed_seed_reproduces_trace_bit_for_bit(default_scenario):
 
 
 def test_seed_irrelevant_without_noise(default_scenario):
-    a, ta = simulate(default_scenario, SensorSpec(noise_std=0.0, seed=1), 2)
-    b, tb = simulate(default_scenario, SensorSpec(noise_std=0.0, seed=999), 2)
+    a, _ = simulate(default_scenario, SensorSpec(noise_std=0.0, seed=1), 2)
+    b, _ = simulate(default_scenario, SensorSpec(noise_std=0.0, seed=999), 2)
     assert np.array_equal(a.samples, b.samples)
-    assert np.array_equal(ta.true_patch_chord_m, tb.true_patch_chord_m)
 
 
 def test_sample_count_and_finiteness(default_scenario, noisy_sensor):
@@ -131,10 +111,12 @@ def test_n_turns_must_be_positive(default_scenario, quiet_sensor):
 def test_trace_invariants_enforced():
     with pytest.raises(ScenarioError):
         AccelTrace(sample_rate=100.0, samples=np.zeros((5, 2)))
-    bad = np.zeros((10, 3))
-    bad[3, 1] = np.inf
-    with pytest.raises(ScenarioError):
-        AccelTrace(sample_rate=10.0, samples=bad)
+    for value in (np.inf, 1e101):  # 1e101 is finite, but beyond MAX_ABS_SAMPLE
+        bad = np.zeros((10, 3))
+        bad[3, 1] = value
+        with pytest.raises(ScenarioError, match="^row 3: "):
+            AccelTrace(sample_rate=10.0, samples=bad)
+    assert len(AccelTrace(sample_rate=10.0, samples=np.zeros((0, 3)))) == 0
 
 
 def reference_samples(scen, sensor, n_turns):
