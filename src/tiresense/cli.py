@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .dsp import accel_to_displacement, double_integrate, segment_turns
-from .errors import SchemaError, TireSenseError
+from .errors import ScenarioError, SchemaError, TireSenseError
 from .estimation import (
     DEFAULT_FORGETTING,
     DEFAULT_INITIAL_COVARIANCE,
@@ -115,7 +115,10 @@ def _cmd_simulate(args) -> int:
     scenario, sensor = read_scenario(args.scenario)
     if args.seed is not None:
         sensor = replace(sensor, seed=args.seed)
-    trace, truth = simulate(scenario, sensor, args.turns)
+    try:
+        trace, truth = simulate(scenario, sensor, args.turns)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{args.scenario}: {exc}") from None
     write_trace(args.out, trace, truth, scenario, sensor)
     if args.plot_integration is not None:
         period = float(truth.wheel_period_s[0])

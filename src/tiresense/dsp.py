@@ -7,12 +7,14 @@ integration is what keeps a constant accelerometer bias from turning into
 quadratic drift.  Filters run forward and backward so the patch features
 keep their timing (zero net phase).  Turns share one length, so the
 integration and the edge detection each run on a ``(turns, samples)``
-array in one call.
+array in one call; the integration takes its turns through in cache-sized
+blocks (``BLOCK_BYTES``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +46,10 @@ EDGE_MIN_SEPARATION_WIDTHS = 1
 EDGE_NOISE_FLOOR_SIGMAS = 10.0
 MAD_TO_SIGMA = 1.4826
 
+# accel_to_displacement runs its rows through in blocks whose FFT output
+# takes about this many bytes, so each block stays in a core's L2 cache.
+BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class WheelTurnSegment:
@@ -68,9 +74,14 @@ def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
     x = np.asarray(signal, dtype=float)
     if width == 1:
         return x
-    pad = [(0, 0)] * (x.ndim - 1) + [(width // 2 + 1, (width - 1) // 2)]
-    total = np.cumsum(np.pad(x, pad), axis=-1)
-    return (total[..., width:] - total[..., :-width]) / width
+    n = x.shape[-1]
+    front = width // 2 + 1
+    total = np.zeros(x.shape[:-1] + (n + width,))
+    np.cumsum(x, axis=-1, out=total[..., front : front + n])
+    total[..., front + n :] = total[..., front + n - 1 : front + n]
+    out = np.subtract(total[..., width:], total[..., :-width])
+    out /= width
+    return out
 
 
 def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarray:
@@ -95,9 +106,10 @@ def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarra
     ratio = (np.fft.rfftfreq(n, 1.0 / sample_rate) / cutoff) ** 2
     # |H|^2 of a second-order Butterworth high-pass, once per direction.
     kernel = np.fft.irfft(ratio**2 / (1.0 + ratio**2), n)
-    return _circular_convolve(x, kernel)
+    return _circular_convolve(x, _kernel_spectrum(kernel), np.empty(x.shape))
 
 
+@lru_cache
 def _fast_length(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c that is at least ``n``."""
     best = 1 << (n - 1).bit_length()
@@ -111,9 +123,17 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _circular_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Circular convolution of each row of ``x`` with a 1-D ``kernel`` of
-    the same length ``n``.
+def _kernel_spectrum(kernel: np.ndarray) -> np.ndarray:
+    """Spectrum of a length-``n`` kernel at the FFT length ``_circular_convolve``
+    uses for rows of length ``n``."""
+    return np.fft.rfft(kernel, _fast_length(2 * len(kernel) - 1))
+
+
+def _circular_convolve(
+    x: np.ndarray, kernel_spectrum: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Circular convolution of each row of ``x`` with a kernel of the same
+    length ``n``, given as its ``_kernel_spectrum``; written to ``out``.
 
     Computed as the linear convolution at a fast FFT length of at least
     ``2n - 1``, whose tail is then wrapped onto its head, so the cost does
@@ -122,11 +142,11 @@ def _circular_convolve(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     m = _fast_length(2 * n - 1)
     spectrum = np.fft.rfft(x, m)
-    spectrum *= np.fft.rfft(kernel, m)
+    spectrum *= kernel_spectrum
     full = np.fft.irfft(spectrum, m)
-    del spectrum  # freed before the copy below, so the peak stays at the irfft
-    full[..., : n - 1] += full[..., n : 2 * n - 1]
-    return full[..., :n].copy()
+    np.add(full[..., : n - 1], full[..., n : 2 * n - 1], out=out[..., : n - 1])
+    out[..., n - 1] = full[..., n - 1]
+    return out
 
 
 def estimate_period(
@@ -262,7 +282,9 @@ def accel_to_displacement(
     circular filter, and a trapezoid of a zero-mean window, shifted
     circularly, is the shifted trapezoid plus a constant.  The detrend
     removes those constants.  So the chain runs once, on a unit impulse,
-    and every turn is one circular convolution with that response.
+    and every turn is one circular convolution with that response.  The
+    turns go through the mean removal, the convolution and the detrend in
+    blocks of about ``BLOCK_BYTES`` of FFT output, into one output array.
     """
     x = np.asarray(channel, dtype=float)
     n = x.shape[-1]
@@ -275,12 +297,23 @@ def accel_to_displacement(
     response = _cumulative_trapezoid(highpass(velocity, sample_rate, cutoff), dt)
     # Both inputs have zero mean, so the output has too, and a constant
     # times the sum of a row cannot creep in through rounding.
-    disp = _circular_convolve(
-        x - x.mean(axis=-1, keepdims=True), response - response.mean()
-    )
+    kernel = _kernel_spectrum(response - response.mean())
+    disp = np.empty(x.shape)
+    rows, out_rows = np.atleast_2d(x, disp)
+    step = max(1, BLOCK_BYTES // (16 * len(kernel)))
+    blocks = [slice(lo, lo + step) for lo in range(0, len(rows), step)]
+    for block in blocks:
+        turns = rows[block]
+        _circular_convolve(turns - turns.mean(axis=-1, keepdims=True), kernel, out_rows[block])
+    # One matrix-vector product for all rows: BLAS works through a matrix
+    # in groups of rows, so a product per block would round some slopes
+    # differently.
+    slope = _line_slope(disp).reshape(-1)
     t = np.arange(n) - (n - 1) / 2.0
-    disp -= _line_slope(disp)[..., None] * t
-    disp *= 1e3
+    for block in blocks:
+        out = out_rows[block]
+        out -= slope[block, None] * t
+        out *= 1e3
     return disp
 
 
@@ -312,13 +345,27 @@ def _deviation_median(sorted_rows: np.ndarray, median: np.ndarray) -> np.ndarray
     it, so its ``j + 1`` smallest values fill a run of ``j + 1`` neighbours,
     and its ``j``-th smallest value is the least, over all such runs, of the
     larger deviation at the run's two ends.  This needs no second sort.
+    Over the run starts ``a`` the deviation ``median - row[a]`` at the lower
+    end never rises and ``row[a + j] - median`` at the upper end never
+    falls, so the least larger end lies on one side or the other of where
+    they cross; a binary search per row finds that crossing.
     """
     n = sorted_rows.shape[-1]
-    centre = median[:, None]
+    rows = np.arange(len(sorted_rows))
 
     def smallest(j: int) -> np.ndarray:
-        ends = np.maximum(centre - sorted_rows[:, : n - j], sorted_rows[:, j:] - centre)
-        return ends.min(axis=-1)
+        def ends(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return median - sorted_rows[rows, a], sorted_rows[rows, a + j] - median
+
+        # first run start whose upper end is at least its lower end
+        lo, hi = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), n - j)
+        while (lo < hi).any():
+            mid = (lo + hi) // 2
+            lower, upper = ends(np.minimum(mid, n - j - 1))
+            above = (upper >= lower) | (lo == hi)  # a found start stays put
+            hi, lo = np.where(above, mid, hi), np.where(above, lo, mid + 1)
+        candidates = [np.maximum(*ends(np.clip(a, 0, n - j - 1))) for a in (lo - 1, lo)]
+        return np.minimum(*candidates)
 
     return 0.5 * (smallest((n - 1) // 2) + smallest(n // 2))
 

@@ -92,10 +92,12 @@ def extract_features(
     columns = np.full((4, len(segments)), np.nan)
     patch, dip, peak, slope = columns  # views: each fills one column
     patch[ok] = wheel_speed * (trailing - leading) / fs
-    # Radial displacement uses the outward-positive convention, so the
-    # patch shows up as a dip; the sensor channel is centre-positive.
-    radial = accel_to_displacement(-by_turn(trace.a_radial), fs, rotation_frequency)
-    dip[ok] = radial.max(axis=1)[ok] - radial[ok, (leading + trailing) // 2]
+    # The sensor channel is centre-positive, so the patch shows up as a
+    # peak of its displacement: the dip of the outward-positive profile.
+    # Every stage of the integration is odd and rounds the same way for
+    # either sign, so this is exactly the dip of the negated channel.
+    radial = accel_to_displacement(by_turn(trace.a_radial), fs, rotation_frequency)
+    dip[ok] = radial[ok, (leading + trailing) // 2] - radial.min(axis=1)[ok]
     del radial  # one full-length profile at a time
     if include_lateral:
         lateral = accel_to_displacement(by_turn(trace.a_lateral), fs, rotation_frequency)

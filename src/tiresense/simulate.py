@@ -178,7 +178,9 @@ def simulate(
     ResolutionError
         When the sample rate resolves fewer than 20 samples per turn.
     ScenarioError
-        When ``n_turns`` is below 1 or needs more samples than one array holds.
+        When ``n_turns`` is below 1 or needs more samples than one array
+        holds, or when the sensor's noise or bias takes a sample beyond
+        ``MAX_ABS_SAMPLE``.
     """
     geom, omega, period = _rolling(scenario)
     if sensor.sample_rate < MIN_SAMPLES_PER_TURN / period:
@@ -228,4 +230,10 @@ def simulate(
         samples += rng.normal(0.0, sensor.noise_std, samples.shape)
     samples += np.asarray(sensor.dc_bias, dtype=float)
 
-    return AccelTrace(sample_rate=fs, samples=samples), truth
+    try:
+        return AccelTrace(sample_rate=fs, samples=samples), truth
+    except ScenarioError:
+        raise ScenarioError(
+            f"sensor noise or bias makes the samples exceed "
+            f"{MAX_ABS_SAMPLE:g} m/s^2 in magnitude"
+        ) from None

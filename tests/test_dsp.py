@@ -11,6 +11,7 @@ from tiresense import (
     derive_geometry,
     simulate,
 )
+from tiresense import dsp
 from tiresense.dsp import (
     PERIOD_PREFIX_TURNS,
     _deviation_median,
@@ -287,6 +288,23 @@ def test_batched_integration_matches_each_row(length):
     for row, turn in zip(batched, turns):
         single = accel_to_displacement(turn, FS, FS / length)
         assert np.abs(row - single).max() <= 1e-12 * np.abs(single).max()
+
+
+@pytest.mark.parametrize("rows", ["two-blocks-and-3", 1, 0])
+def test_blocked_integration_matches_one_block(monkeypatch, rows):
+    length = 942
+    # rfft output of one row at the FFT length: BLOCK_BYTES is counted in it
+    row_bytes = 16 * (_fast_length(2 * length - 1) // 2 + 1)
+    block = dsp.BLOCK_BYTES // row_bytes
+    assert block > 1
+    turns = turn_like(2 * block + 3 if rows == "two-blocks-and-3" else rows, length)
+    blocked = accel_to_displacement(turns, FS, FS / length)
+    monkeypatch.setattr(dsp, "BLOCK_BYTES", row_bytes * max(1, len(turns)))
+    whole = accel_to_displacement(turns, FS, FS / length)
+    for out in (blocked, whole):
+        assert out.shape == turns.shape
+        assert out.flags.owndata and out.flags.c_contiguous
+    assert np.array_equal(blocked, whole)
 
 
 def reference_highpass(x, sample_rate, cutoff):

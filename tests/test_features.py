@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tiresense import SensorSpec, derive_geometry, simulate
+from tiresense import SensorSpec, derive_geometry, dsp, simulate
 from tiresense.dsp import (
     _line_slope,
     accel_to_displacement,
@@ -286,6 +286,17 @@ def test_extract_features_matches_per_turn_reference():
     assert (without.lateral_slope[healthy] == 0.0).all()
     assert np.isnan(without.lateral_slope[sorted(broken)]).all()
     assert np.array_equal(without.patch_length, table.patch_length, equal_nan=True)
+
+
+@pytest.mark.parametrize("include_lateral", [True, False])
+def test_extract_features_bytes_do_not_depend_on_the_block(monkeypatch, include_lateral):
+    mixed, _, broken = broken_turn_trace(slip_angle=3.0)
+    default = extract_features(mixed, 20.0, 0.3, include_lateral=include_lateral)
+    monkeypatch.setattr(dsp, "BLOCK_BYTES", 1)  # one turn per block
+    one_turn = extract_features(mixed, 20.0, 0.3, include_lateral=include_lateral)
+    assert default[1] == one_turn[1] == len(broken)
+    # the bytes of the whole table, the skipped turns' NaN included
+    assert default[0].tobytes() == one_turn[0].tobytes()
 
 
 def test_lateral_features_batch_matches_reference():

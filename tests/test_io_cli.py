@@ -790,6 +790,13 @@ def _sidecar_v1(root):
                              ground_truth=stored)
 
 
+# What the error line of a case must name, where the case says.
+_LINE_NAMES = {
+    "simulate-noise-1e200": f"{os.sep}scenario.json: sensor noise or bias",
+    "simulate-bias-1e308": f"{os.sep}scenario.json: sensor noise or bias",
+}
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [
@@ -887,13 +894,14 @@ def _sidecar_v1(root):
                      id="scenario-bool-load"),
     ],
 )
-def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv):
+def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv, request):
     (bad_inputs / "out").unlink(missing_ok=True)
     proc = run_python("-m", "tiresense", *make_argv(bad_inputs))
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+    assert _LINE_NAMES.get(request.node.callspec.id, "") in proc.stderr
     assert not (bad_inputs / "out").exists()
 
 
