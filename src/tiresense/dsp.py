@@ -105,8 +105,7 @@ def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarra
     n = x.shape[-1]
     ratio = (np.fft.rfftfreq(n, 1.0 / sample_rate) / cutoff) ** 2
     # |H|^2 of a second-order Butterworth high-pass, once per direction.
-    kernel = np.fft.irfft(ratio**2 / (1.0 + ratio**2), n)
-    return _circular_convolve(x, _kernel_spectrum(kernel), np.empty(x.shape))
+    return np.fft.irfft(np.fft.rfft(x) * (ratio**2 / (1.0 + ratio**2)), n)
 
 
 @lru_cache
@@ -121,32 +120,6 @@ def _fast_length(n: int) -> int:
             factor *= 3
         odd *= 5
     return best
-
-
-def _kernel_spectrum(kernel: np.ndarray) -> np.ndarray:
-    """Spectrum of a length-``n`` kernel at the FFT length ``_circular_convolve``
-    uses for rows of length ``n``."""
-    return np.fft.rfft(kernel, _fast_length(2 * len(kernel) - 1))
-
-
-def _circular_convolve(
-    x: np.ndarray, kernel_spectrum: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Circular convolution of each row of ``x`` with a kernel of the same
-    length ``n``, given as its ``_kernel_spectrum``; written to ``out``.
-
-    Computed as the linear convolution at a fast FFT length of at least
-    ``2n - 1``, whose tail is then wrapped onto its head, so the cost does
-    not depend on how ``n`` factors.
-    """
-    n = x.shape[-1]
-    m = _fast_length(2 * n - 1)
-    spectrum = np.fft.rfft(x, m)
-    spectrum *= kernel_spectrum
-    full = np.fft.irfft(spectrum, m)
-    np.add(full[..., : n - 1], full[..., n : 2 * n - 1], out=out[..., : n - 1])
-    out[..., n - 1] = full[..., n - 1]
-    return out
 
 
 def estimate_period(
@@ -254,7 +227,9 @@ def segment_turns(trace: AccelTrace, period: float) -> list[WheelTurnSegment]:
 def _line_slope(y: np.ndarray) -> np.ndarray:
     """Least-squares slope of ``y`` per sample along its last axis."""
     t = np.arange(y.shape[-1]) - (y.shape[-1] - 1) / 2.0
-    return (y @ t) / (t @ t)
+    # einsum sums each row on its own; a BLAS matrix-vector product rounds a
+    # row's sum by the row's place in the batch.
+    return np.einsum("...i,i->...", y, t) / (t @ t)
 
 
 def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
@@ -284,7 +259,8 @@ def accel_to_displacement(
     removes those constants.  So the chain runs once, on a unit impulse,
     and every turn is one circular convolution with that response.  The
     turns go through the mean removal, the convolution and the detrend in
-    blocks of about ``BLOCK_BYTES`` of FFT output, into one output array.
+    blocks of about ``BLOCK_BYTES`` of FFT output, into one output array;
+    each turn's profile depends on that turn alone, bit for bit.
     """
     x = np.asarray(channel, dtype=float)
     n = x.shape[-1]
@@ -295,24 +271,25 @@ def accel_to_displacement(
     impulse[0] += 1.0
     velocity = _cumulative_trapezoid(highpass(impulse, sample_rate, cutoff), dt)
     response = _cumulative_trapezoid(highpass(velocity, sample_rate, cutoff), dt)
+    m = _fast_length(2 * n - 1)
     # Both inputs have zero mean, so the output has too, and a constant
     # times the sum of a row cannot creep in through rounding.
-    kernel = _kernel_spectrum(response - response.mean())
+    kernel = np.fft.rfft(response - response.mean(), m)
+    t = np.arange(n) - (n - 1) / 2.0
     disp = np.empty(x.shape)
     rows, out_rows = np.atleast_2d(x, disp)
     step = max(1, BLOCK_BYTES // (16 * len(kernel)))
-    blocks = [slice(lo, lo + step) for lo in range(0, len(rows), step)]
-    for block in blocks:
-        turns = rows[block]
-        _circular_convolve(turns - turns.mean(axis=-1, keepdims=True), kernel, out_rows[block])
-    # One matrix-vector product for all rows: BLAS works through a matrix
-    # in groups of rows, so a product per block would round some slopes
-    # differently.
-    slope = _line_slope(disp).reshape(-1)
-    t = np.arange(n) - (n - 1) / 2.0
-    for block in blocks:
-        out = out_rows[block]
-        out -= slope[block, None] * t
+    for lo in range(0, len(rows), step):
+        turns, out = rows[lo : lo + step], out_rows[lo : lo + step]
+        # The circular convolution is the linear one at a fast FFT length
+        # m >= 2n - 1 with its tail wrapped onto its head, so the cost does
+        # not depend on how n factors.
+        spectrum = np.fft.rfft(turns - turns.mean(axis=-1, keepdims=True), m)
+        spectrum *= kernel
+        full = np.fft.irfft(spectrum, m)
+        np.add(full[:, : n - 1], full[:, n : 2 * n - 1], out=out[:, : n - 1])
+        out[:, n - 1] = full[:, n - 1]
+        out -= _line_slope(out)[:, None] * t
         out *= 1e3
     return disp
 

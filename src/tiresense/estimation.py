@@ -118,7 +118,7 @@ def load_measurement(model: LoadSurfaceModel, peak_disp_mm, pressure_psi: float)
         When the load coefficient at this pressure is too close to zero.
     """
     denominator = model.p10 + model.p11 * pressure_psi
-    if abs(denominator) < DENOMINATOR_TOLERANCE * abs(model.p10):
+    if abs(denominator) <= DENOMINATOR_TOLERANCE * abs(model.p10):
         raise DenominatorError(
             f"load sensitivity vanishes at {pressure_psi} psi; cannot invert"
         )

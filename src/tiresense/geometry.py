@@ -2,9 +2,8 @@
 
 The flat-spot idealisation: a wheel of effective radius R, deflected
 vertically by d, meets the road along a straight segment.  The segment
-subtends the contact half-angle ``acos((R - d) / R)`` at the wheel centre;
-its straight length is the patch chord and the wheel arc it replaces is the
-patch arc.
+subtends the contact half-angle ``acos((R - d) / R)`` at the wheel centre,
+and its straight length is the patch chord.
 """
 
 from __future__ import annotations
@@ -33,11 +32,6 @@ class TireGeometry:
     def patch_chord(self) -> float:
         """Straight-line length of the flattened contact segment."""
         return 2.0 * self.effective_radius * math.sin(self.contact_half_angle)
-
-    @property
-    def patch_arc(self) -> float:
-        """Wheel arc swept while a liner point crosses the patch."""
-        return 2.0 * self.effective_radius * self.contact_half_angle
 
 
 def derive_geometry(scenario: TireScenario) -> TireGeometry:

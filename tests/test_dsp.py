@@ -286,8 +286,24 @@ def test_batched_integration_matches_each_row(length):
     # its own buffer, not a view that keeps the larger FFT output alive
     assert batched.flags.owndata and batched.flags.c_contiguous
     for row, turn in zip(batched, turns):
-        single = accel_to_displacement(turn, FS, FS / length)
-        assert np.abs(row - single).max() <= 1e-12 * np.abs(single).max()
+        assert np.array_equal(row, accel_to_displacement(turn, FS, FS / length))
+
+
+@pytest.mark.parametrize("rows", [1, 6, 53, 400])
+def test_each_turn_integrates_alone(monkeypatch, rows):
+    # A turn's profile is a function of that turn alone: bit-equal whether
+    # it is integrated by itself, in a slice of the batch, or in the whole
+    # batch, whatever the block size.
+    length = 942
+    turns = turn_like(rows, length)
+    singles = np.array([accel_to_displacement(turn, FS, FS / length) for turn in turns])
+    row_bytes = 16 * (_fast_length(2 * length - 1) // 2 + 1)
+    for block_rows in (1, 7, 17, dsp.BLOCK_BYTES // row_bytes, rows):
+        monkeypatch.setattr(dsp, "BLOCK_BYTES", row_bytes * block_rows)
+        assert np.array_equal(accel_to_displacement(turns, FS, FS / length), singles)
+        sliced = [accel_to_displacement(turns[lo : lo + 17], FS, FS / length)
+                  for lo in range(0, rows, 17)]
+        assert np.array_equal(np.concatenate(sliced), singles)
 
 
 @pytest.mark.parametrize("rows", ["two-blocks-and-3", 1, 0])
@@ -362,7 +378,7 @@ def test_integration_matches_stage_by_stage_chain(length):
 def test_highpass_matches_length_n_filter(length):
     turns = turn_like(5, length)
     for x in (turns[0], turns):
-        assert_rows_close(highpass(x, FS, 6.0), reference_highpass(x, FS, 6.0))
+        assert np.array_equal(highpass(x, FS, 6.0), reference_highpass(x, FS, 6.0))
 
 
 def test_profile_mean_is_zero_after_detrend(clean_trace):

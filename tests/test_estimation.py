@@ -95,9 +95,11 @@ def test_zero_load_peak_maps_to_zero():
 
 
 def test_vanishing_denominator_raises():
-    model = surface_from(0.0, 1.0, 0.0, -1.0 / 32.0, 0.0)
-    with pytest.raises(DenominatorError):
-        load_measurement(model, 5.0, 32.0)
+    # sensitivity zero at 32 psi only, and zero at every pressure
+    for p10 in (1.0, 0.0):
+        model = surface_from(0.0, p10, 0.0, -p10 / 32.0, 0.0)
+        with pytest.raises(DenominatorError):
+            load_measurement(model, 5.0, 32.0)
 
 
 def test_round_trip_identity_random_coefficients():

@@ -68,7 +68,8 @@ def test_patch_length_tracks_patch_arc():
     geom = derive_geometry(scen)
     rows = features_of(scen)
     measured = np.mean([r.patch_length for r in rows])
-    assert measured == pytest.approx(geom.patch_arc, rel=0.02)
+    patch_arc = 2 * geom.effective_radius * geom.contact_half_angle
+    assert measured == pytest.approx(patch_arc, rel=0.02)
 
 
 def test_patch_length_increases_with_load():

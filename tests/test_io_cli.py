@@ -552,6 +552,22 @@ def test_cli_simulate_plot_integration(workspace, tmp_path):
 # ---------------------------------------------------------------------------
 # malformed inputs: one-line error, exit 1, no traceback, no output file
 
+@pytest.mark.parametrize("p10", [0.0, 0.02], ids=["zero-model", "vanishing-at-32-psi"])
+def test_cli_estimate_marks_every_turn_invalid_when_the_sensitivity_vanishes(
+    bad_inputs, tmp_path, p10
+):
+    # p10 + p11 * 32 psi is exactly 0: no turn can be inverted
+    payload = {**json.loads((bad_inputs / "lm.json").read_text()),
+               "p10": p10, "p11": -p10 / 32.0}
+    model = tmp_path / "lm.json"
+    model.write_text(json.dumps(payload))
+    est = tmp_path / "est.csv"
+    assert cli("estimate", "--trace", bad_inputs / "trace.csv", "--load-model", model,
+               "--out", est) == 0
+    _, _, valid = read_estimates(est)
+    assert len(valid) == 4 and not valid.any()
+
+
 def run_python(*argv):
     env = {**os.environ, "PYTHONPATH": str(Path(tiresense.__file__).parents[1])}
     return subprocess.run([sys.executable, *map(str, argv)],
