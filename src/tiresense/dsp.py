@@ -8,7 +8,8 @@ quadratic drift.  Filters run forward and backward so the patch features
 keep their timing (zero net phase).  Turns share one length, so the
 integration and the edge detection each run on a ``(turns, samples)``
 array in one call; the integration takes its turns through in cache-sized
-blocks (``BLOCK_BYTES``).
+blocks (``BLOCK_BYTES``).  The chain is linear, so a few columns of a
+profile are also dot products of the turn with ``displacement_weights``.
 """
 
 from __future__ import annotations
@@ -241,6 +242,26 @@ def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+@lru_cache
+def _integration_kernel(
+    n: int, sample_rate: float, rotation_frequency: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The integration chain's zero-mean impulse response on an n-sample
+    turn, and its spectrum at ``_fast_length(2n - 1)``; both read-only."""
+    dt = 1.0 / sample_rate
+    cutoff = CUTOFF_ROTATION_FRACTION * rotation_frequency
+    impulse = np.full(n, -1.0 / n)
+    impulse[0] += 1.0
+    velocity = _cumulative_trapezoid(highpass(impulse, sample_rate, cutoff), dt)
+    response = _cumulative_trapezoid(highpass(velocity, sample_rate, cutoff), dt)
+    # Both inputs of a convolution have zero mean, so the output has too,
+    # and a constant times the sum of a row cannot creep in through rounding.
+    response -= response.mean()
+    kernel = np.fft.rfft(response, _fast_length(2 * n - 1))
+    response.flags.writeable = kernel.flags.writeable = False
+    return response, kernel
+
+
 def accel_to_displacement(
     channel: np.ndarray, sample_rate: float, rotation_frequency: float
 ) -> np.ndarray:
@@ -256,25 +277,17 @@ def accel_to_displacement(
     it commutes with shifts up to an added constant: each high-pass is a
     circular filter, and a trapezoid of a zero-mean window, shifted
     circularly, is the shifted trapezoid plus a constant.  The detrend
-    removes those constants.  So the chain runs once, on a unit impulse,
-    and every turn is one circular convolution with that response.  The
-    turns go through the mean removal, the convolution and the detrend in
-    blocks of about ``BLOCK_BYTES`` of FFT output, into one output array;
-    each turn's profile depends on that turn alone, bit for bit.
+    removes those constants.  So the chain runs once, on a unit impulse
+    (``_integration_kernel``), and every turn is one circular convolution
+    with that response.  The turns go through the mean removal, the
+    convolution and the detrend in blocks of about ``BLOCK_BYTES`` of FFT
+    output, into one output array; each turn's profile depends on that turn
+    alone, bit for bit.
     """
     x = np.asarray(channel, dtype=float)
     n = x.shape[-1]
-    dt = 1.0 / sample_rate
-    cutoff = CUTOFF_ROTATION_FRACTION * rotation_frequency
-
-    impulse = np.full(n, -1.0 / n)
-    impulse[0] += 1.0
-    velocity = _cumulative_trapezoid(highpass(impulse, sample_rate, cutoff), dt)
-    response = _cumulative_trapezoid(highpass(velocity, sample_rate, cutoff), dt)
+    kernel = _integration_kernel(n, sample_rate, rotation_frequency)[1]
     m = _fast_length(2 * n - 1)
-    # Both inputs have zero mean, so the output has too, and a constant
-    # times the sum of a row cannot creep in through rounding.
-    kernel = np.fft.rfft(response - response.mean(), m)
     t = np.arange(n) - (n - 1) / 2.0
     disp = np.empty(x.shape)
     rows, out_rows = np.atleast_2d(x, disp)
@@ -292,6 +305,31 @@ def accel_to_displacement(
         out -= _line_slope(out)[:, None] * t
         out *= 1e3
     return disp
+
+
+def displacement_weights(
+    n: int, sample_rate: float, rotation_frequency: float, columns: np.ndarray
+) -> np.ndarray:
+    """One row per column ``j`` of ``columns``: the weights ``w_j`` with
+    ``w_j @ x == accel_to_displacement(x, ...)[j]`` for any n-sample turn
+    ``x``, up to rounding.
+
+    ``accel_to_displacement`` is linear: ``1e3 * P_t C P_1 x``, where ``P_1``
+    removes the mean, ``C`` is the circular convolution with the impulse
+    response ``h`` and ``P_t`` the detrend against ``t``.  So
+    ``w_j = 1e3 * P_1 (C^T e_j - (t_j / t.t) C^T t)``, where
+    ``(C^T e_j)[i] = h[(j - i) mod n]`` and ``C^T t`` is the circular
+    correlation of ``t`` with ``h``.
+    """
+    response = _integration_kernel(n, sample_rate, rotation_frequency)[0]
+    columns = np.asarray(columns)
+    t = np.arange(n) - (n - 1) / 2.0
+    correlation = np.fft.irfft(np.fft.rfft(t) * np.conj(np.fft.rfft(response)), n)
+    rows = response[(columns[:, None] - np.arange(n)) % n]
+    rows -= (t[columns] / (t @ t))[:, None] * correlation
+    rows -= rows.mean(axis=-1, keepdims=True)
+    rows *= 1e3
+    return rows
 
 
 def double_integrate(channel: np.ndarray, sample_rate: float) -> np.ndarray:

@@ -7,13 +7,27 @@ initial part of the lateral profile.  Every feature is computed for all
 turns of a trace at once, into one table with a record per turn.  Wheel
 speed comes from trace metadata, not from an assumed radius, so the
 features stay independent of wear-state knowledge.
+
+The dip is read at two columns of each turn's radial profile: the patch
+centre and one column per trace, where the mean profile of the trace's
+turns peaks outward.  The maximum of each noisy profile would be biased
+upward by its noise, more so the longer the turn; a fixed column is not.
+Both columns of a profile are linear in the turn's samples, so each dip is
+one dot product with ``dsp.displacement_weights`` rows and no radial turn
+is integrated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dsp import accel_to_displacement, detect_patch_edges, estimate_period, segment_turns
+from .dsp import (
+    accel_to_displacement,
+    detect_patch_edges,
+    displacement_weights,
+    estimate_period,
+    segment_turns,
+)
 from .simulate import AccelTrace
 
 # Fraction of the patch window used for the "initial linear part" fit.
@@ -80,30 +94,39 @@ def extract_features(
     length = len(segments[0])
     starts = np.array([seg.start_index for seg in segments])
 
-    def by_turn(channel: np.ndarray) -> np.ndarray:  # a (turns, length) copy of one channel
-        return np.lib.stride_tricks.sliding_window_view(channel, length)[starts]
+    def by_turn(channel: np.ndarray, at: np.ndarray) -> np.ndarray:  # the turns starting at ``at``
+        return np.lib.stride_tricks.sliding_window_view(channel, length)[at]
 
     fs = trace.sample_rate
     rotation_frequency = fs / length
-    edges = detect_patch_edges(by_turn(trace.a_tangential))
+    edges = detect_patch_edges(by_turn(trace.a_tangential, starts))
     ok = np.flatnonzero(edges.failed == 0)
     leading, trailing = edges.leading[ok], edges.trailing[ok]
 
     columns = np.full((4, len(segments)), np.nan)
     patch, dip, peak, slope = columns  # views: each fills one column
     patch[ok] = wheel_speed * (trailing - leading) / fs
-    # The sensor channel is centre-positive, so the patch shows up as a
-    # peak of its displacement: the dip of the outward-positive profile.
-    # Every stage of the integration is odd and rounds the same way for
-    # either sign, so this is exactly the dip of the negated channel.
-    radial = accel_to_displacement(by_turn(trace.a_radial), fs, rotation_frequency)
-    dip[ok] = radial[ok, (leading + trailing) // 2] - radial.min(axis=1)[ok]
-    del radial  # one full-length profile at a time
-    if include_lateral:
-        lateral = accel_to_displacement(by_turn(trace.a_lateral), fs, rotation_frequency)
-        peak[ok], slope[ok] = lateral_features(
-            lateral[ok], leading, trailing, wheel_speed, fs
+    if len(ok):
+        # The sensor channel is centre-positive, so the patch shows up as a
+        # peak of its displacement: the dip of the outward-positive profile
+        # is the centre's height over the column where the mean profile of
+        # the trace's turns is lowest.
+        radial = by_turn(trace.a_radial, starts[ok])
+        mean = accel_to_displacement(radial.mean(axis=0), fs, rotation_frequency)
+        centres, group = np.unique((leading + trailing) // 2, return_inverse=True)
+        weights = displacement_weights(
+            length, fs, rotation_frequency, np.append(centres, np.argmin(mean))
         )
+        # Centres take a few values per trace; einsum sums each turn on its
+        # own, so a turn's dip depends on that turn and the column alone.
+        for k, w in enumerate(weights[:-1] - weights[-1]):
+            dip[ok[group == k]] = np.einsum("ti,i->t", radial[group == k], w)
+        del radial
+    if include_lateral:
+        lateral = accel_to_displacement(
+            by_turn(trace.a_lateral, starts[ok]), fs, rotation_frequency
+        )
+        peak[ok], slope[ok] = lateral_features(lateral, leading, trailing, wheel_speed, fs)
     else:
         peak[ok] = slope[ok] = 0.0
     table = np.rec.fromarrays([np.arange(len(segments)), *columns], names=FEATURE_FIELDS)

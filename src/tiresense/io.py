@@ -31,7 +31,7 @@ from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace, GroundTruth, ground_trut
 
 TRACE_SCHEMA = "tiresense.trace.v3"
 SIDECAR_SCHEMA = "tiresense.sidecar.v2"
-LOAD_MODEL_SCHEMA = "tiresense.load-model.v2"
+LOAD_MODEL_SCHEMA = "tiresense.load-model.v3"
 SLIP_MODEL_SCHEMA = "tiresense.slip-model.v1"
 ESTIMATES_SCHEMA = "tiresense.estimates.v1"
 REPORT_SCHEMA = "tiresense.report.v1"
@@ -117,12 +117,13 @@ def _record(path: Path, cls, payload):
     return cls(**{k: _field(path, k, types[k], v) for k, v in payload.items()})
 
 
-def _read_record(path: Path, schema: str, cls):
-    """The dataclass ``cls`` from a JSON file that names ``schema``."""
+def _read_record(path: Path, schema: str, cls, remedy: str = ""):
+    """The dataclass ``cls`` from a JSON file that names ``schema``; a file
+    of another version is an error that ends with ``remedy``."""
     payload = _read_object(path)
     version = payload.pop("schema_version", None)
     if version != schema:
-        raise SchemaError(f"{path}: schema_version {version!r} is not {schema!r}")
+        raise SchemaError(f"{path}: schema_version {version!r} is not {schema!r}{remedy}")
     return _record(path, cls, payload)
 
 
@@ -250,7 +251,10 @@ def write_load_model(path: Path, model: LoadSurfaceModel) -> None:
 
 
 def read_load_model(path: Path) -> LoadSurfaceModel:
-    return _read_record(path, LOAD_MODEL_SCHEMA, LoadSurfaceModel)
+    # v2 has v3's fields, but its surface maps another dip (each turn's own
+    # maximum) to load, so applied to today's dips it biases every load.
+    return _read_record(path, LOAD_MODEL_SCHEMA, LoadSurfaceModel,
+                        "; refit with calibrate-load")
 
 
 def write_slip_model(path: Path, model: SlipModel) -> None:

@@ -214,6 +214,24 @@ def test_criterion_6_load_convergence(highway_models):
           f"max convergence turn {max(convergence)})")
 
 
+def test_dip_has_no_speed_bias(highway_models):
+    # The 20 m/s calibration applied at 5 m/s, where a turn is four times
+    # longer and its integrated noise larger: a dip taken at each noisy
+    # profile's own maximum reads high there, and the load with it.
+    surface, _ = highway_models
+    scen = scenario(vehicle_speed=5.0)
+    errors = []
+    for seed in range(1, 7):
+        rows = feature_rows(scen, seed, turns=100, noise=25.0)
+        result = estimate_load_stream(
+            surface, rows.peak_radial_displacement, scen.inflation_pressure
+        )
+        errors.append(abs(result.estimates_lbf[-1] - scen.vertical_load) / scen.vertical_load)
+    assert max(errors) <= 0.026
+    print("\nPASS dip bias: converged load errors at 5 m/s against a 20 m/s "
+          f"calibration, seeds 1-6: {', '.join(f'{100 * e:.2f}%' for e in errors)} (<= 2.6%)")
+
+
 def test_criterion_7_baseline_ordering(rough_models):
     surface, patch = rough_models
     worn = scenario(vertical_load=1500.0, tread_depth=2.0, vehicle_speed=10.0)

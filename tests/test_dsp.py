@@ -18,6 +18,7 @@ from tiresense.dsp import (
     _fast_length,
     accel_to_displacement,
     detect_patch_edges,
+    displacement_weights,
     double_integrate,
     estimate_period,
     highpass,
@@ -372,6 +373,25 @@ def test_integration_matches_stage_by_stage_chain(length):
     for x in (turns[0], turns):
         expected = reference_displacement(x, FS, FS / length)
         assert_rows_close(accel_to_displacement(x, FS, FS / length), expected)
+
+
+def test_integration_kernel_is_read_only():
+    # one cached pair serves every caller, so no caller may change it
+    for array in dsp._integration_kernel(942, FS, FS / 942):
+        assert not array.flags.writeable
+
+
+@pytest.mark.parametrize("length", [941, 942, 943])
+def test_weights_read_the_profile_columns(length):
+    # 941 is prime, 942 even, 943 odd; the turns sit at the centripetal
+    # level, which the weights must cancel
+    turns = turn_like(5, length)
+    columns = np.array([0, 1, 300, length // 2, length - 1])
+    weights = displacement_weights(length, FS, FS / length, columns)
+    assert weights.shape == (len(columns), length)
+    profiles = accel_to_displacement(turns, FS, FS / length)
+    read = np.stack([np.einsum("ti,i->t", turns, w) for w in weights], axis=-1)
+    assert_rows_close(read, profiles[:, columns])
 
 
 @pytest.mark.parametrize("length", [471, 941, 942, 943, 1000])

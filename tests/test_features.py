@@ -36,10 +36,10 @@ def reference_patch_length(edges, wheel_speed, sample_rate):
     return wheel_speed * (trailing - leading) / sample_rate
 
 
-def reference_peak_radial(profile, edges):
-    # relative to the profile maximum, so invariant to detrending
+def reference_peak_radial(profile, edges, column):
+    # relative to the trace's column, so a constant offset of the profile cancels
     leading, trailing = edges
-    return float(np.max(profile) - profile[(leading + trailing) // 2])
+    return float(profile[column] - profile[(leading + trailing) // 2])
 
 
 def reference_lateral(profile, edges, wheel_speed, sample_rate):
@@ -60,7 +60,7 @@ def test_patch_length_formula():
 
 
 def test_flat_profile_has_zero_dip():
-    assert reference_peak_radial(np.zeros(500), (200, 300)) == 0.0
+    assert reference_peak_radial(np.zeros(500), (200, 300), 0) == 0.0
 
 
 def test_patch_length_tracks_patch_arc():
@@ -268,6 +268,9 @@ def test_extract_features_matches_per_turn_reference():
     turns = np.stack([mixed.samples[s.start_index : s.end_index] for s in segments])
     radial = accel_to_displacement(-turns[:, :, 2], fs, fs / length)
     lateral = accel_to_displacement(turns[:, :, 1], fs, fs / length)
+    healthy = [i for i in range(len(segments)) if i not in broken]
+    # the column where the mean profile of the healthy turns peaks outward
+    column = int(np.argmax(radial[healthy].mean(axis=0)))
     for i, row in enumerate(table):
         features = [row[name] for name in FEATURE_FIELDS[1:]]
         if i in broken:
@@ -276,17 +279,49 @@ def test_extract_features_matches_per_turn_reference():
         edges = edges_of(turns[i, :, 0])
         peak, slope = reference_lateral(lateral[i], edges, 20.0, fs)
         assert row.patch_length == reference_patch_length(edges, 20.0, fs)
-        assert row.peak_radial_displacement == reference_peak_radial(radial[i], edges)
+        assert row.peak_radial_displacement == pytest.approx(
+            reference_peak_radial(radial[i], edges, column), rel=1e-12, abs=0.0
+        )
         assert row.peak_lateral_displacement == peak
         assert row.lateral_slope == pytest.approx(slope, rel=1e-12, abs=0.0)
         assert abs(slope) > 1e-3  # a slip-angle trace: the relative bound bites
 
     without, _ = extract_features(mixed, 20.0, 0.3, include_lateral=False)
-    healthy = [i for i in range(len(segments)) if i not in broken]
     assert (without.peak_lateral_displacement[healthy] == 0.0).all()
     assert (without.lateral_slope[healthy] == 0.0).all()
     assert np.isnan(without.lateral_slope[sorted(broken)]).all()
     assert np.array_equal(without.patch_length, table.patch_length, equal_nan=True)
+
+
+def test_one_ok_turn_dips_at_its_own_maximum():
+    # With one turn left, the mean profile is that turn's own, so the column
+    # dip is the turn's centre measured from its profile's outward maximum.
+    trace, _ = simulate(scenario(), SensorSpec(seed=5), 6)
+    segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
+    keep = 3
+    samples = trace.samples.copy()
+    for i, seg in enumerate(segments):
+        if i != keep:
+            samples[seg.start_index : seg.end_index, 0] = 0.0
+    fs, length = trace.sample_rate, len(segments[0])
+    rows, skipped = extract_features(AccelTrace(fs, samples), 20.0, 0.3, include_lateral=False)
+    assert skipped == len(segments) - 1
+    turn = samples[segments[keep].start_index : segments[keep].end_index]
+    profile = accel_to_displacement(-turn[:, 2], fs, fs / length)
+    leading, trailing = edges_of(turn[:, 0])
+    expected = profile.max() - profile[(leading + trailing) // 2]
+    assert rows[keep].peak_radial_displacement == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_a_trace_builds_one_integration_kernel():
+    # the mean row, the weight rows and the lateral turns share one kernel,
+    # and another trace of the same turn length builds none
+    dsp._integration_kernel.cache_clear()
+    trace, _ = simulate(scenario(slip_angle=2.0), QUIET, 6)
+    for _ in range(2):
+        extract_features(trace, 20.0, 0.3, include_lateral=True)
+    info = dsp._integration_kernel.cache_info()
+    assert (info.misses, info.hits) == (1, 5)
 
 
 @pytest.mark.parametrize("include_lateral", [True, False])

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiresense
-from tiresense import SchemaError, SensorSpec, TireSenseError, simulate
+from tiresense import SchemaError, SensorSpec, TireSenseError, dsp, simulate
 from tiresense.cli import main
 from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, fit_slip_model
 from tiresense.features import FEATURE_FIELDS
@@ -163,7 +163,7 @@ def test_model_round_trips(tmp_path):
     path = tmp_path / "load_model.json"
     write_load_model(path, surface)
     assert read_load_model(path) == surface
-    assert json.loads(path.read_text())["schema_version"] == "tiresense.load-model.v2"
+    assert json.loads(path.read_text())["schema_version"] == "tiresense.load-model.v3"
 
     slip = fit_slip_model([(0.0, 0.0, 0.0), (10.0, 0.05, 3.0), (20.0, 0.09, 6.0)])
     slip_path = tmp_path / "slip_model.json"
@@ -395,6 +395,13 @@ def test_cli_simulate_deterministic(workspace, tmp_path):
                "--turns", 3, "--out", out_b, "--seed", 7) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_a_command_keeps_no_integration_kernel(workspace, tmp_path):
+    # each command builds its kernels afresh, as one run from a shell does
+    assert cli("calibrate-slip", "--traces", workspace / "slip",
+               "--out", tmp_path / "sm.json") == 0
+    assert dsp._integration_kernel.cache_info().currsize == 0
 
 
 def test_cli_full_workflow(workspace, tmp_path):
@@ -778,6 +785,11 @@ def _load_model_v1(root):
     return argv
 
 
+def _load_model_v2(root):
+    # v3's fields under v2's name: a surface fitted on the max-based dip.
+    return _load_model_file(root, schema_version="tiresense.load-model.v2")
+
+
 def _slip_model_file(root, **changes):
     payload = {**json.loads((root / "sm.json").read_text()), **changes}
     (root / "bad_sm.json").write_text(json.dumps(payload))
@@ -810,6 +822,8 @@ def _sidecar_v1(root):
 _LINE_NAMES = {
     "simulate-noise-1e200": f"{os.sep}scenario.json: sensor noise or bias",
     "simulate-bias-1e308": f"{os.sep}scenario.json: sensor noise or bias",
+    "load-model-v1": "; refit with calibrate-load",
+    "load-model-v2": "; refit with calibrate-load",
 }
 
 
@@ -898,6 +912,7 @@ _LINE_NAMES = {
         pytest.param(lambda root: _load_model_file(root, p11=float("nan")),
                      id="load-model-nan-coefficient"),
         pytest.param(_load_model_v1, id="load-model-v1"),
+        pytest.param(_load_model_v2, id="load-model-v2"),
         pytest.param(lambda root: _slip_model_file(root, slip_range=[0, 3, 6]),
                      id="slip-model-three-bounds"),
         pytest.param(lambda root: _slip_model_file(root, slip_range=[6, 0]),
@@ -968,10 +983,13 @@ def test_calibrate_takes_every_file_but_the_sidecars(workspace, tmp_path, capsys
     assert not (tmp_path / "out.json").exists()
 
 
-def test_v1_load_model_error_names_v2(bad_inputs):
-    _load_model_v1(bad_inputs)
-    with pytest.raises(SchemaError, match="tiresense.load-model.v2"):
-        read_load_model(bad_inputs / "bad_lm.json")
+def test_v1_and_v2_load_models_are_refit(bad_inputs):
+    for make in (_load_model_v1, _load_model_v2):
+        make(bad_inputs)
+        with pytest.raises(SchemaError) as raised:
+            read_load_model(bad_inputs / "bad_lm.json")
+        assert str(raised.value).endswith(
+            "is not 'tiresense.load-model.v3'; refit with calibrate-load")
 
 
 def test_v1_sidecar_error_names_v2(bad_inputs, capsys):
