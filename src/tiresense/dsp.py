@@ -5,11 +5,10 @@ signals: extract one wheel turn, remove the mean, high-pass, integrate,
 high-pass again, integrate again, and detrend.  Filtering before each
 integration is what keeps a constant accelerometer bias from turning into
 quadratic drift.  Filters run forward and backward so the patch features
-keep their timing (zero net phase).  Turns share one length, so the
-integration and the edge detection each run on a ``(turns, samples)``
-array in one call; the integration takes its turns through in cache-sized
-blocks (``BLOCK_BYTES``).  The chain is linear, so a few columns of a
-profile are also dot products of the turn with ``displacement_weights``.
+keep their timing (zero net phase).  Turns share one length, so the edge
+detection runs on a ``(turns, samples)`` array in one call.  The chain is
+linear, so a column of a turn's profile is also a dot product of the turn
+with a ``displacement_weights`` row.
 """
 
 from __future__ import annotations
@@ -46,10 +45,6 @@ EDGE_MARGIN_WIDTHS = 1
 EDGE_MIN_SEPARATION_WIDTHS = 1
 EDGE_NOISE_FLOOR_SIGMAS = 10.0
 MAD_TO_SIGMA = 1.4826
-
-# accel_to_displacement runs its rows through in blocks whose FFT output
-# takes about this many bytes, so each block stays in a core's L2 cache.
-BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -245,9 +240,10 @@ def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
 @lru_cache
 def _integration_kernel(
     n: int, sample_rate: float, rotation_frequency: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The integration chain's zero-mean impulse response on an n-sample
-    turn, and its spectrum at ``_fast_length(2n - 1)``; both read-only."""
+    turn, its spectrum at ``_fast_length(2n - 1)``, and the circular
+    correlation of the centred sample index with it; all three read-only."""
     dt = 1.0 / sample_rate
     cutoff = CUTOFF_ROTATION_FRACTION * rotation_frequency
     impulse = np.full(n, -1.0 / n)
@@ -258,8 +254,10 @@ def _integration_kernel(
     # and a constant times the sum of a row cannot creep in through rounding.
     response -= response.mean()
     kernel = np.fft.rfft(response, _fast_length(2 * n - 1))
-    response.flags.writeable = kernel.flags.writeable = False
-    return response, kernel
+    t = np.arange(n) - (n - 1) / 2.0
+    correlation = np.fft.irfft(np.fft.rfft(t) * np.conj(np.fft.rfft(response)), n)
+    response.flags.writeable = kernel.flags.writeable = correlation.flags.writeable = False
+    return response, kernel, correlation
 
 
 def accel_to_displacement(
@@ -279,31 +277,21 @@ def accel_to_displacement(
     circularly, is the shifted trapezoid plus a constant.  The detrend
     removes those constants.  So the chain runs once, on a unit impulse
     (``_integration_kernel``), and every turn is one circular convolution
-    with that response.  The turns go through the mean removal, the
-    convolution and the detrend in blocks of about ``BLOCK_BYTES`` of FFT
-    output, into one output array; each turn's profile depends on that turn
-    alone, bit for bit.
+    with that response, all rows in one FFT pass.  Each row's profile
+    depends on that row alone, bit for bit.
     """
     x = np.asarray(channel, dtype=float)
     n = x.shape[-1]
     kernel = _integration_kernel(n, sample_rate, rotation_frequency)[1]
     m = _fast_length(2 * n - 1)
-    t = np.arange(n) - (n - 1) / 2.0
-    disp = np.empty(x.shape)
-    rows, out_rows = np.atleast_2d(x, disp)
-    step = max(1, BLOCK_BYTES // (16 * len(kernel)))
-    for lo in range(0, len(rows), step):
-        turns, out = rows[lo : lo + step], out_rows[lo : lo + step]
-        # The circular convolution is the linear one at a fast FFT length
-        # m >= 2n - 1 with its tail wrapped onto its head, so the cost does
-        # not depend on how n factors.
-        spectrum = np.fft.rfft(turns - turns.mean(axis=-1, keepdims=True), m)
-        spectrum *= kernel
-        full = np.fft.irfft(spectrum, m)
-        np.add(full[:, : n - 1], full[:, n : 2 * n - 1], out=out[:, : n - 1])
-        out[:, n - 1] = full[:, n - 1]
-        out -= _line_slope(out)[:, None] * t
-        out *= 1e3
+    # The circular convolution is the linear one at a fast FFT length
+    # m >= 2n - 1 with its tail wrapped onto its head, so the cost does not
+    # depend on how n factors.
+    full = np.fft.irfft(np.fft.rfft(x - x.mean(axis=-1, keepdims=True), m) * kernel, m)
+    disp = full[..., :n].copy()
+    disp[..., : n - 1] += full[..., n : 2 * n - 1]
+    disp -= _line_slope(disp)[..., None] * (np.arange(n) - (n - 1) / 2.0)
+    disp *= 1e3
     return disp
 
 
@@ -319,12 +307,11 @@ def displacement_weights(
     response ``h`` and ``P_t`` the detrend against ``t``.  So
     ``w_j = 1e3 * P_1 (C^T e_j - (t_j / t.t) C^T t)``, where
     ``(C^T e_j)[i] = h[(j - i) mod n]`` and ``C^T t`` is the circular
-    correlation of ``t`` with ``h``.
+    correlation of ``t`` with ``h``, cached with ``h``.
     """
-    response = _integration_kernel(n, sample_rate, rotation_frequency)[0]
+    response, _, correlation = _integration_kernel(n, sample_rate, rotation_frequency)
     columns = np.asarray(columns)
     t = np.arange(n) - (n - 1) / 2.0
-    correlation = np.fft.irfft(np.fft.rfft(t) * np.conj(np.fft.rfft(response)), n)
     rows = response[(columns[:, None] - np.arange(n)) % n]
     rows -= (t[columns] / (t @ t))[:, None] * correlation
     rows -= rows.mean(axis=-1, keepdims=True)

@@ -10,11 +10,11 @@ features stay independent of wear-state knowledge.
 
 The dip is read at two columns of each turn's radial profile: the patch
 centre and one column per trace, where the mean profile of the trace's
-turns peaks outward.  The maximum of each noisy profile would be biased
-upward by its noise, more so the longer the turn; a fixed column is not.
-Both columns of a profile are linear in the turn's samples, so each dip is
-one dot product with ``dsp.displacement_weights`` rows and no radial turn
-is integrated.
+turns peaks outward; the lateral peak at one column per trace.  The maximum
+of each noisy profile would be biased upward by its noise, more so the
+longer the turn; a fixed column is not.  Each feature is linear in the
+turn's samples, a dot product with ``dsp.displacement_weights`` rows, so
+only one mean row per channel is integrated, no turn.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dsp import (
+    _line_slope,
     accel_to_displacement,
     detect_patch_edges,
     displacement_weights,
@@ -40,38 +41,42 @@ FEATURE_FIELDS = ("turn_index", "patch_length", "peak_radial_displacement",
                   "peak_lateral_displacement", "lateral_slope")
 
 
-def lateral_features(
-    lateral: np.ndarray,
-    leading: np.ndarray,
-    trailing: np.ndarray,
-    wheel_speed: float,
-    sample_rate: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Peak lateral displacement (mm) and initial slope (mm/mm) of each row
-    of a ``(turns, samples)`` lateral profile, given each row's edges.
+def _dot_by_group(turns: np.ndarray, group: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each turn's dot product with ``rows[group]``, summed on its own by einsum."""
+    out = np.empty(len(turns))
+    for k, w in enumerate(rows):
+        out[group == k] = np.einsum("ti,i->t", turns[group == k], w)
+    return out
 
-    The peak is searched over the patch plus one patch-length of release
+
+def lateral_features(
+    lateral: np.ndarray, leading: np.ndarray, trailing: np.ndarray,
+    wheel_speed: float, sample_rate: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak lateral displacement (mm) and initial slope (mm/mm) of each raw
+    lateral turn, one per row of ``lateral`` and at least one, given its edges.
+
+    The peak is read at one column: where the rows' mean profile is largest
+    in magnitude within the median patch plus one patch-length of release
     after the exit, where the brush deflection tops out.  The slope is the
-    least-squares line through the first 30% of the patch window against
-    patch-travel distance.  Both windows end at the row's end at the
-    latest, and only they are gathered.
+    least-squares line through the first 30% of the row's patch window
+    against patch-travel distance, ending at the row's end at the latest.
+    Both are dot products with ``displacement_weights`` rows.
     """
     n = lateral.shape[-1]
-    separation = trailing - leading
-    offsets = np.arange(2 * separation.max(initial=0))
-    # Clipped to the row, a window repeats the row's last sample, which
-    # leaves the peak as it is; the slope fit stops at the row's end.
-    window = lateral[np.arange(len(lateral))[:, None],
-                     np.minimum(leading[:, None] + offsets, n - 1)]
-    inside = offsets < 2 * separation[:, None]
-    peak = np.where(inside, np.abs(window), 0.0).max(axis=1, initial=0.0)
-
-    fit_n = np.maximum(2, np.round(SLOPE_FIT_FRACTION * separation).astype(int))
-    fit_n = np.minimum(fit_n, n - leading)[:, None]
-    t = offsets[: fit_n.max(initial=0)] - (fit_n - 1) / 2.0
-    t[offsets[: t.shape[1]] >= fit_n] = 0.0
-    slope = (window[:, : t.shape[1]] * t).sum(axis=1) / (t * t).sum(axis=1)
-    return peak, slope / (wheel_speed / sample_rate * 1e3)
+    mean = accel_to_displacement(lateral.mean(axis=0), sample_rate, sample_rate / n)
+    start = int(np.median(leading))
+    window = mean[start : start + 2 * int(np.median(trailing - leading))]
+    fit_n = np.clip(np.round(SLOPE_FIT_FRACTION * (trailing - leading)).astype(int), 2, n - leading)
+    # one group per (leading, fit_n) pair, keyed as one integer
+    keys, group = np.unique(leading * (n + 1) + fit_n, return_inverse=True)
+    first = leading.min()
+    weights = displacement_weights(n, sample_rate, sample_rate / n, np.append(
+        np.arange(first, (leading + fit_n).max()), start + np.argmax(np.abs(window))))
+    fits = np.array([_line_slope(weights[lo : lo + size].T)
+                     for lo, size in zip(keys // (n + 1) - first, keys % (n + 1))])
+    slope = _dot_by_group(lateral, group, fits) / (wheel_speed / sample_rate * 1e3)
+    return np.abs(np.einsum("ti,i->t", lateral, weights[-1])), slope
 
 
 def extract_features(
@@ -114,20 +119,13 @@ def extract_features(
         radial = by_turn(trace.a_radial, starts[ok])
         mean = accel_to_displacement(radial.mean(axis=0), fs, rotation_frequency)
         centres, group = np.unique((leading + trailing) // 2, return_inverse=True)
-        weights = displacement_weights(
-            length, fs, rotation_frequency, np.append(centres, np.argmin(mean))
-        )
-        # Centres take a few values per trace; einsum sums each turn on its
-        # own, so a turn's dip depends on that turn and the column alone.
-        for k, w in enumerate(weights[:-1] - weights[-1]):
-            dip[ok[group == k]] = np.einsum("ti,i->t", radial[group == k], w)
+        weights = displacement_weights(length, fs, rotation_frequency,
+                                       np.append(centres, np.argmin(mean)))
+        dip[ok] = _dot_by_group(radial, group, weights[:-1] - weights[-1])
         del radial
-    if include_lateral:
-        lateral = accel_to_displacement(
-            by_turn(trace.a_lateral, starts[ok]), fs, rotation_frequency
-        )
-        peak[ok], slope[ok] = lateral_features(lateral, leading, trailing, wheel_speed, fs)
-    else:
         peak[ok] = slope[ok] = 0.0
+        if include_lateral:
+            lateral = by_turn(trace.a_lateral, starts[ok])
+            peak[ok], slope[ok] = lateral_features(lateral, leading, trailing, wheel_speed, fs)
     table = np.rec.fromarrays([np.arange(len(segments)), *columns], names=FEATURE_FIELDS)
     return table, len(segments) - len(ok)

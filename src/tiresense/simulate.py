@@ -136,8 +136,9 @@ def _liner_positions(
     geom: TireGeometry,
     omega: float,
     release_angle: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Exact (x, y, z) of the liner point plus its wrapped angle at times t."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact (x, y, z) of the liner point plus the sine and cosine of its
+    wrapped angle at times t."""
     r = geom.effective_radius
     hub_height = r - geom.deflection
     theta_c = geom.contact_half_angle
@@ -145,10 +146,11 @@ def _liner_positions(
     psi = np.pi - omega * t
     psi = np.mod(psi + np.pi, 2.0 * np.pi) - np.pi  # wrap to [-pi, pi)
 
-    x = scenario.vehicle_speed * t + r * np.sin(psi)
+    sin_psi, cos_psi = np.sin(psi), np.cos(psi)
+    x = scenario.vehicle_speed * t + r * sin_psi
     # Pressing the sub-road part of the circle onto the road plane creates
     # the straight flat-spot segment.
-    z = np.maximum(hub_height - r * np.cos(psi), 0.0)
+    z = np.maximum(hub_height - r * cos_psi, 0.0)
 
     y = np.zeros_like(t)
     tan_slip = math.tan(math.radians(scenario.slip_angle))
@@ -162,7 +164,17 @@ def _liner_positions(
         y[in_release] = (
             tan_slip * geom.patch_chord * 0.5 * (1.0 + np.cos(np.pi * progress))
         )
-    return x, y, z, psi
+    return x, y, z, sin_psi, cos_psi
+
+
+def _second_difference(u: np.ndarray, fs: float) -> np.ndarray:
+    """``(u[2:] - 2 u[1:-1] + u[:-2]) * fs * fs`` through one new array."""
+    out = 2.0 * u[1:-1]
+    np.subtract(u[2:], out, out=out)
+    out += u[:-2]
+    out *= fs
+    out *= fs
+    return out
 
 
 def simulate(
@@ -207,20 +219,21 @@ def simulate(
 
     # Positions at (i - 1) * dt for i in 0..n+1, so the second central
     # difference lands acceleration samples exactly on t = i * dt.  Each
-    # full-length array is dropped once read, so the peak stays near three
-    # times the samples returned.
+    # full-length array is dropped once read, and each difference takes one
+    # new array, so the peak stays near three times the samples returned.
     t_pos = (np.arange(n + 2) - 1.0) * dt
-    x, y, z, psi = _liner_positions(t_pos, scenario, geom, omega, release_angle)
+    x, y, z, sin_psi, cos_psi = _liner_positions(t_pos, scenario, geom, omega, release_angle)
     del t_pos
-    ax = (x[2:] - 2.0 * x[1:-1] + x[:-2]) * fs * fs
+    ay = _second_difference(y, fs)
+    del y
+    ax = _second_difference(x, fs)
     del x
-    az = (z[2:] - 2.0 * z[1:-1] + z[:-2]) * fs * fs
+    az = _second_difference(z, fs)
     del z
     samples = np.empty((n, 3))  # columns tangential, lateral, radial
-    samples[:, 1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) * fs * fs
-    del y
-    sin_psi, cos_psi = np.sin(psi[1:-1]), np.cos(psi[1:-1])
-    del psi
+    samples[:, 1] = ay
+    del ay
+    sin_psi, cos_psi = sin_psi[1:-1], cos_psi[1:-1]
     samples[:, 2] = -ax * sin_psi + az * cos_psi
     samples[:, 0] = ax * cos_psi + az * sin_psi
     del ax, az, sin_psi, cos_psi

@@ -232,6 +232,23 @@ def test_dip_has_no_speed_bias(highway_models):
           f"calibration, seeds 1-6: {', '.join(f'{100 * e:.2f}%' for e in errors)} (<= 2.6%)")
 
 
+def test_lateral_peak_has_no_noise_bias():
+    # At 5 m/s a turn is four times longer than at 20 m/s and its integrated
+    # noise larger: a peak taken at each noisy profile's own maximum reads
+    # high there, and the slip with it.
+    scen = scenario(vehicle_speed=5.0, slip_angle=3.0)
+    clean = np.nanmean(feature_rows(scen, 1, turns=100, noise=0.0, lateral=True)
+                       .peak_lateral_displacement)
+    peaks = [np.nanmean(feature_rows(scen, seed, turns=100, noise=100.0, lateral=True)
+                        .peak_lateral_displacement) for seed in range(1, 5)]
+    bias = np.mean(peaks) / clean - 1.0
+    assert abs(bias) <= 0.03
+    print(f"\nPASS lateral bias: mean lateral peak at 5 m/s, 3 deg, noise 100, "
+          f"seeds 1-4: {np.mean(peaks):.2f} mm against {clean:.2f} mm noise-free "
+          f"({100 * bias:+.1f}%, within 3%); per seed "
+          f"{', '.join(f'{100 * (p / clean - 1.0):+.1f}%' for p in peaks)}")
+
+
 def test_criterion_7_baseline_ordering(rough_models):
     surface, patch = rough_models
     worn = scenario(vertical_load=1500.0, tread_depth=2.0, vehicle_speed=10.0)

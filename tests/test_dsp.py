@@ -291,37 +291,17 @@ def test_batched_integration_matches_each_row(length):
 
 
 @pytest.mark.parametrize("rows", [1, 6, 53, 400])
-def test_each_turn_integrates_alone(monkeypatch, rows):
+def test_each_turn_integrates_alone(rows):
     # A turn's profile is a function of that turn alone: bit-equal whether
     # it is integrated by itself, in a slice of the batch, or in the whole
-    # batch, whatever the block size.
+    # batch.
     length = 942
     turns = turn_like(rows, length)
     singles = np.array([accel_to_displacement(turn, FS, FS / length) for turn in turns])
-    row_bytes = 16 * (_fast_length(2 * length - 1) // 2 + 1)
-    for block_rows in (1, 7, 17, dsp.BLOCK_BYTES // row_bytes, rows):
-        monkeypatch.setattr(dsp, "BLOCK_BYTES", row_bytes * block_rows)
-        assert np.array_equal(accel_to_displacement(turns, FS, FS / length), singles)
-        sliced = [accel_to_displacement(turns[lo : lo + 17], FS, FS / length)
-                  for lo in range(0, rows, 17)]
-        assert np.array_equal(np.concatenate(sliced), singles)
-
-
-@pytest.mark.parametrize("rows", ["two-blocks-and-3", 1, 0])
-def test_blocked_integration_matches_one_block(monkeypatch, rows):
-    length = 942
-    # rfft output of one row at the FFT length: BLOCK_BYTES is counted in it
-    row_bytes = 16 * (_fast_length(2 * length - 1) // 2 + 1)
-    block = dsp.BLOCK_BYTES // row_bytes
-    assert block > 1
-    turns = turn_like(2 * block + 3 if rows == "two-blocks-and-3" else rows, length)
-    blocked = accel_to_displacement(turns, FS, FS / length)
-    monkeypatch.setattr(dsp, "BLOCK_BYTES", row_bytes * max(1, len(turns)))
-    whole = accel_to_displacement(turns, FS, FS / length)
-    for out in (blocked, whole):
-        assert out.shape == turns.shape
-        assert out.flags.owndata and out.flags.c_contiguous
-    assert np.array_equal(blocked, whole)
+    assert np.array_equal(accel_to_displacement(turns, FS, FS / length), singles)
+    sliced = [accel_to_displacement(turns[lo : lo + 17], FS, FS / length)
+              for lo in range(0, rows, 17)]
+    assert np.array_equal(np.concatenate(sliced), singles)
 
 
 def reference_highpass(x, sample_rate, cutoff):
@@ -376,8 +356,10 @@ def test_integration_matches_stage_by_stage_chain(length):
 
 
 def test_integration_kernel_is_read_only():
-    # one cached pair serves every caller, so no caller may change it
-    for array in dsp._integration_kernel(942, FS, FS / 942):
+    # one cached response, spectrum and correlation serve every caller, so
+    # no caller may change them
+    response, kernel, correlation = dsp._integration_kernel(942, FS, FS / 942)
+    for array in (response, kernel, correlation):
         assert not array.flags.writeable
 
 

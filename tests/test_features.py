@@ -42,15 +42,20 @@ def reference_peak_radial(profile, edges, column):
     return float(profile[column] - profile[(leading + trailing) // 2])
 
 
-def reference_lateral(profile, edges, wheel_speed, sample_rate):
+def reference_lateral_column(mean_profile, leading, trailing):
+    # where the mean profile of the trace's turns is largest within the peak
+    # window of the median edges: the patch and one patch-length after it
+    start = int(np.median(leading))
+    window = mean_profile[start : start + 2 * int(np.median(trailing - leading))]
+    return start + int(np.argmax(np.abs(window)))
+
+
+def reference_lateral(profile, edges, column, wheel_speed, sample_rate):
     leading, trailing = edges
-    patch_samples = trailing - leading
-    search_end = min(len(profile), trailing + patch_samples)
-    peak = float(np.max(np.abs(profile[leading:search_end])))
-    fit_n = max(2, int(round(0.3 * patch_samples)))
+    fit_n = max(2, int(round(0.3 * (trailing - leading))))
     segment = profile[leading : leading + fit_n]
     slope = float(_line_slope(segment)) / (wheel_speed / sample_rate * 1e3)
-    return peak, slope
+    return abs(float(profile[column])), slope
 
 
 def test_patch_length_formula():
@@ -271,18 +276,20 @@ def test_extract_features_matches_per_turn_reference():
     healthy = [i for i in range(len(segments)) if i not in broken]
     # the column where the mean profile of the healthy turns peaks outward
     column = int(np.argmax(radial[healthy].mean(axis=0)))
+    leading, trailing = np.array([edges_of(turns[i, :, 0]) for i in healthy]).T
+    lateral_column = reference_lateral_column(lateral[healthy].mean(axis=0), leading, trailing)
     for i, row in enumerate(table):
         features = [row[name] for name in FEATURE_FIELDS[1:]]
         if i in broken:
             assert np.isnan(features).all()
             continue
         edges = edges_of(turns[i, :, 0])
-        peak, slope = reference_lateral(lateral[i], edges, 20.0, fs)
+        peak, slope = reference_lateral(lateral[i], edges, lateral_column, 20.0, fs)
         assert row.patch_length == reference_patch_length(edges, 20.0, fs)
         assert row.peak_radial_displacement == pytest.approx(
             reference_peak_radial(radial[i], edges, column), rel=1e-12, abs=0.0
         )
-        assert row.peak_lateral_displacement == peak
+        assert row.peak_lateral_displacement == pytest.approx(peak, rel=1e-12, abs=0.0)
         assert row.lateral_slope == pytest.approx(slope, rel=1e-12, abs=0.0)
         assert abs(slope) > 1e-3  # a slip-angle trace: the relative bound bites
 
@@ -295,7 +302,8 @@ def test_extract_features_matches_per_turn_reference():
 
 def test_one_ok_turn_dips_at_its_own_maximum():
     # With one turn left, the mean profile is that turn's own, so the column
-    # dip is the turn's centre measured from its profile's outward maximum.
+    # dip is the turn's centre measured from its profile's outward maximum,
+    # and the lateral peak is the largest magnitude of its peak window.
     trace, _ = simulate(scenario(), SensorSpec(seed=5), 6)
     segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
     keep = 3
@@ -304,60 +312,54 @@ def test_one_ok_turn_dips_at_its_own_maximum():
         if i != keep:
             samples[seg.start_index : seg.end_index, 0] = 0.0
     fs, length = trace.sample_rate, len(segments[0])
-    rows, skipped = extract_features(AccelTrace(fs, samples), 20.0, 0.3, include_lateral=False)
+    rows, skipped = extract_features(AccelTrace(fs, samples), 20.0, 0.3)
     assert skipped == len(segments) - 1
     turn = samples[segments[keep].start_index : segments[keep].end_index]
     profile = accel_to_displacement(-turn[:, 2], fs, fs / length)
     leading, trailing = edges_of(turn[:, 0])
     expected = profile.max() - profile[(leading + trailing) // 2]
     assert rows[keep].peak_radial_displacement == pytest.approx(expected, rel=1e-12, abs=0.0)
+    lateral = accel_to_displacement(turn[:, 1], fs, fs / length)
+    expected = np.abs(lateral[leading : 2 * trailing - leading]).max()
+    assert rows[keep].peak_lateral_displacement == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_a_trace_builds_one_integration_kernel():
-    # the mean row, the weight rows and the lateral turns share one kernel,
-    # and another trace of the same turn length builds none
+    # both channels' mean rows and weight rows share one kernel, and another
+    # trace of the same turn length builds none
     dsp._integration_kernel.cache_clear()
     trace, _ = simulate(scenario(slip_angle=2.0), QUIET, 6)
     for _ in range(2):
         extract_features(trace, 20.0, 0.3, include_lateral=True)
     info = dsp._integration_kernel.cache_info()
-    assert (info.misses, info.hits) == (1, 5)
-
-
-@pytest.mark.parametrize("include_lateral", [True, False])
-def test_extract_features_bytes_do_not_depend_on_the_block(monkeypatch, include_lateral):
-    mixed, _, broken = broken_turn_trace(slip_angle=3.0)
-    default = extract_features(mixed, 20.0, 0.3, include_lateral=include_lateral)
-    monkeypatch.setattr(dsp, "BLOCK_BYTES", 1)  # one turn per block
-    one_turn = extract_features(mixed, 20.0, 0.3, include_lateral=include_lateral)
-    assert default[1] == one_turn[1] == len(broken)
-    # the bytes of the whole table, the skipped turns' NaN included
-    assert default[0].tobytes() == one_turn[0].tobytes()
+    # per trace: a mean row and a weights call for each channel
+    assert (info.misses, info.hits) == (1, 7)
 
 
 def test_lateral_features_batch_matches_reference():
-    n, fs = 400, 10_000.0
-    profiles = np.zeros((3, n))
-    # a triangle: the slope of the first 30% is recovered
-    profiles[0, 100:200] = np.linspace(0.0, 10.0, 100)
-    # a peak window cut off by the profile end: [300, 400) of [300, 460);
-    # the larger value just before the leading edge is outside it
-    profiles[1, 299] = 50.0
-    profiles[1, 300:] = np.linspace(1.0, -7.0, 100)
+    # Raw lateral turns in, each turn's features of its own profile out.
+    # Shifted by 380 samples, the patch sits near the turn's end, which cuts
+    # off the peak window.
+    trace, _ = simulate(scenario(slip_angle=3.0), SensorSpec(seed=9), 8)
+    segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
+    fs, n = trace.sample_rate, len(segments[0])
+    turns = np.stack([trace.samples[s.start_index : s.end_index] for s in segments])
+    edges = np.array([edges_of(turn[:, 0]) for turn in turns]).T
     # 3 samples apart: round(0.9) = 1, so the slope fits 2 samples
-    profiles[2, 50:60] = np.arange(10.0) ** 2
-    leading, trailing = np.array([100, 300, 50]), np.array([200, 380, 53])
-
-    peak, slope = lateral_features(profiles, leading, trailing, 20.0, fs)
-    travel_per_sample_mm = 20.0 / fs * 1e3
-    assert peak[0] == pytest.approx(10.0, rel=1e-6)
-    assert slope[0] == pytest.approx((10.0 / 100) / travel_per_sample_mm, rel=0.05)
-    assert peak[1] == 7.0
-    assert slope[2] == (1.0 - 0.0) / travel_per_sample_mm
-    for i, edges in enumerate(zip(leading, trailing)):
-        ref_peak, ref_slope = reference_lateral(profiles[i], edges, 20.0, fs)
-        assert peak[i] == ref_peak
-        assert slope[i] == pytest.approx(ref_slope, rel=1e-12, abs=0.0)
+    edges[1, 0] = edges[0, 0] + 3
+    for shift in (0, 380):
+        lateral = np.roll(turns[:, :, 1], shift, axis=1)
+        leading, trailing = edges + shift
+        if shift:
+            assert trailing.max() < n < np.median(leading) + 2 * np.median(trailing - leading)
+        peak, slope = lateral_features(lateral, leading, trailing, 20.0, fs)
+        profiles = accel_to_displacement(lateral, fs, fs / n)
+        column = reference_lateral_column(profiles.mean(axis=0), leading, trailing)
+        for i, turn_edges in enumerate(zip(leading, trailing)):
+            ref_peak, ref_slope = reference_lateral(profiles[i], turn_edges, column, 20.0, fs)
+            assert peak[i] == pytest.approx(ref_peak, rel=1e-12, abs=0.0)
+            assert slope[i] == pytest.approx(ref_slope, rel=1e-12, abs=0.0)
+        assert np.abs(slope).min() > 1e-3  # a slip-angle trace: the relative bound bites
 
 
 def test_peak_memory_stays_within_2_8_traces():

@@ -954,6 +954,24 @@ def test_damaged_trace_is_one_line_schema_error(bad_inputs, name):
     assert peak < 2 * path.stat().st_size + _READ_OVERHEAD
 
 
+def test_estimate_with_every_turn_skipped_writes_every_turn_invalid(bad_inputs, tmp_path):
+    # No tangential edge anywhere, so no turn is left to average into either
+    # channel's mean row: an estimate is still a row per turn, all invalid.
+    trace, truth, scen, sensor = read_trace(bad_inputs / "trace.csv")
+    samples = trace.samples.copy()
+    samples[:, 0] = 0.0
+    dead = tmp_path / "dead.npy"
+    write_trace(dead, AccelTrace(trace.sample_rate, samples), truth, scen, sensor)
+    estimates, features = tmp_path / "est.csv", tmp_path / "features.csv"
+    assert cli("estimate", "--trace", dead, "--load-model", bad_inputs / "lm.json",
+               "--slip-model", bad_inputs / "sm.json", "--out", estimates,
+               "--features", features) == 0
+    _, slips, valid = read_estimates(estimates)
+    assert len(valid) == truth.n_turns and not valid.any()
+    assert np.isnan(slips).all()
+    assert len(features.read_text().splitlines()) == 2 + truth.n_turns
+
+
 def test_calibrate_takes_every_file_but_the_sidecars(workspace, tmp_path, capsys):
     # The trace format does not depend on the file name: a.npy, b.csv and c
     # give the model that slip_0, slip_3 and slip_6 give, and a

@@ -121,7 +121,9 @@ def test_trace_invariants_enforced():
 
 def reference_samples(scen, sensor, n_turns):
     """simulate's samples by the plain formula: the channels stacked by
-    column_stack, then noise and bias each added out of place."""
+    column_stack, then noise and bias each added out of place.  The sine
+    and cosine are taken of the interior angles alone, not sliced from the
+    ones ``_liner_positions`` computes for every position."""
     geom, omega, _ = _rolling(scen)
     release_angle = (scen.release_angle if scen.release_angle is not None
                      else geom.contact_half_angle)
@@ -129,7 +131,8 @@ def reference_samples(scen, sensor, n_turns):
     n = ground_truth(scen, n_turns).n_samples(fs)
     dt = 1.0 / fs
     t_pos = (np.arange(n + 2) - 1.0) * dt
-    x, y, z, psi = _liner_positions(t_pos, scen, geom, omega, release_angle)
+    x, y, z, _, _ = _liner_positions(t_pos, scen, geom, omega, release_angle)
+    psi = np.mod(np.pi - omega * t_pos + np.pi, 2.0 * np.pi) - np.pi
     ax = (x[2:] - 2.0 * x[1:-1] + x[:-2]) * fs * fs
     ay = (y[2:] - 2.0 * y[1:-1] + y[:-2]) * fs * fs
     az = (z[2:] - 2.0 * z[1:-1] + z[:-2]) * fs * fs
@@ -149,6 +152,8 @@ def reference_samples(scen, sensor, n_turns):
         (2.5, SensorSpec(noise_std=0.0, dc_bias=(5.0, -3.0, 0.5), seed=1), 7),
         (-2.5, SensorSpec(sample_rate=7919.0, seed=11), 40),
         (1.0, SensorSpec(seed=5), 400),
+        (0.5, SensorSpec(sample_rate=4001.0, seed=2), 2),
+        (3.0, SensorSpec(sample_rate=9973.0, seed=4), 11),
     ],
 )
 def test_samples_match_reference_formula_bit_for_bit(slip, sensor, n_turns):
