@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dsp import _integration_kernel, accel_to_displacement, double_integrate, segment_turns
+from .dsp import accel_to_displacement, double_integrate, segment_turns
 from .errors import ScenarioError, SchemaError, TireSenseError
 from .estimation import (
     DEFAULT_FORGETTING,
@@ -298,11 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        # A command builds its integration kernels once, as it does when run
-        # from a shell; an in-process caller of main, such as a benchmark
-        # loop, gains nothing from an earlier command's kernels.
-        _integration_kernel.cache_clear()
 
 
 def entry() -> None:

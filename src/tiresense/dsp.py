@@ -14,7 +14,6 @@ with a ``displacement_weights`` row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -104,7 +103,6 @@ def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarra
     return np.fft.irfft(np.fft.rfft(x) * (ratio**2 / (1.0 + ratio**2)), n)
 
 
-@lru_cache
 def _fast_length(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c that is at least ``n``."""
     best = 1 << (n - 1).bit_length()
@@ -237,27 +235,15 @@ def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-@lru_cache
-def _integration_kernel(
-    n: int, sample_rate: float, rotation_frequency: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The integration chain's zero-mean impulse response on an n-sample
-    turn, its spectrum at ``_fast_length(2n - 1)``, and the circular
-    correlation of the centred sample index with it; all three read-only."""
+def _integrate_twice(
+    x: np.ndarray, sample_rate: float, rotation_frequency: float
+) -> np.ndarray:
+    """High-pass at ``CUTOFF_ROTATION_FRACTION`` of the rotation frequency,
+    integrate, high-pass again and integrate again, along the last axis."""
     dt = 1.0 / sample_rate
     cutoff = CUTOFF_ROTATION_FRACTION * rotation_frequency
-    impulse = np.full(n, -1.0 / n)
-    impulse[0] += 1.0
-    velocity = _cumulative_trapezoid(highpass(impulse, sample_rate, cutoff), dt)
-    response = _cumulative_trapezoid(highpass(velocity, sample_rate, cutoff), dt)
-    # Both inputs of a convolution have zero mean, so the output has too,
-    # and a constant times the sum of a row cannot creep in through rounding.
-    response -= response.mean()
-    kernel = np.fft.rfft(response, _fast_length(2 * n - 1))
-    t = np.arange(n) - (n - 1) / 2.0
-    correlation = np.fft.irfft(np.fft.rfft(t) * np.conj(np.fft.rfft(response)), n)
-    response.flags.writeable = kernel.flags.writeable = correlation.flags.writeable = False
-    return response, kernel, correlation
+    velocity = _cumulative_trapezoid(highpass(x, sample_rate, cutoff), dt)
+    return _cumulative_trapezoid(highpass(velocity, sample_rate, cutoff), dt)
 
 
 def accel_to_displacement(
@@ -268,28 +254,14 @@ def accel_to_displacement(
 
     Pipeline: remove the per-turn mean, high-pass at 0.3x the rotation
     frequency, integrate, high-pass again, integrate again, subtract the
-    per-turn linear trend.  Output is in millimetres.  Any constant bias on
-    the input dies at the mean-removal stage, so the output stays bounded.
-
-    The chain up to the detrend is linear, and on the circular turn window
-    it commutes with shifts up to an added constant: each high-pass is a
-    circular filter, and a trapezoid of a zero-mean window, shifted
-    circularly, is the shifted trapezoid plus a constant.  The detrend
-    removes those constants.  So the chain runs once, on a unit impulse
-    (``_integration_kernel``), and every turn is one circular convolution
-    with that response, all rows in one FFT pass.  Each row's profile
-    depends on that row alone, bit for bit.
+    per-turn mean and linear trend.  Output is in millimetres.  Any constant
+    bias on the input dies at the mean-removal stage, so the output stays
+    bounded.  Each row's profile depends on that row alone, bit for bit.
     """
     x = np.asarray(channel, dtype=float)
     n = x.shape[-1]
-    kernel = _integration_kernel(n, sample_rate, rotation_frequency)[1]
-    m = _fast_length(2 * n - 1)
-    # The circular convolution is the linear one at a fast FFT length
-    # m >= 2n - 1 with its tail wrapped onto its head, so the cost does not
-    # depend on how n factors.
-    full = np.fft.irfft(np.fft.rfft(x - x.mean(axis=-1, keepdims=True), m) * kernel, m)
-    disp = full[..., :n].copy()
-    disp[..., : n - 1] += full[..., n : 2 * n - 1]
+    disp = _integrate_twice(x - x.mean(axis=-1, keepdims=True), sample_rate, rotation_frequency)
+    disp -= disp.mean(axis=-1, keepdims=True)
     disp -= _line_slope(disp)[..., None] * (np.arange(n) - (n - 1) / 2.0)
     disp *= 1e3
     return disp
@@ -302,17 +274,29 @@ def displacement_weights(
     ``w_j @ x == accel_to_displacement(x, ...)[j]`` for any n-sample turn
     ``x``, up to rounding.
 
-    ``accel_to_displacement`` is linear: ``1e3 * P_t C P_1 x``, where ``P_1``
-    removes the mean, ``C`` is the circular convolution with the impulse
-    response ``h`` and ``P_t`` the detrend against ``t``.  So
+    The chain up to the detrend is linear, and on the circular turn window
+    it commutes with shifts up to an added constant: each high-pass is a
+    circular filter, and a trapezoid of a zero-mean window, shifted
+    circularly, is the shifted trapezoid plus a constant.  The detrend
+    removes those constants.  So ``accel_to_displacement`` is
+    ``1e3 * P_t C P_1 x``, where ``P_1`` removes the mean, ``C`` is the
+    circular convolution with the chain's zero-mean impulse response ``h``
+    and ``P_t`` the detrend against ``t``, and
     ``w_j = 1e3 * P_1 (C^T e_j - (t_j / t.t) C^T t)``, where
     ``(C^T e_j)[i] = h[(j - i) mod n]`` and ``C^T t`` is the circular
-    correlation of ``t`` with ``h``, cached with ``h``.
+    correlation of ``t`` with ``h``.
     """
-    response, _, correlation = _integration_kernel(n, sample_rate, rotation_frequency)
-    columns = np.asarray(columns)
+    impulse = np.full(n, -1.0 / n)
+    impulse[0] += 1.0
+    response = _integrate_twice(impulse, sample_rate, rotation_frequency)
+    # Both inputs of a convolution have zero mean, so the output has too,
+    # and a constant times the sum of a row cannot creep in through rounding.
+    response -= response.mean()
     t = np.arange(n) - (n - 1) / 2.0
-    rows = response[(columns[:, None] - np.arange(n)) % n]
+    correlation = np.fft.irfft(np.fft.rfft(t) * np.conj(np.fft.rfft(response)), n)
+    columns = np.asarray(columns)
+    # window n - 1 - j of the reversed response tiled twice is h[(j - i) mod n]
+    rows = np.lib.stride_tricks.sliding_window_view(np.tile(response[::-1], 2), n)[n - 1 - columns]
     rows -= (t[columns] / (t @ t))[:, None] * correlation
     rows -= rows.mean(axis=-1, keepdims=True)
     rows *= 1e3

@@ -355,12 +355,24 @@ def test_integration_matches_stage_by_stage_chain(length):
         assert_rows_close(accel_to_displacement(x, FS, FS / length), expected)
 
 
-def test_integration_kernel_is_read_only():
-    # one cached response, spectrum and correlation serve every caller, so
-    # no caller may change them
-    response, kernel, correlation = dsp._integration_kernel(942, FS, FS / 942)
-    for array in (response, kernel, correlation):
-        assert not array.flags.writeable
+def test_every_integration_runs_the_chain(monkeypatch):
+    # no call reuses an earlier call's work: each one high-passes twice,
+    # so a profiler's count and time of highpass cover every pass
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return highpass(*args)
+
+    monkeypatch.setattr(dsp, "highpass", counting)
+    turn = turn_like(1, 942)[0]
+    for _ in range(2):
+        calls.clear()
+        accel_to_displacement(turn, FS, FS / 942)
+        assert len(calls) == 2
+    calls.clear()
+    displacement_weights(942, FS, FS / 942, np.array([0, 471]))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("length", [941, 942, 943])
@@ -368,12 +380,14 @@ def test_weights_read_the_profile_columns(length):
     # 941 is prime, 942 even, 943 odd; the turns sit at the centripetal
     # level, which the weights must cancel
     turns = turn_like(5, length)
-    columns = np.array([0, 1, 300, length // 2, length - 1])
-    weights = displacement_weights(length, FS, FS / length, columns)
-    assert weights.shape == (len(columns), length)
     profiles = accel_to_displacement(turns, FS, FS / length)
-    read = np.stack([np.einsum("ti,i->t", turns, w) for w in weights], axis=-1)
-    assert_rows_close(read, profiles[:, columns])
+    # sorted and distinct, then unsorted with a repeat
+    for columns in ([0, 1, 300, length // 2, length - 1], [length - 1, 7, 300, 0, 7]):
+        columns = np.array(columns)
+        weights = displacement_weights(length, FS, FS / length, columns)
+        assert weights.shape == (len(columns), length)
+        read = np.stack([np.einsum("ti,i->t", turns, w) for w in weights], axis=-1)
+        assert_rows_close(read, profiles[:, columns])
 
 
 @pytest.mark.parametrize("length", [471, 941, 942, 943, 1000])

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tiresense import SensorSpec, derive_geometry, dsp, simulate
+from tiresense import SensorSpec, derive_geometry, simulate
 from tiresense.dsp import (
     _line_slope,
     accel_to_displacement,
@@ -322,18 +322,6 @@ def test_one_ok_turn_dips_at_its_own_maximum():
     lateral = accel_to_displacement(turn[:, 1], fs, fs / length)
     expected = np.abs(lateral[leading : 2 * trailing - leading]).max()
     assert rows[keep].peak_lateral_displacement == pytest.approx(expected, rel=1e-12, abs=0.0)
-
-
-def test_a_trace_builds_one_integration_kernel():
-    # both channels' mean rows and weight rows share one kernel, and another
-    # trace of the same turn length builds none
-    dsp._integration_kernel.cache_clear()
-    trace, _ = simulate(scenario(slip_angle=2.0), QUIET, 6)
-    for _ in range(2):
-        extract_features(trace, 20.0, 0.3, include_lateral=True)
-    info = dsp._integration_kernel.cache_info()
-    # per trace: a mean row and a weights call for each channel
-    assert (info.misses, info.hits) == (1, 7)
 
 
 def test_lateral_features_batch_matches_reference():

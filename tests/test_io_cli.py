@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiresense
-from tiresense import SchemaError, SensorSpec, TireSenseError, dsp, simulate
+from tiresense import SchemaError, SensorSpec, TireSenseError, simulate
 from tiresense.cli import main
 from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, fit_slip_model
 from tiresense.features import FEATURE_FIELDS
@@ -395,13 +395,6 @@ def test_cli_simulate_deterministic(workspace, tmp_path):
                "--turns", 3, "--out", out_b, "--seed", 7) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-
-def test_a_command_keeps_no_integration_kernel(workspace, tmp_path):
-    # each command builds its kernels afresh, as one run from a shell does
-    assert cli("calibrate-slip", "--traces", workspace / "slip",
-               "--out", tmp_path / "sm.json") == 0
-    assert dsp._integration_kernel.cache_info().currsize == 0
 
 
 def test_cli_full_workflow(workspace, tmp_path):
