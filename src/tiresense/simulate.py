@@ -44,6 +44,10 @@ MIN_SAMPLES_PER_TURN = 20
 # acceleration, and small enough that a trace's sum of squares stays finite.
 MAX_ABS_SAMPLE = 1e100
 
+# Samples simulate computes at a time: 128 KB per block-length temporary,
+# small enough to stay in cache.
+BLOCK_SAMPLES = 2**14
+
 # Elements in the largest float64 array numpy can size; more raise ValueError.
 _MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
@@ -217,31 +221,37 @@ def simulate(
     n = truth.n_samples(fs)
     dt = 1.0 / fs
 
-    # Positions at (i - 1) * dt for i in 0..n+1, so the second central
-    # difference lands acceleration samples exactly on t = i * dt.  Each
-    # full-length array is dropped once read, and each difference takes one
-    # new array, so the peak stays near three times the samples returned.
-    t_pos = (np.arange(n + 2) - 1.0) * dt
-    x, y, z, sin_psi, cos_psi = _liner_positions(t_pos, scenario, geom, omega, release_angle)
-    del t_pos
-    ay = _second_difference(y, fs)
-    del y
-    ax = _second_difference(x, fs)
-    del x
-    az = _second_difference(z, fs)
-    del z
+    # The samples are filled in blocks of BLOCK_SAMPLES rows, so every
+    # temporary is block-sized and a trace needs little more memory than its
+    # own samples.  A block reads the positions at (i - 1) * dt for its
+    # samples i plus one on each side, so the second central difference lands
+    # acceleration samples exactly on t = i * dt.  Every sample is the same
+    # elementwise expression whatever the block size, and the noise rows are
+    # drawn in sample order, so the bytes do not depend on the block size.
     samples = np.empty((n, 3))  # columns tangential, lateral, radial
-    samples[:, 1] = ay
-    del ay
-    sin_psi, cos_psi = sin_psi[1:-1], cos_psi[1:-1]
-    samples[:, 2] = -ax * sin_psi + az * cos_psi
-    samples[:, 0] = ax * cos_psi + az * sin_psi
-    del ax, az, sin_psi, cos_psi
-
     rng = np.random.default_rng(sensor.seed)
-    if sensor.noise_std > 0.0:
-        samples += rng.normal(0.0, sensor.noise_std, samples.shape)
-    samples += np.asarray(sensor.dc_bias, dtype=float)
+    bias = np.asarray(sensor.dc_bias, dtype=float)
+    for lo in range(0, n, BLOCK_SAMPLES):
+        block = samples[lo:lo + BLOCK_SAMPLES]
+        t_pos = (np.arange(lo, lo + len(block) + 2) - 1.0) * dt
+        x, y, z, sin_psi, cos_psi = _liner_positions(
+            t_pos, scenario, geom, omega, release_angle)
+        del t_pos
+        ay = _second_difference(y, fs)
+        del y
+        ax = _second_difference(x, fs)
+        del x
+        az = _second_difference(z, fs)
+        del z
+        block[:, 1] = ay
+        del ay
+        sin_psi, cos_psi = sin_psi[1:-1], cos_psi[1:-1]
+        block[:, 2] = -ax * sin_psi + az * cos_psi
+        block[:, 0] = ax * cos_psi + az * sin_psi
+        del ax, az, sin_psi, cos_psi
+        if sensor.noise_std > 0.0:
+            block += rng.normal(0.0, sensor.noise_std, block.shape)
+        block += bias
 
     try:
         return AccelTrace(sample_rate=fs, samples=samples), truth
