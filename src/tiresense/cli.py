@@ -133,56 +133,58 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _feature_tables(traces_dir: Path, include_lateral: bool):
-    """(scenario, feature table) for each file in ``traces_dir`` but the .json sidecars."""
-    paths = sorted(p for p in Path(traces_dir).iterdir() if p.is_file() and p.suffix != ".json")
-    if not paths:
-        raise SchemaError(f"{traces_dir}: no trace files found")
+def _feature_tables(paths, include_lateral: bool):
+    """The ground truth, scenario and feature table of each trace in ``paths``.
+    Each trace lives until the next is read, so the heap is not trimmed in between."""
     for path in paths:
-        trace, truth, scenario, sensor = read_trace(path)
+        trace, truth, scenario, _ = read_trace(path)
         table, _ = extract_features(
             trace,
             wheel_speed=scenario.vehicle_speed,
             radius_hint=scenario.unloaded_radius,
             include_lateral=include_lateral,
         )
-        yield scenario, table
+        yield truth, scenario, table
+
+
+def _calibration_samples(traces_dir: Path, include_lateral: bool, columns) -> np.ndarray:
+    """The rows ``columns(scenario, turns)`` of the turns with a patch, over
+    every file in ``traces_dir`` but the .json sidecars."""
+    paths = sorted(p for p in Path(traces_dir).iterdir() if p.is_file() and p.suffix != ".json")
+    if not paths:
+        raise SchemaError(f"{traces_dir}: no trace files found")
+    blocks = []
+    for _, scenario, table in _feature_tables(paths, include_lateral):
+        turns = table[np.isfinite(table.patch_length)]
+        blocks.append(np.column_stack(np.broadcast_arrays(*columns(scenario, turns))))
+    return np.concatenate(blocks)
 
 
 def _cmd_calibrate_load(args) -> int:
-    blocks = []
-    for scenario, table in _feature_tables(args.traces, include_lateral=False):
-        kept = table[np.isfinite(table.peak_radial_displacement)]
-        blocks.append(np.column_stack(np.broadcast_arrays(
-            scenario.vertical_load, scenario.inflation_pressure,
-            kept.peak_radial_displacement,
-        )))
-    write_load_model(args.out, fit_load_surface(np.concatenate(blocks)))
+    samples = _calibration_samples(args.traces, False, lambda scenario, turns: (
+        scenario.vertical_load, scenario.inflation_pressure, turns.peak_radial_displacement
+    ))
+    write_load_model(args.out, fit_load_surface(samples))
     return 0
 
 
 def _cmd_calibrate_slip(args) -> int:
-    blocks = []
-    for scenario, table in _feature_tables(args.traces, include_lateral=True):
-        kept = table[np.isfinite(table.peak_lateral_displacement)]
-        blocks.append(np.column_stack(np.broadcast_arrays(
-            kept.peak_lateral_displacement, kept.lateral_slope, scenario.slip_angle
-        )))
-    write_slip_model(args.out, fit_slip_model(np.concatenate(blocks)))
+    samples = _calibration_samples(args.traces, True, lambda scenario, turns: (
+        turns.peak_lateral_displacement, turns.lateral_slope, scenario.slip_angle
+    ))
+    write_slip_model(args.out, fit_slip_model(samples))
     return 0
 
 
 def _cmd_estimate(args) -> int:
-    trace, truth, scenario, sensor = read_trace(args.trace)
+    [(truth, scenario, table)] = _feature_tables([args.trace], args.slip_model is not None)
+    if len(table) != truth.n_turns:
+        raise SchemaError(
+            f"{args.trace}: found {len(table)} of the sidecar's {truth.n_turns} turns"
+        )
     surface = read_load_model(args.load_model)
     slip_model = read_slip_model(args.slip_model) if args.slip_model else None
 
-    table, _ = extract_features(
-        trace,
-        wheel_speed=scenario.vehicle_speed,
-        radius_hint=scenario.unloaded_radius,
-        include_lateral=slip_model is not None,
-    )
     result = estimate_load_stream(
         surface, table.peak_radial_displacement, scenario.inflation_pressure,
         forgetting=args.forgetting, initial_covariance=args.p0,
@@ -263,11 +265,7 @@ def _cmd_sweep(args) -> int:
         # one-at-a-time sweep curves in long format (figure analogues)
         rows = []
         for factor, curve in report.curves.items():
-            for x, length, peak in zip(
-                curve["value"],
-                curve["contact_patch_length"],
-                curve["peak_radial_displacement"],
-            ):
+            for x, peak, length in curve.tolist():
                 rows.append((f"patch_length_vs_{factor}", x, length))
                 rows.append((f"peak_radial_vs_{factor}", x, peak))
         write_plot_data(args.plot_data, rows)

@@ -30,22 +30,32 @@ DEFAULT_INITIAL_COVARIANCE = 1e6
 # Fraction of the trained slip span allowed as extrapolation when predicting.
 SLIP_CLAMP_MARGIN = 0.2
 
-SWEEP_FACTORS = ("load", "pressure", "tread")
+# Each swept factor and the TireScenario field it sets.
+SWEEP_FACTORS = {"load": "vertical_load", "pressure": "inflation_pressure", "tread": "tread_depth"}
 # Unloaded radius of the swept tire; fields other than the factors keep their defaults.
 SWEEP_RADIUS = 0.3
+# The features of the sweep, in the order of their columns after the value.
 SWEEP_FEATURES = ("peak_radial_displacement", "contact_patch_length")
 
 
-def _solve_least_squares(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Ordinary least squares with an explicit rank check; fewer rows than
-    columns (no row at all, say) cannot reach full rank."""
-    singular = np.linalg.svd(design, compute_uv=False)
+def _fit(samples, columns: tuple[str, ...], basis, target: int = -1):
+    """Least-squares fit of sample column ``target`` on the design columns that
+    ``basis`` makes of the sample columns; ``columns`` names each row's values.
+    Returns the sample columns, the coefficients in design-column order and
+    the residual RMS.  A design that cannot identify every coefficient (fewer
+    rows than coefficients, say) raises RankDeficiencyError."""
+    data = np.asarray(samples, dtype=float)
+    if data.ndim != 2 or data.shape[1] != len(columns):
+        raise InvalidArgumentError(f"samples must be rows of ({', '.join(columns)})")
+    values = data.T
+    design = np.column_stack(basis(*values))
+    coefficients, _, _, singular = np.linalg.lstsq(design, values[target], rcond=None)
     if len(singular) < design.shape[1] or singular[-1] <= RANK_TOLERANCE * singular[0]:
         raise RankDeficiencyError(
             "design matrix is rank deficient; samples do not span the basis"
         )
-    coefficients, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return coefficients
+    residual = values[target] - design @ coefficients
+    return values, coefficients.tolist(), float(np.sqrt(np.mean(residual**2)))
 
 
 @dataclass(frozen=True)
@@ -87,22 +97,15 @@ def fit_load_surface(
         When the rows cannot identify all five coefficients, e.g. fewer
         than five samples or a single pressure level.
     """
-    data = np.asarray(samples, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise InvalidArgumentError("samples must be rows of (load, pressure, peak)")
-    load, pressure, peak = data.T
-    design = np.column_stack(
-        [np.ones_like(load), load, pressure, load * pressure, pressure**2]
+    (load, pressure, _), coeff, rms = _fit(
+        samples, ("load", "pressure", "peak"),
+        lambda load, pressure, _: (
+            np.ones_like(load), load, pressure, load * pressure, pressure**2
+        ),
     )
-    coeff = _solve_least_squares(design, peak)
-    residual = peak - design @ coeff
     return LoadSurfaceModel(
-        p00=float(coeff[0]),
-        p10=float(coeff[1]),
-        p01=float(coeff[2]),
-        p11=float(coeff[3]),
-        p02=float(coeff[4]),
-        fit_residual_rms=float(np.sqrt(np.mean(residual**2))),
+        *coeff,
+        fit_residual_rms=rms,
         load_range=(float(load.min()), float(load.max())),
         pressure_range=(float(pressure.min()), float(pressure.max())),
     )
@@ -218,18 +221,12 @@ class PatchLoadModel:
 
 def fit_patch_load_model(samples: list[tuple[float, float]]) -> PatchLoadModel:
     """Fit load ~ q0 + q1 * patch_length to (load_lbf, patch_length_m) rows."""
-    data = np.asarray(samples, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise InvalidArgumentError("samples must be rows of (load, patch_length)")
-    load, length = data.T
-    design = np.column_stack([np.ones_like(length), length])
-    coeff = _solve_least_squares(design, load)
-    residual = load - design @ coeff
-    return PatchLoadModel(
-        q0=float(coeff[0]),
-        q1=float(coeff[1]),
-        fit_residual_rms=float(np.sqrt(np.mean(residual**2))),
+    _, coeff, rms = _fit(
+        samples, ("load", "patch_length"),
+        lambda _, length: (np.ones_like(length), length),
+        target=0,
     )
+    return PatchLoadModel(*coeff, fit_residual_rms=rms)
 
 
 @dataclass(frozen=True)
@@ -248,18 +245,13 @@ def fit_slip_model(samples: list[tuple[float, float, float]]) -> SlipModel:
 
     ``samples`` rows are (peak_lateral_mm, lateral_slope, true_slip_deg).
     """
-    data = np.asarray(samples, dtype=float)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise InvalidArgumentError("samples must be rows of (peak, slope, slip)")
-    peak, slope, slip = data.T
-    design = np.column_stack([np.ones_like(peak), peak, slope])
-    coeff = _solve_least_squares(design, slip)
-    residual = slip - design @ coeff
+    (_, _, slip), coeff, rms = _fit(
+        samples, ("peak", "slope", "slip"),
+        lambda peak, slope, _: (np.ones_like(peak), peak, slope),
+    )
     return SlipModel(
-        beta0=float(coeff[0]),
-        beta1=float(coeff[1]),
-        beta2=float(coeff[2]),
-        fit_residual_rms=float(np.sqrt(np.mean(residual**2))),
+        *coeff,
+        fit_residual_rms=rms,
         slip_range=(float(slip.min()), float(slip.max())),
     )
 
@@ -277,7 +269,8 @@ def predict_slip(model: SlipModel, peak_lateral_mm, lateral_slope):
 class SensitivityReport:
     """Range share of each factor per feature, percentages summing to 100.
 
-    ``curves`` keeps every swept point: factor -> {"value": [...], feature: [...]}.
+    ``curves`` keeps every swept point: factor -> a ``(points, 3)`` array of
+    the factor's value, the peak radial displacement and the patch chord.
     """
 
     ranges: dict
@@ -285,14 +278,6 @@ class SensitivityReport:
     shares: dict
     spans: dict
     curves: dict
-
-
-def _sweep_feature_values(scenario: TireScenario) -> dict[str, float]:
-    geom = derive_geometry(scenario)
-    return {
-        "peak_radial_displacement": geom.deflection_mm,
-        "contact_patch_length": geom.patch_chord,
-    }
 
 
 def sensitivity_sweep(
@@ -307,43 +292,30 @@ def sensitivity_sweep(
     Features are evaluated on the contact-geometry model (the quantity each
     signal feature tracks), so the report is exact and deterministic.
     """
-    required = set(SWEEP_FACTORS)
-    if set(ranges) != required:
-        raise InvalidArgumentError(f"ranges must cover exactly {sorted(required)}")
+    if set(ranges) != set(SWEEP_FACTORS):
+        raise InvalidArgumentError(f"ranges must cover exactly {sorted(SWEEP_FACTORS)}")
     center = {factor: 0.5 * (lo + hi) for factor, (lo, hi) in ranges.items()}
 
-    def scenario_at(values: dict[str, float]) -> TireScenario:
-        return TireScenario(
-            unloaded_radius=SWEEP_RADIUS,
-            vertical_load=values["load"],
-            inflation_pressure=values["pressure"],
-            tread_depth=values["tread"],
-        )
-
-    spans: dict[str, dict[str, float]] = {f: {} for f in SWEEP_FEATURES}
-    curves: dict[str, dict[str, list[float]]] = {}
+    curves: dict[str, np.ndarray] = {}
     for factor, (lo, hi) in ranges.items():
-        values = dict(center)
-        swept = {"value": [], **{feature: [] for feature in SWEEP_FEATURES}}
-        for value in np.linspace(lo, hi, points):
-            values[factor] = float(value)
-            swept["value"].append(values[factor])
-            for feature, y in _sweep_feature_values(scenario_at(values)).items():
-                swept[feature].append(y)
-        for feature in SWEEP_FEATURES:
-            spans[feature][factor] = float(max(swept[feature]) - min(swept[feature]))
-        curves[factor] = swept
+        rows, fields = [], {SWEEP_FACTORS[f]: c for f, c in center.items()}
+        for value in np.linspace(lo, hi, points).tolist():
+            fields[SWEEP_FACTORS[factor]] = value
+            geom = derive_geometry(TireScenario(unloaded_radius=SWEEP_RADIUS, **fields))
+            rows.append((value, geom.deflection_mm, geom.patch_chord))
+        curves[factor] = np.array(rows)
 
+    spans = {
+        feature: {factor: float(np.ptp(curve[:, column])) for factor, curve in curves.items()}
+        for column, feature in enumerate(SWEEP_FEATURES, start=1)
+    }
     shares: dict[str, dict[str, float]] = {}
-    for feature in SWEEP_FEATURES:
-        total = sum(spans[feature].values())
-        if total > 0.0:
-            shares[feature] = {
-                factor: 100.0 * spans[feature][factor] / total
-                for factor in SWEEP_FACTORS
-            }
-        else:
-            shares[feature] = {factor: 0.0 for factor in SWEEP_FACTORS}
+    for feature, span in spans.items():
+        total = sum(span.values())  # in the order of ``ranges``
+        shares[feature] = {
+            factor: 100.0 * span[factor] / total if total > 0.0 else 0.0
+            for factor in SWEEP_FACTORS
+        }
     return SensitivityReport(
         ranges={k: (float(v[0]), float(v[1])) for k, v in ranges.items()},
         center=center,

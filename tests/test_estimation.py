@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiresense import DenominatorError, RankDeficiencyError, SensorSpec, simulate
+from tiresense import (
+    DenominatorError,
+    InvalidArgumentError,
+    RankDeficiencyError,
+    SensorSpec,
+    TireScenario,
+    simulate,
+)
 from tiresense.estimation import (
     LoadSurfaceModel,
     SlipModel,
@@ -18,6 +25,7 @@ from tiresense.estimation import (
     sensitivity_sweep,
 )
 from tiresense.features import extract_features
+from tiresense.geometry import derive_geometry
 
 from conftest import scenario
 
@@ -72,6 +80,51 @@ def test_single_pressure_is_rank_deficient():
     samples = [(load, 32.0, 0.03 * load) for load in (800.0, 1000.0, 1200.0, 1400.0)]
     with pytest.raises(RankDeficiencyError):
         fit_load_surface(samples)
+
+
+def lstsq_fit(design_columns, target):
+    """The coefficients and residual RMS of ``np.linalg.lstsq`` on a design."""
+    design = np.column_stack(design_columns)
+    coefficients = np.linalg.lstsq(design, target, rcond=None)[0]
+    residual = target - design @ coefficients
+    return [*coefficients.tolist(), float(np.sqrt(np.mean(residual**2)))]
+
+
+def test_fits_return_the_lstsq_solution_of_their_design():
+    rng = np.random.default_rng(17)
+    load, pressure = rng.uniform(800, 1500, 25), rng.uniform(29, 35, 25)
+    peak, length = rng.uniform(10, 30, 25), rng.uniform(0.15, 0.3, 25)
+    slope, slip = rng.uniform(-0.1, 0.1, 25), rng.uniform(-6, 6, 25)
+    ones = np.ones(25)
+
+    surface = fit_load_surface(np.column_stack([load, pressure, peak]))
+    assert [surface.p00, surface.p10, surface.p01, surface.p11, surface.p02,
+            surface.fit_residual_rms] == lstsq_fit(
+        [ones, load, pressure, load * pressure, pressure**2], peak)
+    assert surface.load_range == (load.min(), load.max())
+    assert surface.pressure_range == (pressure.min(), pressure.max())
+
+    patch = fit_patch_load_model(np.column_stack([load, length]))
+    assert [patch.q0, patch.q1, patch.fit_residual_rms] == lstsq_fit([ones, length], load)
+
+    slip_model = fit_slip_model(np.column_stack([peak, slope, slip]))
+    assert [slip_model.beta0, slip_model.beta1, slip_model.beta2,
+            slip_model.fit_residual_rms] == lstsq_fit([ones, peak, slope], slip)
+    assert slip_model.slip_range == (slip.min(), slip.max())
+
+
+FITS = [(fit_load_surface, "load, pressure, peak"), (fit_patch_load_model, "load, patch_length"),
+        (fit_slip_model, "peak, slope, slip")]
+
+
+@pytest.mark.parametrize("fit, columns", FITS, ids=[fit.__name__ for fit, _ in FITS])
+def test_fits_reject_too_few_rows_and_name_their_columns(fit, columns):
+    width = len(columns.split(", "))
+    for rows in (np.empty((0, width)), np.arange(1.0, width + 1.0)[None]):
+        with pytest.raises(RankDeficiencyError):
+            fit(rows)
+    with pytest.raises(InvalidArgumentError, match=rf"^samples must be rows of \({columns}\)$"):
+        fit(np.ones((10, width + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +370,58 @@ def test_slip_prediction_equivariant_under_feature_scaling(scale):
 
 # ---------------------------------------------------------------------------
 # sensitivity sweep
+
+def reference_sweep(ranges, points):
+    """The sweep as a loop over dicts of lists: (shares, spans, curves)."""
+    features = ("peak_radial_displacement", "contact_patch_length")
+    center = {factor: 0.5 * (lo + hi) for factor, (lo, hi) in ranges.items()}
+    spans = {f: {} for f in features}
+    curves = {}
+    for factor, (lo, hi) in ranges.items():
+        values = dict(center)
+        swept = {"value": [], **{feature: [] for feature in features}}
+        for value in np.linspace(lo, hi, points):
+            values[factor] = float(value)
+            swept["value"].append(values[factor])
+            geom = derive_geometry(TireScenario(
+                unloaded_radius=0.3, vertical_load=values["load"],
+                inflation_pressure=values["pressure"], tread_depth=values["tread"]))
+            swept["peak_radial_displacement"].append(geom.deflection_mm)
+            swept["contact_patch_length"].append(geom.patch_chord)
+        for feature in features:
+            spans[feature][factor] = float(max(swept[feature]) - min(swept[feature]))
+        curves[factor] = swept
+    shares = {}
+    for feature in features:
+        total = sum(spans[feature].values())
+        if total > 0.0:
+            shares[feature] = {
+                factor: 100.0 * spans[feature][factor] / total
+                for factor in ("load", "pressure", "tread")
+            }
+        else:
+            shares[feature] = {factor: 0.0 for factor in ("load", "pressure", "tread")}
+    return shares, spans, curves
+
+
+@pytest.mark.parametrize("ranges, points", [
+    (TABLE_RANGES, 5),
+    ({**TABLE_RANGES, "tread": (5.0, 5.0)}, 4),
+    # Over these wide ranges the three patch spans sum to another last bit
+    # in this key order than in the order load, pressure, tread.
+    ({"tread": (0.0, 8.0), "load": (100.0, 2000.0), "pressure": (20.0, 40.0)}, 5),
+], ids=["criterion-4", "collapsed-tread", "tread-load-pressure"])
+def test_sweep_matches_reference_bit_for_bit(ranges, points):
+    shares, spans, curves = reference_sweep(ranges, points)
+    report = sensitivity_sweep(ranges, points)
+    assert report.shares == shares and report.spans == spans
+    assert [list(span) for span in report.spans.values()] == [list(ranges)] * 2
+    assert list(report.curves) == list(curves)
+    for factor, curve in curves.items():
+        expected = np.column_stack(
+            [curve["value"], curve["peak_radial_displacement"], curve["contact_patch_length"]])
+        assert report.curves[factor].tobytes() == expected.tobytes()
+
 
 def test_sensitivity_shares_sum_to_100():
     report = sensitivity_sweep(TABLE_RANGES)

@@ -18,7 +18,8 @@ import tiresense
 from tiresense import SchemaError, SensorSpec, TireSenseError, simulate
 from tiresense.cli import main
 from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, fit_slip_model
-from tiresense.features import FEATURE_FIELDS
+from tiresense.features import FEATURE_FIELDS, extract_features
+from tiresense.geometry import derive_geometry
 from tiresense.io import (
     SIDECAR_SCHEMA,
     TRACE_SCHEMA,
@@ -536,7 +537,19 @@ def test_cli_sweep(tmp_path):
     assert table["schema_version"] == "tiresense.sensitivity.v1"
     shares = table["shares"]["peak_radial_displacement"]
     assert shares["load"] >= 80.0
-    assert plot.read_text().splitlines()[1] == "series,x,y"
+    lines = plot.read_text().splitlines()
+    assert lines[1] == "series,x,y"
+    # per swept point of each factor in turn: the patch row, then the peak row
+    expected = []
+    for factor, (lo, hi) in (("load", (800, 1500)), ("pressure", (29, 35)), ("tread", (2, 8))):
+        for value in np.linspace(lo, hi, 5).tolist():
+            fields = {"load": 1150.0, "pressure": 32.0, "tread": 5.0, factor: value}
+            geom = derive_geometry(scenario(vertical_load=fields["load"],
+                                            inflation_pressure=fields["pressure"],
+                                            tread_depth=fields["tread"]))
+            expected += [f"patch_length_vs_{factor},{value:.12g},{geom.patch_chord:.12g}",
+                         f"peak_radial_vs_{factor},{value:.12g},{geom.deflection_mm:.12g}"]
+    assert lines[2:] == expected
 
 
 def test_cli_simulate_plot_integration(workspace, tmp_path):
@@ -679,6 +692,15 @@ def _every_turn_skipped(root, command):
     return [command, "--traces", root / "dead", "--out", root / "out"]
 
 
+def _turns_short_of_sidecar(root):
+    # At 5 m/s and 500 Hz, with noise 100, segmentation finds 19 of the 20
+    # turns of this seed; an estimate of 19 rows would not line up with the
+    # sidecar's truth.
+    write_trace_files(root / "short.npy", scenario(slip_angle=3.0, vehicle_speed=5.0),
+                      SensorSpec(sample_rate=500.0, noise_std=100.0, seed=4), 20)
+    return _estimate(root, "short.npy")
+
+
 # Damaged traces read_trace must reject with a one-line SchemaError; each
 # edit maps the clean trace's bytes and samples to the damaged file's bytes.
 _DAMAGED_TRACES = {
@@ -817,6 +839,7 @@ _LINE_NAMES = {
     "simulate-bias-1e308": f"{os.sep}scenario.json: sensor noise or bias",
     "load-model-v1": "; refit with calibrate-load",
     "load-model-v2": "; refit with calibrate-load",
+    "turns-short-of-sidecar": f"{os.sep}short.npy: found 19 of the sidecar's 20 turns",
 }
 
 
@@ -857,6 +880,7 @@ _LINE_NAMES = {
                      id="calibrate-load-every-turn-skipped"),
         pytest.param(lambda root: _every_turn_skipped(root, "calibrate-slip"),
                      id="calibrate-slip-every-turn-skipped"),
+        pytest.param(_turns_short_of_sidecar, id="turns-short-of-sidecar"),
         pytest.param(_non_utf8_estimates, id="estimates-non-utf8"),
         pytest.param(_non_utf8_load_model, id="load-model-non-utf8"),
         pytest.param(lambda root: _estimates_field(root, 1, "nan"), id="estimates-nan-load"),
@@ -992,6 +1016,36 @@ def test_calibrate_takes_every_file_but_the_sidecars(workspace, tmp_path, capsys
         assert cli(command, "--traces", empty, "--out", tmp_path / "out.json") == 1
         assert capsys.readouterr().err == f"error: {empty}: no trace files found\n"
     assert not (tmp_path / "out.json").exists()
+
+
+def test_calibrate_skips_a_trace_with_every_turn_skipped(workspace, tmp_path):
+    # Beside live traces, a trace with no patch anywhere adds no row: the
+    # model is the fit over the finite rows of every trace, stacked by hand.
+    for command, source, lateral, fit, write, columns in (
+        ("calibrate-load", "calib", False, fit_load_surface, write_load_model,
+         lambda scen, turn: (scen.vertical_load, scen.inflation_pressure,
+                             turn.peak_radial_displacement)),
+        ("calibrate-slip", "slip", True, fit_slip_model, write_slip_model,
+         lambda scen, turn: (turn.peak_lateral_displacement, turn.lateral_slope,
+                             scen.slip_angle)),
+    ):
+        traces = tmp_path / source
+        traces.mkdir()
+        rows = []
+        for path in sorted((workspace / source).glob("*.csv")):
+            for name in (path, path.with_suffix(".json")):
+                (traces / name.name).write_bytes(name.read_bytes())
+            trace, truth, scen, sensor = read_trace(path)
+            table, _ = extract_features(trace, scen.vehicle_speed, scen.unloaded_radius,
+                                        include_lateral=lateral)
+            rows += [columns(scen, turn) for turn in table if np.isfinite(turn.patch_length)]
+        samples = trace.samples.copy()
+        samples[:, 0] = 0.0
+        write_trace(traces / "dead.npy", AccelTrace(trace.sample_rate, samples),
+                    truth, scen, sensor)
+        assert cli(command, "--traces", traces, "--out", tmp_path / "model.json") == 0
+        write(tmp_path / "by_hand.json", fit(rows))
+        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "by_hand.json").read_bytes()
 
 
 def test_v1_and_v2_load_models_are_refit(bad_inputs):
