@@ -285,12 +285,13 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # A finite but huge input can overflow deep in the arithmetic, or ask
-        # for an array no allocator grants; either ends the command with one
-        # line instead of a stack of warnings or a traceback.
+        # A finite but huge input can overflow deep in numpy's or Python's
+        # float arithmetic, or ask for an array no allocator grants; each
+        # ends the command with one line instead of a stack of warnings or a
+        # traceback.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _COMMANDS[args.command](args)
-    except (TireSenseError, FloatingPointError, MemoryError) as exc:
+    except (TireSenseError, FloatingPointError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

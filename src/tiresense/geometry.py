@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GeometryError
-from .scenario import FULL_TREAD_MM, TireScenario
+from .scenario import FULL_TREAD_MM, WEAR_RADIUS_GAIN, TireScenario
 from .units import LBF_TO_N, MM_TO_M
 
 
@@ -50,7 +50,7 @@ def derive_geometry(scenario: TireScenario) -> TireGeometry:
         effective radius, leaving no meaningful patch geometry.
     """
     worn_mm = FULL_TREAD_MM - scenario.tread_depth
-    r_eff = scenario.unloaded_radius - scenario.wear_radius_gain * worn_mm * MM_TO_M
+    r_eff = scenario.unloaded_radius - WEAR_RADIUS_GAIN * worn_mm * MM_TO_M
     if r_eff <= 0:
         raise GeometryError(
             f"effective radius {r_eff:.4f} m is not positive at "

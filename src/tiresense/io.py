@@ -30,7 +30,7 @@ from .scenario import SensorSpec, TireScenario
 from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace, GroundTruth, ground_truth
 
 TRACE_SCHEMA = "tiresense.trace.v3"
-SIDECAR_SCHEMA = "tiresense.sidecar.v2"
+SIDECAR_SCHEMA = "tiresense.sidecar.v3"
 LOAD_MODEL_SCHEMA = "tiresense.load-model.v3"
 SLIP_MODEL_SCHEMA = "tiresense.slip-model.v1"
 ESTIMATES_SCHEMA = "tiresense.estimates.v1"
@@ -39,6 +39,10 @@ SENSITIVITY_SCHEMA = "tiresense.sensitivity.v1"
 PLOT_SCHEMA = "tiresense.plot.v1"
 FEATURES_SCHEMA = "tiresense.features.v1"
 _ESTIMATES_HEADER = "turn,load_lbf,slip_deg,valid"
+
+# Most points a sweep ranges file may ask for per factor: far more than a
+# figure's curve needs, and the sweep stays well under a second.
+MAX_SWEEP_POINTS = 1000
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -65,13 +69,11 @@ def _field_types(cls) -> dict:
 
 def _decode(hint, value):
     """``value`` as the field annotation ``hint`` allows it, or ValueError."""
-    args = get_args(hint)
-    if type(None) in args:  # X | None
-        return None if value is None else _decode(args[0], value)
     if hint is int and type(value) is int or (  # true and false are not numbers
         hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max
     ):
         return value
+    args = get_args(hint)
     if get_origin(hint) is tuple and isinstance(value, list) and len(value) == len(args):
         items = tuple(map(_decode, args, value))
         if len(items) != 2 or items[0] <= items[1]:
@@ -81,8 +83,6 @@ def _decode(hint, value):
 
 def _describe(hint) -> str:
     args = get_args(hint)
-    if type(None) in args:
-        return _describe(args[0]) + " or null"
     if get_origin(hint) is tuple:
         if len(args) == 2:
             return "a [lo, hi] range with lo <= hi"
@@ -197,7 +197,8 @@ def sidecar_path(trace_path: Path) -> Path:
 
 def read_sidecar(path: Path) -> tuple[TireScenario, SensorSpec, int]:
     """Read and validate a trace's JSON sidecar: scenario, sensor, turn count."""
-    sidecar = _read_record(path, SIDECAR_SCHEMA, _Sidecar)
+    # A v2 scenario may hold other simulator constants than today's.
+    sidecar = _read_record(path, SIDECAR_SCHEMA, _Sidecar, "; regenerate it with simulate")
     derive_geometry(sidecar.scenario)  # a scenario no tire can have is no truth
     return sidecar.scenario, sidecar.sensor, sidecar.n_turns
 
@@ -330,8 +331,8 @@ def read_ranges(path: Path) -> tuple[dict, int]:
     """Read a sweep ranges file: factor -> [lo, hi] plus optional points."""
     payload = _read_object(path)
     points = _field(path, "points", int, payload.pop("points", 7))
-    if points < 2:
-        raise SchemaError(f"{path}: points must be at least 2")
+    if not 2 <= points <= MAX_SWEEP_POINTS:
+        raise SchemaError(f"{path}: points must lie in [2, {MAX_SWEEP_POINTS}]")
     ranges = {
         factor: tuple(map(float, _field(path, factor, tuple[float, float], bounds)))
         for factor, bounds in payload.items()

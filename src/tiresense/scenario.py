@@ -8,7 +8,6 @@ physically meaningful configuration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ScenarioError
@@ -19,12 +18,12 @@ MAX_SLIP_DEG = 10.0
 # Simulator constants, tuned so the synthetic signals reproduce the measured
 # parametric behaviour (load/pressure/tread sensitivities) at desk scale.
 # Vertical stiffness is c0 + c1 * pressure, about 200 N/mm at 32 psi, which
-# is typical for a passenger tire.  wear_radius_gain couples tread loss to
+# is typical for a passenger tire.  WEAR_RADIUS_GAIN couples tread loss to
 # effective-radius loss; it folds in carcass-level effects beyond the bare
 # rubber thickness, which is why it is larger than 1.
-DEFAULT_STIFFNESS_C0 = 120.0    # N/mm at zero pressure
-DEFAULT_STIFFNESS_C1 = 2.5      # N/mm per psi
-DEFAULT_WEAR_RADIUS_GAIN = 5.3  # mm of radius loss per mm of tread loss
+STIFFNESS_C0 = 120.0    # N/mm at zero pressure
+STIFFNESS_C1 = 2.5      # N/mm per psi
+WEAR_RADIUS_GAIN = 5.3  # mm of radius loss per mm of tread loss
 
 
 @dataclass(frozen=True)
@@ -33,9 +32,7 @@ class TireScenario:
 
     Units follow test-report conventions: load in pounds-force, inflation
     pressure in psi, tread depth in millimetres, radius in metres, speed in
-    metres per second, slip angle in degrees.  ``release_angle`` (radians)
-    is the angular window over which the lateral deflection relaxes back to
-    zero after the patch exit; ``None`` means one contact half-angle.
+    metres per second, slip angle in degrees.
     """
 
     unloaded_radius: float
@@ -44,10 +41,6 @@ class TireScenario:
     inflation_pressure: float
     slip_angle: float = 0.0
     vehicle_speed: float = 20.0
-    stiffness_c0: float = DEFAULT_STIFFNESS_C0
-    stiffness_c1: float = DEFAULT_STIFFNESS_C1
-    wear_radius_gain: float = DEFAULT_WEAR_RADIUS_GAIN
-    release_angle: float | None = None
 
     def __post_init__(self) -> None:
         if not self.unloaded_radius > 0:
@@ -69,18 +62,11 @@ class TireScenario:
             raise ScenarioError(
                 f"|slip_angle| must be <= {MAX_SLIP_DEG} deg, got {self.slip_angle}"
             )
-        if self.wear_radius_gain < 0:
-            raise ScenarioError("wear_radius_gain must be non-negative")
-        stiffness = self.stiffness_c0 + self.stiffness_c1 * self.inflation_pressure
-        if not stiffness > 0:
-            raise ScenarioError("vertical stiffness must be positive at this pressure")
-        if self.release_angle is not None and not 0 < self.release_angle < math.pi:
-            raise ScenarioError("release_angle must lie in (0, pi) when given")
 
     @property
     def vertical_stiffness(self) -> float:
         """Vertical stiffness in N/mm at the scenario's inflation pressure."""
-        return self.stiffness_c0 + self.stiffness_c1 * self.inflation_pressure
+        return STIFFNESS_C0 + STIFFNESS_C1 * self.inflation_pressure
 
 
 @dataclass(frozen=True)

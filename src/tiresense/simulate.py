@@ -14,8 +14,8 @@ segment.
 
 The lateral coordinate follows an adhesion-only brush profile: zero outside
 the patch, tan(slip angle) times the distance travelled through the patch
-inside it, and a raised-cosine relaxation back to zero over
-``release_angle`` after the exit.
+inside it, and a raised-cosine relaxation back to zero over one contact
+half-angle after the exit.
 
 Sensor axes rotate with the wheel: radial is positive toward the wheel
 centre, tangential is signed so that the patch-entry spike is the positive
@@ -139,7 +139,6 @@ def _liner_positions(
     scenario: TireScenario,
     geom: TireGeometry,
     omega: float,
-    release_angle: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact (x, y, z) of the liner point plus the sine and cosine of its
     wrapped angle at times t."""
@@ -163,8 +162,9 @@ def _liner_positions(
         # Deflection grows with the distance covered through the patch,
         # measured along the chord; it peaks at tan(slip) * chord on exit.
         y[in_patch] = tan_slip * r * (math.sin(theta_c) - np.sin(psi[in_patch]))
-        in_release = (psi <= -theta_c) & (psi > -(theta_c + release_angle))
-        progress = (-theta_c - psi[in_release]) / release_angle
+        # It relaxes back to zero over one more half-angle after the exit.
+        in_release = (psi <= -theta_c) & (psi > -2.0 * theta_c)
+        progress = (-theta_c - psi[in_release]) / theta_c
         y[in_release] = (
             tan_slip * geom.patch_chord * 0.5 * (1.0 + np.cos(np.pi * progress))
         )
@@ -204,12 +204,7 @@ def simulate(
             f"sample rate {sensor.sample_rate:.0f} Hz gives fewer than "
             f"{MIN_SAMPLES_PER_TURN} samples per {period * 1e3:.1f} ms turn"
         )
-    release_angle = (
-        scenario.release_angle
-        if scenario.release_angle is not None
-        else geom.contact_half_angle
-    )
-    if geom.contact_half_angle + release_angle >= math.pi:
+    if 2.0 * geom.contact_half_angle >= math.pi:
         raise GeometryError("release window extends past the top of the wheel")
 
     fs = sensor.sample_rate
@@ -234,8 +229,7 @@ def simulate(
     for lo in range(0, n, BLOCK_SAMPLES):
         block = samples[lo:lo + BLOCK_SAMPLES]
         t_pos = (np.arange(lo, lo + len(block) + 2) - 1.0) * dt
-        x, y, z, sin_psi, cos_psi = _liner_positions(
-            t_pos, scenario, geom, omega, release_angle)
+        x, y, z, sin_psi, cos_psi = _liner_positions(t_pos, scenario, geom, omega)
         del t_pos
         ay = _second_difference(y, fs)
         del y

@@ -64,7 +64,6 @@ def test_wear_consuming_radius_raises():
         ("tread_depth", 9.0),
         ("slip_angle", 11.0),
         ("slip_angle", -10.5),
-        ("release_angle", 0.0),
     ],
 )
 def test_scenario_invariants(field, value):

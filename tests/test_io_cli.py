@@ -21,6 +21,7 @@ from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, 
 from tiresense.features import FEATURE_FIELDS, extract_features
 from tiresense.geometry import derive_geometry
 from tiresense.io import (
+    MAX_SWEEP_POINTS,
     SIDECAR_SCHEMA,
     TRACE_SCHEMA,
     read_estimates,
@@ -55,12 +56,11 @@ def write_trace_files(path, scen, sensor, turns):
 
 def test_scenario_round_trip(tmp_path):
     path = tmp_path / "scenario.json"
-    for release_angle in (None, 0.2):
-        scen = scenario(slip_angle=2.0, release_angle=release_angle)
-        write_scenario(path, scen, SENSOR)
-        back_scen, back_sensor = read_scenario(path)
-        assert back_scen == scen
-        assert back_sensor == SENSOR
+    scen = scenario(slip_angle=2.0)
+    write_scenario(path, scen, SENSOR)
+    back_scen, back_sensor = read_scenario(path)
+    assert back_scen == scen
+    assert back_sensor == SENSOR
 
 
 def test_scenario_rejects_unknown_and_missing_fields(tmp_path):
@@ -552,6 +552,17 @@ def test_cli_sweep(tmp_path):
     assert lines[2:] == expected
 
 
+def test_cli_sweep_points_bound(tmp_path, capsys):
+    plot = tmp_path / "plot.csv"
+    assert cli(*_ranges(tmp_path, points=MAX_SWEEP_POINTS), "--plot-data", plot) == 0
+    assert len(plot.read_text().splitlines()) == 2 + 2 * 3 * MAX_SWEEP_POINTS
+    (tmp_path / "out").unlink()
+    assert cli(*_ranges(tmp_path, points=MAX_SWEEP_POINTS + 1)) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'ranges.json'}: points must lie in [2, {MAX_SWEEP_POINTS}]\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_simulate_plot_integration(workspace, tmp_path):
     out = tmp_path / "t.csv"
     fig8 = tmp_path / "fig8.csv"
@@ -825,6 +836,17 @@ def _estimate_scenario(root, **changes):
     return _estimate_sidecar(root, scenario={**sidecar["scenario"], **changes})
 
 
+# The simulator's constants as a v2 scenario or sidecar held them.
+_V2_CONSTANTS = {"stiffness_c0": 120.0, "stiffness_c1": 2.5, "wear_radius_gain": 5.3,
+                 "release_angle": None}
+
+
+def _sidecar_v2(root) -> dict:
+    sidecar = json.loads((root / "trace.json").read_text())
+    sidecar["scenario"].update(_V2_CONSTANTS)
+    return {**sidecar, "schema_version": "tiresense.sidecar.v2"}
+
+
 def _sidecar_v1(root):
     # The truth stored beside the scenario, one list per field, as v1 wrote it.
     _, truth, _, _ = read_trace(root / "trace.csv")
@@ -839,6 +861,8 @@ _LINE_NAMES = {
     "simulate-bias-1e308": f"{os.sep}scenario.json: sensor noise or bias",
     "load-model-v1": "; refit with calibrate-load",
     "load-model-v2": "; refit with calibrate-load",
+    "scenario-with-v2-constants":
+        "unknown fields ['release_angle', 'stiffness_c0', 'stiffness_c1', 'wear_radius_gain']",
     "turns-short-of-sidecar": f"{os.sep}short.npy: found 19 of the sidecar's 20 turns",
 }
 
@@ -907,6 +931,9 @@ _LINE_NAMES = {
                      id="sidecar-n-turns-1e12"),
         pytest.param(lambda root: _estimate_sidecar(root, n_turns=0),
                      id="sidecar-n-turns-0"),
+        # finite, but its square overflows the load inversion's Python floats
+        pytest.param(lambda root: _estimate_scenario(root, inflation_pressure=1e300),
+                     id="sidecar-pressure-1e300"),
         pytest.param(lambda root: _scenario_file(root, sample_rate=1e300),
                      id="simulate-sample-rate-1e300"),
         pytest.param(lambda root: _scenario_file(root, turns=10**17),
@@ -937,7 +964,9 @@ _LINE_NAMES = {
         pytest.param(lambda root: _scenario_file(root, unloaded_radius=float("inf")),
                      id="scenario-infinite-radius"),
         pytest.param(lambda root: _scenario_file(root, stiffness_c1=float("inf")),
-                     id="scenario-infinite-stiffness"),
+                     id="scenario-stiffness-field"),
+        pytest.param(lambda root: _scenario_file(root, **_V2_CONSTANTS),
+                     id="scenario-with-v2-constants"),
         pytest.param(lambda root: _scenario_file(root, vertical_load=True),
                      id="scenario-bool-load"),
     ],
@@ -1057,17 +1086,23 @@ def test_v1_and_v2_load_models_are_refit(bad_inputs):
             "is not 'tiresense.load-model.v3'; refit with calibrate-load")
 
 
-def test_v1_sidecar_error_names_v2(bad_inputs, capsys):
-    assert cli(*_sidecar_v1(bad_inputs)) == 1
-    assert "'tiresense.sidecar.v2'" in capsys.readouterr().err
+def test_v1_and_v2_sidecars_are_regenerated(bad_inputs, capsys):
+    v2 = _sidecar_v2(bad_inputs)
+    for argv in (_sidecar_v1(bad_inputs), _estimate_sidecar(bad_inputs, **v2),
+                 _evaluate_truth(bad_inputs, v2)):
+        assert cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "is not 'tiresense.sidecar.v3'; regenerate it with simulate\n"), err
+        assert len(err.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------
 # every JSON input, mutated one value at a time
 
-# The fixed replacement values; large finite numbers are left out because a
-# scenario may then ask simulate for an unbounded allocation.
-_REPLACEMENTS = ["x", None, True, [], {}, float("nan"), float("inf"), float("-inf"), -1, 0]
+# The fixed replacement values.  1e300 is finite, but its square is not.
+_REPLACEMENTS = ["x", None, True, [], {}, float("nan"), float("inf"), float("-inf"), -1, 0,
+                 1e300]
 _DROP = "drop"
 
 
@@ -1106,6 +1141,9 @@ def json_inputs(tmp_path_factory):
                     np.ones(4, dtype=bool))
     (root / "ranges.json").write_text(json.dumps(
         {"load": [800, 1500], "pressure": [29, 35], "tread": [2, 8], "points": 3}))
+    # trace.json again, mutated as the sidecar that estimate reads beside bad.csv
+    (root / "sidecar.json").write_bytes((root / "trace.json").read_bytes())
+    (root / "bad.csv").write_bytes((root / "trace.csv").read_bytes())
     return root
 
 
@@ -1127,6 +1165,11 @@ _JSON_RUNS = {
                    "--out", r / "out.csv"],
         lambda r: len(read_estimates(r / "out.csv")[0]) == 4,
     ),
+    "sidecar.json": (
+        lambda r: ["estimate", "--trace", r / "bad.csv", "--load-model", r / "load_model.json",
+                   "--slip-model", r / "slip_model.json", "--out", r / "out.csv"],
+        lambda r: len(read_estimates(r / "out.csv")[0]) == 4,
+    ),
     "trace.json": (
         lambda r: ["evaluate", "--estimates", r / "est.csv", "--truth", r / "bad.json",
                    "--report", r / "out.json"],
@@ -1139,17 +1182,12 @@ _JSON_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_JSON_RUNS))
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_cli_survives_any_json_mutation(json_inputs, name, data):
-    # One key dropped or one value replaced, at any depth: no exception
-    # leaves main, and the command exits 0 with output that reads back, or
-    # 1 or 2 with one line on stderr.
-    root = json_inputs
+def _run_mutated(root, name, key_path, replacement):
+    """Run ``name``'s command on the input with the value at ``key_path``
+    replaced or dropped: no exception leaves main, and the command exits 0
+    with output that reads back, or 1 or 2 with one line on stderr."""
     bad = json.loads((root / name).read_text())
-    *parents, last = data.draw(st.sampled_from(sorted(_json_paths(bad), key=str)))
-    replacement = data.draw(st.sampled_from([_DROP, *_REPLACEMENTS]))
+    *parents, last = key_path
     target = bad
     for key in parents:
         target = target[key]
@@ -1169,6 +1207,25 @@ def test_cli_survives_any_json_mutation(json_inputs, name, data):
     assert len(stderr.getvalue().splitlines()) <= 1
     if code == 0:
         assert output_reads_back(root)
+
+
+@pytest.mark.parametrize("name", sorted(_JSON_RUNS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_cli_survives_any_json_mutation(json_inputs, name, data):
+    # One key dropped or one value replaced, at any depth.
+    paths = sorted(_json_paths(json.loads((json_inputs / name).read_text())), key=str)
+    _run_mutated(json_inputs, name, data.draw(st.sampled_from(paths)),
+                 data.draw(st.sampled_from([_DROP, *_REPLACEMENTS])))
+
+
+# Mutations checked whatever hypothesis draws.
+@pytest.mark.parametrize("name, key_path, replacement", [
+    pytest.param("sidecar.json", ("scenario", "inflation_pressure"), 1e300,
+                 id="sidecar-pressure-1e300"),
+])
+def test_cli_survives_pinned_json_mutation(json_inputs, name, key_path, replacement):
+    _run_mutated(json_inputs, name, key_path, replacement)
 
 
 # ---------------------------------------------------------------------------

@@ -126,13 +126,11 @@ def reference_samples(scen, sensor, n_turns):
     and cosine are taken of the interior angles alone, not sliced from the
     ones ``_liner_positions`` computes for every position."""
     geom, omega, _ = _rolling(scen)
-    release_angle = (scen.release_angle if scen.release_angle is not None
-                     else geom.contact_half_angle)
     fs = sensor.sample_rate
     n = ground_truth(scen, n_turns).n_samples(fs)
     dt = 1.0 / fs
     t_pos = (np.arange(n + 2) - 1.0) * dt
-    x, y, z, _, _ = _liner_positions(t_pos, scen, geom, omega, release_angle)
+    x, y, z, _, _ = _liner_positions(t_pos, scen, geom, omega)
     psi = np.mod(np.pi - omega * t_pos + np.pi, 2.0 * np.pi) - np.pi
     ax = (x[2:] - 2.0 * x[1:-1] + x[:-2]) * fs * fs
     ay = (y[2:] - 2.0 * y[1:-1] + y[:-2]) * fs * fs
