@@ -19,8 +19,6 @@ from . import __version__
 from .dsp import accel_to_displacement, double_integrate, segment_turns
 from .errors import ScenarioError, SchemaError, TireSenseError
 from .estimation import (
-    DEFAULT_FORGETTING,
-    DEFAULT_INITIAL_COVARIANCE,
     convergence_turn,
     estimate_load_stream,
     fit_load_surface,
@@ -83,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, type=Path)
     p.add_argument("--load-model", required=True, type=Path)
     p.add_argument("--slip-model", type=Path, default=None)
-    p.add_argument("--lambda", dest="forgetting", type=float, default=DEFAULT_FORGETTING)
-    p.add_argument("--p0", type=float, default=DEFAULT_INITIAL_COVARIANCE)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument(
         "--plot-data",
@@ -186,8 +182,7 @@ def _cmd_estimate(args) -> int:
     slip_model = read_slip_model(args.slip_model) if args.slip_model else None
 
     result = estimate_load_stream(
-        surface, table.peak_radial_displacement, scenario.inflation_pressure,
-        forgetting=args.forgetting, initial_covariance=args.p0,
+        surface, table.peak_radial_displacement, scenario.inflation_pressure
     )
     if slip_model is not None:
         slips = predict_slip(

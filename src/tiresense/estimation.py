@@ -25,7 +25,7 @@ RANK_TOLERANCE = 1e-10
 DENOMINATOR_TOLERANCE = 1e-9
 
 DEFAULT_FORGETTING = 0.98
-DEFAULT_INITIAL_COVARIANCE = 1e6
+INITIAL_COVARIANCE = 1e6
 
 # Fraction of the trained slip span allowed as extrapolation when predicting.
 SLIP_CLAMP_MARGIN = 0.2
@@ -133,13 +133,10 @@ def load_measurement(model: LoadSurfaceModel, peak_disp_mm, pressure_psi: float)
     ) / denominator
 
 
-def rls(
-    measurements,
-    forgetting: float = DEFAULT_FORGETTING,
-    initial_covariance: float = DEFAULT_INITIAL_COVARIANCE,
-) -> tuple[np.ndarray, np.ndarray]:
+def rls(measurements, forgetting: float = DEFAULT_FORGETTING) -> tuple[np.ndarray, np.ndarray]:
     """Exponentially weighted recursive least squares for a constant (the
-    regressor is 1), from theta = 0; returns theta and P after each turn.
+    regressor is 1), from theta = 0 and P = INITIAL_COVARIANCE; returns
+    theta and P after each turn.
 
     gain  = P / (lambda + P)
     theta = theta + gain * (y - theta)
@@ -147,11 +144,9 @@ def rls(
 
     A non-finite measurement is skipped: theta and P carry forward.
     """
-    lam, p, theta = forgetting, initial_covariance, 0.0
+    lam, p, theta = forgetting, INITIAL_COVARIANCE, 0.0
     if not 0.0 < lam <= 1.0:
         raise InvalidArgumentError("forgetting factor must lie in (0, 1]")
-    if not p > 0.0:
-        raise InvalidArgumentError("covariance must stay positive")
     estimates, covariances = [], []
     for y in np.asarray(measurements, dtype=float).tolist():
         if math.isfinite(y):
@@ -189,11 +184,7 @@ class LoadStream(NamedTuple):
 
 
 def estimate_load_stream(
-    model: LoadSurfaceModel,
-    peaks_mm: np.ndarray,
-    pressure_psi: float,
-    forgetting: float = DEFAULT_FORGETTING,
-    initial_covariance: float = DEFAULT_INITIAL_COVARIANCE,
+    model: LoadSurfaceModel, peaks_mm: np.ndarray, pressure_psi: float
 ) -> LoadStream:
     """Run measurement inversion plus RLS over one trace's per-turn dips.
 
@@ -206,7 +197,7 @@ def estimate_load_stream(
         measurements = load_measurement(model, peaks, pressure_psi)
     except DenominatorError:
         measurements = np.full(len(peaks), np.nan)
-    estimates, _ = rls(measurements, forgetting, initial_covariance)
+    estimates, _ = rls(measurements)
     return LoadStream(estimates, np.isfinite(measurements))
 
 

@@ -41,14 +41,6 @@ FEATURE_FIELDS = ("turn_index", "patch_length", "peak_radial_displacement",
                   "peak_lateral_displacement", "lateral_slope")
 
 
-def _dot_by_group(turns: np.ndarray, group: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Each turn's dot product with ``rows[group]``, summed on its own by einsum."""
-    out = np.empty(len(turns))
-    for k, w in enumerate(rows):
-        out[group == k] = np.einsum("ti,i->t", turns[group == k], w)
-    return out
-
-
 def lateral_features(
     lateral: np.ndarray, leading: np.ndarray, trailing: np.ndarray,
     wheel_speed: float, sample_rate: float,
@@ -75,7 +67,7 @@ def lateral_features(
         np.arange(first, (leading + fit_n).max()), start + np.argmax(np.abs(window))))
     fits = np.array([_line_slope(weights[lo : lo + size].T)
                      for lo, size in zip(keys // (n + 1) - first, keys % (n + 1))])
-    slope = _dot_by_group(lateral, group, fits) / (wheel_speed / sample_rate * 1e3)
+    slope = np.einsum("ti,ti->t", lateral, fits[group]) / (wheel_speed / sample_rate * 1e3)
     return np.abs(np.einsum("ti,i->t", lateral, weights[-1])), slope
 
 
@@ -121,7 +113,7 @@ def extract_features(
         centres, group = np.unique((leading + trailing) // 2, return_inverse=True)
         weights = displacement_weights(length, fs, rotation_frequency,
                                        np.append(centres, np.argmin(mean)))
-        dip[ok] = _dot_by_group(radial, group, weights[:-1] - weights[-1])
+        dip[ok] = np.einsum("ti,ti->t", radial, (weights[:-1] - weights[-1])[group])
         del radial
         peak[ok] = slope[ok] = 0.0
         if include_lateral:

@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ScenarioError, SchemaError
+from .errors import GeometryError, ScenarioError, SchemaError
 from .estimation import LoadSurfaceModel, SlipModel
 from .features import FEATURE_FIELDS
 from .geometry import derive_geometry
@@ -114,7 +114,12 @@ def _record(path: Path, cls, payload):
                if f.default is MISSING and f.name not in payload]
     if missing:
         raise SchemaError(f"{path}: missing required fields {missing}")
-    return cls(**{k: _field(path, k, types[k], v) for k, v in payload.items()})
+    # outside the try: a nested record's error already names the file
+    values = {k: _field(path, k, types[k], v) for k, v in payload.items()}
+    try:
+        return cls(**values)
+    except ScenarioError as exc:  # a value TireScenario or SensorSpec refuses
+        raise ScenarioError(f"{path}: {exc}") from None
 
 
 def _read_record(path: Path, schema: str, cls, remedy: str = ""):
@@ -199,7 +204,10 @@ def read_sidecar(path: Path) -> tuple[TireScenario, SensorSpec, int]:
     """Read and validate a trace's JSON sidecar: scenario, sensor, turn count."""
     # A v2 scenario may hold other simulator constants than today's.
     sidecar = _read_record(path, SIDECAR_SCHEMA, _Sidecar, "; regenerate it with simulate")
-    derive_geometry(sidecar.scenario)  # a scenario no tire can have is no truth
+    try:
+        derive_geometry(sidecar.scenario)  # a scenario no tire can have is no truth
+    except GeometryError as exc:
+        raise GeometryError(f"{path}: {exc}") from None
     return sidecar.scenario, sidecar.sensor, sidecar.n_turns
 
 

@@ -14,6 +14,9 @@ from .errors import ScenarioError
 
 FULL_TREAD_MM = 8.0
 MAX_SLIP_DEG = 10.0
+# Far above any road tire's inflation, and low enough that the pressure's
+# square in the load surface stays finite.
+MAX_PRESSURE_PSI = 1000.0
 
 # Simulator constants, tuned so the synthetic signals reproduce the measured
 # parametric behaviour (load/pressure/tread sensitivities) at desk scale.
@@ -49,8 +52,11 @@ class TireScenario:
             raise ScenarioError("vehicle_speed must be positive")
         if not self.vertical_load > 0:
             raise ScenarioError("vertical_load must be positive")
-        if not self.inflation_pressure > 0:
-            raise ScenarioError("inflation_pressure must be positive")
+        if not 0 < self.inflation_pressure <= MAX_PRESSURE_PSI:
+            raise ScenarioError(
+                f"inflation_pressure must lie in (0, {MAX_PRESSURE_PSI}] psi, "
+                f"got {self.inflation_pressure}"
+            )
         if not 0.0 <= self.tread_depth <= FULL_TREAD_MM:
             raise ScenarioError(
                 f"tread_depth must lie in [0, {FULL_TREAD_MM}] mm, "

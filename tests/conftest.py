@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tiresense import SensorSpec, TireScenario, simulate
 from tiresense.dsp import detect_patch_edges
+
+# Every run draws the same examples, so a run of the suite that passes once
+# passes again.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def scenario(**overrides) -> TireScenario:

@@ -183,7 +183,7 @@ def test_criterion_5_rls_matches_batch():
     for _ in range(100):
         n = int(rng.integers(5, 100))
         y = rng.normal(1200.0, 80.0, n)
-        estimates, covariances = rls(y, forgetting=1.0, initial_covariance=1e6)
+        estimates, covariances = rls(y, forgetting=1.0)
         assert np.all(covariances > 0.0)
         worst = max(worst, abs(estimates[-1] - y.mean()) / abs(y.mean()))
     assert worst < 1e-3

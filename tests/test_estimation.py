@@ -196,7 +196,7 @@ def rls_reference(values, forgetting, covariance=1e6):
 
 
 def test_rls_hand_iterated_example():
-    estimates, _ = rls(np.full(20, 1000.0), forgetting=1.0, initial_covariance=1e6)
+    estimates, _ = rls(np.full(20, 1000.0), forgetting=1.0)
     assert estimates[0] == pytest.approx(1000.0 * 1e6 / (1.0 + 1e6), rel=1e-12)
     assert 999.99 < estimates[0] < 1000.0
     assert estimates[-1] == pytest.approx(1000.0, rel=1e-4)
@@ -219,7 +219,7 @@ def test_rls_matches_batch_least_squares():
     for _ in range(100):
         n = rng.integers(5, 100)
         y = rng.normal(1000.0, 50.0, n)
-        estimates, covariances = rls(y, forgetting=1.0, initial_covariance=1e6)
+        estimates, covariances = rls(y, forgetting=1.0)
         assert np.all(covariances > 0.0)
         assert estimates[-1] == pytest.approx(np.mean(y), rel=1e-3)
 
@@ -227,18 +227,18 @@ def test_rls_matches_batch_least_squares():
 @pytest.mark.parametrize("forgetting", [0.95, 0.98, 1.0])
 def test_covariance_stays_positive_over_long_runs(forgetting):
     rng = np.random.default_rng(int(forgetting * 100))
-    estimates, covariances = rls(
-        rng.normal(1000.0, 100.0, 100_000), forgetting=forgetting, initial_covariance=1e6
-    )
+    estimates, covariances = rls(rng.normal(1000.0, 100.0, 100_000), forgetting=forgetting)
     assert covariances.min() > 0.0
     assert np.isfinite(estimates[-1])
 
 
 def test_rls_state_validation():
-    with pytest.raises(ValueError):
-        rls([1000.0], forgetting=0.0)
-    with pytest.raises(ValueError):
-        rls([1000.0], initial_covariance=-1.0)
+    for forgetting in (0.0, float("nan"), 1.5):
+        with pytest.raises(InvalidArgumentError, match="forgetting factor"):
+            rls([1000.0], forgetting=forgetting)
+    # the first gain rounds to 1, so P collapses to 0 after one turn
+    with pytest.raises(InvalidArgumentError, match="covariance must stay positive"):
+        rls([1000.0], forgetting=1e-300)
 
 
 def test_rls_overflow_raises():

@@ -412,8 +412,7 @@ def test_cli_full_workflow(workspace, tmp_path):
     estimates = tmp_path / "est.csv"
     plot = tmp_path / "fig11.csv"
     assert cli("estimate", "--trace", trace, "--load-model", load_model,
-               "--slip-model", slip_model, "--lambda", 0.98,
-               "--out", estimates, "--plot-data", plot) == 0
+               "--slip-model", slip_model, "--out", estimates, "--plot-data", plot) == 0
     report_path = tmp_path / "report.json"
     assert cli("evaluate", "--estimates", estimates,
                "--truth", tmp_path / "run.json", "--report", report_path) == 0
@@ -864,22 +863,15 @@ _LINE_NAMES = {
     "scenario-with-v2-constants":
         "unknown fields ['release_angle', 'stiffness_c0', 'stiffness_c1', 'wear_radius_gain']",
     "turns-short-of-sidecar": f"{os.sep}short.npy: found 19 of the sidecar's 20 turns",
+    "sidecar-pressure-1e300": f"{os.sep}edited.json: inflation_pressure must lie in (0, ",
+    "truth-zero-load": f"{os.sep}truth.json: vertical_load must be positive",
+    "truth-degenerate-geometry": f"{os.sep}truth.json: deflection ",
 }
 
 
 @pytest.mark.parametrize(
     "make_argv",
     [
-        pytest.param(lambda root: _estimate(root, "trace.csv", "--lambda", 0),
-                     id="lambda-zero"),
-        *(pytest.param(lambda root, o=option, v=value: _estimate(root, "trace.csv", o, v),
-                       id=name)
-          for name, option, value in [
-              ("lambda-nan", "--lambda", "nan"), ("lambda-1.5", "--lambda", "1.5"),
-              ("p0-inf", "--p0", "inf"), ("p0-nan", "--p0", "nan"),
-              ("p0-minus-1", "--p0", "-1"),
-              # the first gain rounds to 1, so P collapses to 0 after one turn
-              ("p0-1e308", "--p0", "1e308")]),
         pytest.param(lambda root: _ranges(root, speed=[10, 30]), id="extra-factor"),
         pytest.param(lambda root: _ranges(root, points=1), id="points-1"),
         pytest.param(lambda root: _ranges(root, points=2.5), id="points-2.5"),
@@ -931,7 +923,7 @@ _LINE_NAMES = {
                      id="sidecar-n-turns-1e12"),
         pytest.param(lambda root: _estimate_sidecar(root, n_turns=0),
                      id="sidecar-n-turns-0"),
-        # finite, but its square overflows the load inversion's Python floats
+        # finite, but above MAX_PRESSURE_PSI: refused as the sidecar is read
         pytest.param(lambda root: _estimate_scenario(root, inflation_pressure=1e300),
                      id="sidecar-pressure-1e300"),
         pytest.param(lambda root: _scenario_file(root, sample_rate=1e300),
@@ -979,6 +971,18 @@ def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv, request):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert _LINE_NAMES.get(request.node.callspec.id, "") in proc.stderr
+    assert not (bad_inputs / "out").exists()
+
+
+@pytest.mark.parametrize("option, value", [("--lambda", "0.98"), ("--p0", "1e6")])
+def test_cli_estimate_has_no_rls_options(bad_inputs, capsys, option, value):
+    # The RLS runs at estimation's DEFAULT_FORGETTING and INITIAL_COVARIANCE,
+    # and no option of estimate sets either.
+    (bad_inputs / "out").unlink(missing_ok=True)
+    with pytest.raises(SystemExit) as exited:
+        cli(*_estimate(bad_inputs, "trace.csv", option, value))
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
     assert not (bad_inputs / "out").exists()
 
 
@@ -1334,6 +1338,33 @@ def test_cli_survives_damaged_csv(csv_inputs, capsys, name, damage, expected_cod
         assert code == expected_code
     if code == 0:
         assert output_reads_back(root)
+
+
+# Values for one field of the estimates table: not a number, not finite,
+# finite but huge, or a number outside its column's values.
+_FIELD_VALUES = [b"nan", b"inf", b"-inf", b"1e300", b"1.7976931348623157e308", b"-0", b"2",
+                 b"0.5", b"x", b"", b"9" * 400]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=st.integers(0, 3), column=st.integers(0, 3), value=st.sampled_from(_FIELD_VALUES))
+def test_evaluate_survives_any_estimates_field(csv_inputs, row, column, value):
+    # One field of one row replaced: evaluate exits 0 with a report of finite
+    # numbers, or 1 or 2 with one error line; no exception leaves main.
+    root = csv_inputs
+    (root / "bad.csv").write_bytes(_set_field((root / "est.csv").read_bytes(), row, column, value))
+    (root / "out.json").unlink(missing_ok=True)
+    make_argv, output_reads_back = _CSV_RUNS["est.csv"]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli(*make_argv(root))
+    lines = stderr.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+        assert output_reads_back(root)
+    else:
+        assert code in (1, 2)
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "i/o error: "))
 
 
 @pytest.mark.parametrize("value", [b"1e300", b"1e200", b"-1e160", b"1.0000001e100",
