@@ -32,6 +32,8 @@ SLIP_CLAMP_MARGIN = 0.2
 
 # Each swept factor and the TireScenario field it sets.
 SWEEP_FACTORS = {"load": "vertical_load", "pressure": "inflation_pressure", "tread": "tread_depth"}
+# Points per factor when a ranges file names none.
+SWEEP_POINTS = 7
 # Unloaded radius of the swept tire; fields other than the factors keep their defaults.
 SWEEP_RADIUS = 0.3
 # The features of the sweep, in the order of their columns after the value.
@@ -273,7 +275,7 @@ class SensitivityReport:
 
 def sensitivity_sweep(
     ranges: dict[str, tuple[float, float]],
-    points: int = 7,
+    points: int = SWEEP_POINTS,
 ) -> SensitivityReport:
     """One-at-a-time sensitivity of the footprint features.
 

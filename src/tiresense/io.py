@@ -23,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import GeometryError, ScenarioError, SchemaError
-from .estimation import LoadSurfaceModel, SlipModel
+from .estimation import SWEEP_POINTS, LoadSurfaceModel, SlipModel
 from .features import FEATURE_FIELDS
 from .geometry import derive_geometry
 from .scenario import SensorSpec, TireScenario
@@ -43,6 +43,11 @@ _ESTIMATES_HEADER = "turn,load_lbf,slip_deg,valid"
 # Most points a sweep ranges file may ask for per factor: far more than a
 # figure's curve needs, and the sweep stays well under a second.
 MAX_SWEEP_POINTS = 1000
+
+# Most .npy header bytes read_trace lets numpy parse.  np.save (numpy 2.4)
+# writes 118 for any (rows, 3) <f8 array; a longer header-length field is a damaged file,
+# whose "header" would be samples.
+MAX_TRACE_HEADER_BYTES = 256
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -221,6 +226,11 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
                 warnings.simplefilter("ignore")  # numpy may warn on a Python 2 header
                 if np.lib.format.read_magic(handle) != (1, 0):  # what np.save writes
                     raise ValueError("not .npy format 1.0")
+                length = handle.read(2)  # the header-length field
+                if (header_bytes := int.from_bytes(length, "little")) > MAX_TRACE_HEADER_BYTES:
+                    raise ValueError(f"header of {header_bytes} bytes, "
+                                     f"more than {MAX_TRACE_HEADER_BYTES}")
+                handle.seek(-len(length), os.SEEK_CUR)
                 shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
         except (ValueError, tokenize.TokenError) as exc:
             handle.seek(0)
@@ -338,7 +348,7 @@ def write_report(path: Path, report: dict) -> None:
 def read_ranges(path: Path) -> tuple[dict, int]:
     """Read a sweep ranges file: factor -> [lo, hi] plus optional points."""
     payload = _read_object(path)
-    points = _field(path, "points", int, payload.pop("points", 7))
+    points = _field(path, "points", int, payload.pop("points", SWEEP_POINTS))
     if not 2 <= points <= MAX_SWEEP_POINTS:
         raise SchemaError(f"{path}: points must lie in [2, {MAX_SWEEP_POINTS}]")
     ranges = {

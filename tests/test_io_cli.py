@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,11 +18,18 @@ from hypothesis import strategies as st
 import tiresense
 from tiresense import SchemaError, SensorSpec, TireSenseError, simulate
 from tiresense.cli import main
-from tiresense.estimation import LoadSurfaceModel, SlipModel, fit_load_surface, fit_slip_model
+from tiresense.estimation import (
+    SWEEP_POINTS,
+    LoadSurfaceModel,
+    SlipModel,
+    fit_load_surface,
+    fit_slip_model,
+)
 from tiresense.features import FEATURE_FIELDS, extract_features
 from tiresense.geometry import derive_geometry
 from tiresense.io import (
     MAX_SWEEP_POINTS,
+    MAX_TRACE_HEADER_BYTES,
     SIDECAR_SCHEMA,
     TRACE_SCHEMA,
     read_estimates,
@@ -83,6 +91,13 @@ def test_trace_round_trip(tmp_path):
     trace, truth = write_trace_files(path, scen, SENSOR, 9)
     assert np.array_equal(np.load(path, allow_pickle=False), trace.samples)
     back_trace, back_truth, back_scen, back_sensor = read_trace(path)
+    # the sidecar names its schema and holds the tire's six fields, no
+    # simulator constant
+    sidecar = json.loads(path.with_suffix(".json").read_text())
+    assert sidecar["schema_version"] == SIDECAR_SCHEMA == "tiresense.sidecar.v3"
+    assert sorted(sidecar) == ["n_turns", "scenario", "schema_version", "sensor"]
+    assert sorted(sidecar["scenario"]) == ["inflation_pressure", "slip_angle", "tread_depth",
+                                           "unloaded_radius", "vehicle_speed", "vertical_load"]
     assert back_scen == scen
     assert back_sensor == SENSOR
     assert back_truth.n_turns == truth.n_turns
@@ -131,6 +146,39 @@ def test_trace_rejects_wrong_schema(tmp_path):
         with pytest.raises(SchemaError, match=f"CSV trace from before {TRACE_SCHEMA}; "
                            "regenerate it with simulate$"):
             read_trace(path)
+
+
+def test_trace_refuses_oversized_header_before_parsing_it(tmp_path):
+    # A \r inserted at byte 9 makes the header-length field 3446, so numpy
+    # would parse 3.4 KB of samples as the header.
+    path = tmp_path / "trace.csv"
+    write_trace_files(path, scenario(), SENSOR, 2)
+    data = path.read_bytes()
+    path.write_bytes(data[:9] + b"\r" + data[9:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=re.escape(
+                f"{path}: not a {TRACE_SCHEMA} .npy array "
+                f"(header of 3446 bytes, more than {MAX_TRACE_HEADER_BYTES})")):
+            read_trace(path)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_trace_header_bound_holds_every_saved_trace():
+    # np.save's header for a C-order (rows, 3) <f8 array, from no rows to
+    # more than any file can hold, is within the bound read_trace keeps
+    for rows in (0, 1, 10**18):
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (rows, 3)})
+        if rows < 2:
+            saved = io.BytesIO()
+            np.save(saved, np.zeros((rows, 3)))
+            assert saved.getvalue().startswith(header.getvalue())
+        assert len(header.getvalue()) - 10 <= MAX_TRACE_HEADER_BYTES, rows
 
 
 _SAMPLES = st.floats(-MAX_ABS_SAMPLE, MAX_ABS_SAMPLE)
@@ -432,17 +480,33 @@ def test_cli_full_workflow(workspace, tmp_path):
 
 
 def test_cli_estimate_deterministic(workspace, tmp_path):
-    load_model = tmp_path / "lm.json"
+    # Each input twice, into new files: the load model alone, then every
+    # output estimate writes and evaluate's report.
+    load_model, slip_model = tmp_path / "lm.json", tmp_path / "sm.json"
     assert cli("calibrate-load", "--traces", workspace / "calib",
                "--out", load_model) == 0
+    assert cli("calibrate-slip", "--traces", workspace / "slip", "--out", slip_model) == 0
     trace = tmp_path / "t.csv"
     assert cli("simulate", "--scenario", workspace / "scenario.json",
                "--turns", 5, "--out", trace, "--seed", 3) == 0
-    est_a, est_b = tmp_path / "ea.csv", tmp_path / "eb.csv"
-    for out in (est_a, est_b):
-        assert cli("estimate", "--trace", trace, "--load-model", load_model,
-                   "--out", out) == 0
-    assert est_a.read_bytes() == est_b.read_bytes()
+
+    def outputs(run, full):
+        est = tmp_path / f"{run}_est.csv"
+        args = ["estimate", "--trace", trace, "--load-model", load_model, "--out", est]
+        if not full:
+            assert cli(*args) == 0
+            return [est]
+        features, plot, report = (tmp_path / f"{run}_{name}" for name in
+                                  ("features.csv", "plot.csv", "report.json"))
+        assert cli(*args, "--slip-model", slip_model, "--features", features,
+                   "--plot-data", plot) == 0
+        assert cli("evaluate", "--estimates", est, "--truth", tmp_path / "t.json",
+                   "--report", report) == 0
+        return [est, features, plot, report]
+
+    for full in (False, True):
+        for a, b in zip(outputs(f"a{full}", full), outputs(f"b{full}", full)):
+            assert a.read_bytes() == b.read_bytes(), a.name
 
 
 def test_cli_estimate_emits_feature_table(workspace, tmp_path):
@@ -553,8 +617,10 @@ def test_cli_sweep(tmp_path):
 
 def test_cli_sweep_points_bound(tmp_path, capsys):
     plot = tmp_path / "plot.csv"
-    assert cli(*_ranges(tmp_path, points=MAX_SWEEP_POINTS), "--plot-data", plot) == 0
-    assert len(plot.read_text().splitlines()) == 2 + 2 * 3 * MAX_SWEEP_POINTS
+    # a ranges file without points sweeps SWEEP_POINTS per factor
+    for extra, points in (({}, SWEEP_POINTS), ({"points": MAX_SWEEP_POINTS}, MAX_SWEEP_POINTS)):
+        assert cli(*_ranges(tmp_path, **extra), "--plot-data", plot) == 0
+        assert len(plot.read_text().splitlines()) == 2 + 2 * 3 * points
     (tmp_path / "out").unlink()
     assert cli(*_ranges(tmp_path, points=MAX_SWEEP_POINTS + 1)) == 1
     assert capsys.readouterr().err == (
