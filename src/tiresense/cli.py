@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dsp import accel_to_displacement, double_integrate, segment_turns
-from .errors import ScenarioError, SchemaError, TireSenseError
+from .dsp import accel_to_displacement, double_integrate
+from .errors import SchemaError, TireSenseError
 from .estimation import (
     convergence_turn,
     estimate_load_stream,
@@ -113,19 +113,18 @@ def _cmd_simulate(args) -> int:
         sensor = replace(sensor, seed=args.seed)
     try:
         trace, truth = simulate(scenario, sensor, args.turns)
-    except ScenarioError as exc:
-        raise ScenarioError(f"{args.scenario}: {exc}") from None
+    except TireSenseError as exc:
+        raise type(exc)(f"{args.scenario}: {exc}") from None
     write_trace(args.out, trace, truth, scenario, sensor)
     if args.plot_integration is not None:
-        period = float(truth.wheel_period_s[0])
-        segment = segment_turns(trace, period)[0]
-        turn = trace.a_radial[segment.start_index : segment.end_index]
-        filtered = accel_to_displacement(-turn, trace.sample_rate, 1.0 / period)
-        raw = -double_integrate(turn, trace.sample_rate) * 1e3
-        times = np.arange(len(segment)) / trace.sample_rate
-        rows = [("filtered_mm", t, v) for t, v in zip(times, filtered)]
-        rows += [("unfiltered_mm", t, v) for t, v in zip(times, raw)]
-        write_plot_data(args.plot_integration, rows)
+        # the trace starts at top dead centre: its first turn centres the first patch
+        period, fs = float(truth.wheel_period_s[0]), trace.sample_rate
+        turn = trace.a_radial[: round(period * fs)]
+        times = np.arange(len(turn)) / fs
+        write_plot_data(args.plot_integration, {
+            "filtered_mm": (times, accel_to_displacement(-turn, fs, 1.0 / period)),
+            "unfiltered_mm": (times, -double_integrate(turn, fs) * 1e3),
+        })
     return 0
 
 
@@ -173,7 +172,8 @@ def _cmd_calibrate_slip(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    [(truth, scenario, table)] = _feature_tables([args.trace], args.slip_model is not None)
+    lateral = args.slip_model is not None or args.features is not None
+    [(truth, scenario, table)] = _feature_tables([args.trace], lateral)
     if len(table) != truth.n_turns:
         raise SchemaError(
             f"{args.trace}: found {len(table)} of the sidecar's {truth.n_turns} turns"
@@ -194,14 +194,11 @@ def _cmd_estimate(args) -> int:
     if args.features is not None:
         write_feature_table(args.features, table)
     if args.plot_data is not None:
-        n = len(table)
-        rows = np.empty((2 * n, 3), dtype=object)
-        rows[:, 0] = np.repeat(["estimate_lbf", "truth_lbf"], n)
-        rows[:, 1] = np.tile(np.arange(n), 2)
-        rows[:, 2] = np.concatenate(
-            (result.estimates_lbf, np.full(n, scenario.vertical_load))
-        )
-        write_plot_data(args.plot_data, rows)
+        turns = np.arange(len(table))
+        write_plot_data(args.plot_data, {
+            "estimate_lbf": (turns, result.estimates_lbf),
+            "truth_lbf": (turns, np.full(len(table), scenario.vertical_load)),
+        })
     return 0
 
 
@@ -257,13 +254,12 @@ def _cmd_sweep(args) -> int:
     report = sensitivity_sweep(ranges, points=points)
     write_sensitivity(args.out, report)
     if args.plot_data is not None:
-        # one-at-a-time sweep curves in long format (figure analogues)
-        rows = []
-        for factor, curve in report.curves.items():
-            for x, peak, length in curve.tolist():
-                rows.append((f"patch_length_vs_{factor}", x, length))
-                rows.append((f"peak_radial_vs_{factor}", x, peak))
-        write_plot_data(args.plot_data, rows)
+        # one-at-a-time sweep curves, columns value, peak radial and chord
+        write_plot_data(args.plot_data, {
+            f"{feature}_vs_{factor}": (curve[:, 0], curve[:, column])
+            for factor, curve in report.curves.items()
+            for feature, column in (("patch_length", 2), ("peak_radial", 1))
+        })
     return 0
 
 

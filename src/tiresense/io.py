@@ -137,14 +137,14 @@ def _read_record(path: Path, schema: str, cls, remedy: str = ""):
     return _record(path, cls, payload)
 
 
-def _write_table(
-    path: Path, schema: str, header: str, row_format: str, table: np.ndarray
-) -> None:
-    """Write the schema and header lines, then one ``row_format`` line per row
-    of the 2-D array ``table``; ``%.12g`` is the conversion ``format(x, ".12g")`` makes."""
+def _write_table(path: Path, schema: str, header: str, *blocks) -> None:
+    """Write the schema and header lines, then for each ``(row_format, table)``
+    of ``blocks`` one ``row_format`` line per row of the 2-D array ``table``;
+    ``%.12g`` is the conversion ``format(x, ".12g")`` makes."""
     with Path(path).open("w") as handle:
         handle.write(f"# schema={schema}\n{header}\n")
-        handle.write(row_format * len(table) % tuple(table.ravel().tolist()))
+        for row_format, table in blocks:
+            handle.write(row_format * len(table) % tuple(table.ravel().tolist()))
 
 
 def sha256_of(path: Path) -> str:
@@ -294,7 +294,7 @@ def write_estimates(
     valid: np.ndarray,
 ) -> None:
     table = np.column_stack((np.arange(len(loads_lbf)), loads_lbf, slips_deg, valid))
-    _write_table(path, ESTIMATES_SCHEMA, _ESTIMATES_HEADER, "%d,%.12g,%.12g,%d\n", table)
+    _write_table(path, ESTIMATES_SCHEMA, _ESTIMATES_HEADER, ("%d,%.12g,%.12g,%d\n", table))
 
 
 def read_estimates(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,14 +330,17 @@ def write_feature_table(path: Path, table: np.recarray) -> None:
     """The feature table ``extract_features`` returns, one line per turn."""
     _write_table(path, FEATURES_SCHEMA,
                  "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope",
-                 "%d,%.12g,%.12g,%.12g,%.12g\n",
-                 np.column_stack([table[name] for name in FEATURE_FIELDS]))
+                 ("%d,%.12g,%.12g,%.12g,%.12g\n",
+                  np.column_stack([table[name] for name in FEATURE_FIELDS])))
 
 
-def write_plot_data(path: Path, rows) -> None:
-    """Long-format plotting CSV; rows are (series, x, y) triples."""
-    _write_table(path, PLOT_SCHEMA, "series,x,y", "%s,%.12g,%.12g\n",
-                 np.array(rows, dtype=object))
+def write_plot_data(path: Path, series: dict) -> None:
+    """Long-format plotting CSV of ``series``, a mapping ``name -> (x, y)``:
+    each series in turn, one ``name,x,y`` line per point."""
+    _write_table(path, PLOT_SCHEMA, "series,x,y", *(
+        (f"{name.replace('%', '%%')},%.12g,%.12g\n", np.column_stack((x, y)))
+        for name, (x, y) in series.items()
+    ))
 
 
 def write_report(path: Path, report: dict) -> None:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import tiresense
 from tiresense import SchemaError, SensorSpec, TireSenseError, simulate
 from tiresense.cli import main
+from tiresense.dsp import accel_to_displacement, double_integrate
 from tiresense.estimation import (
     SWEEP_POINTS,
     LoadSurfaceModel,
@@ -234,9 +235,10 @@ def test_estimates_round_trip(tmp_path):
 
 def test_plot_data_empty_has_header_only(tmp_path):
     path = tmp_path / "plot.csv"
-    write_plot_data(path, [])
-    lines = path.read_text().splitlines()
-    assert lines == ["# schema=tiresense.plot.v1", "series,x,y"]
+    for series in ({}, {"empty": ([], [])}):
+        write_plot_data(path, series)
+        lines = path.read_text().splitlines()
+        assert lines == ["# schema=tiresense.plot.v1", "series,x,y"]
     write_estimates(path, np.array([]), np.array([]), np.array([], dtype=bool))
     assert path.read_text().splitlines()[1:] == ["turn,load_lbf,slip_deg,valid"]
     loads, slips, valid = read_estimates(path)
@@ -308,12 +310,17 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
         expected,
     ).encode()
 
-    # Python ints, Python floats and numpy floats, as the CLI passes them
-    rows = [(f"s{i % 3}", i, v) for i, v in enumerate(table[:, 0].tolist())]
-    rows[3:6] = [("s0", np.float64(x), np.float64(y)) for x, y in table[3:6, :2]]
+    # Python ints, Python floats, numpy floats and numpy arrays; a name is
+    # written as it is, a % in it too
+    xs, ys = list(range(n_rows)), table[:, 0].tolist()
+    xs[3:6], ys[3:6] = ([np.float64(v) for v in column] for column in table[3:6, :2].T)
+    series = {"s0": (xs[0::3], ys[0::3]), "s%d": (xs[1::3], table[1::3, 0]),
+              "s2": (np.arange(2, n_rows, 3), table[2::3, 0])}
     path = tmp_path / "plot.csv"
-    write_plot_data(path, rows)
-    expected = [f"{s},{_g(x)},{_g(y)}" for s, x, y in rows]
+    write_plot_data(path, series)
+    expected = [f"{name},{_g(x)},{_g(y)}"
+                for name, (x_values, y_values) in series.items()
+                for x, y in zip(x_values, y_values)]
     assert path.read_bytes() == _reference(
         "tiresense.plot.v1", "series,x,y", expected
     ).encode()
@@ -510,18 +517,23 @@ def test_cli_estimate_deterministic(workspace, tmp_path):
 
 
 def test_cli_estimate_emits_feature_table(workspace, tmp_path):
-    load_model = tmp_path / "lm.json"
-    assert cli("calibrate-load", "--traces", workspace / "calib",
-               "--out", load_model) == 0
-    trace = tmp_path / "t.csv"
-    assert cli("simulate", "--scenario", workspace / "scenario.json",
-               "--turns", 4, "--out", trace, "--seed", 9) == 0
-    features = tmp_path / "features.csv"
-    assert cli("estimate", "--trace", trace, "--load-model", load_model,
-               "--out", tmp_path / "est.csv", "--features", features) == 0
-    lines = features.read_text().splitlines()
+    # A trace at 3 degrees of slip: the features file is the same with and
+    # without a slip model, and its lateral columns are measured, not zeros.
+    load_model, slip_model = tmp_path / "lm.json", tmp_path / "sm.json"
+    assert cli("calibrate-load", "--traces", workspace / "calib", "--out", load_model) == 0
+    assert cli("calibrate-slip", "--traces", workspace / "slip", "--out", slip_model) == 0
+    files = []
+    for extra in ((), ("--slip-model", slip_model)):
+        files.append(tmp_path / f"features{len(extra)}.csv")
+        assert cli("estimate", "--trace", workspace / "slip" / "slip_3.csv",
+                   "--load-model", load_model, "--out", tmp_path / "est.csv",
+                   "--features", files[-1], *extra) == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
+    lines = files[0].read_text().splitlines()
     assert lines[1] == "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope"
-    assert len(lines) == 2 + 4  # header lines plus one row per turn
+    table = np.loadtxt(lines[2:], delimiter=",", ndmin=2)
+    assert len(table) == 6  # one row per turn
+    assert (table[:, 3] > 0).all() and (table[:, 4] != 0).all()
 
 
 def test_cli_evaluate_length_mismatch(workspace, tmp_path):
@@ -602,16 +614,18 @@ def test_cli_sweep(tmp_path):
     assert shares["load"] >= 80.0
     lines = plot.read_text().splitlines()
     assert lines[1] == "series,x,y"
-    # per swept point of each factor in turn: the patch row, then the peak row
+    # each factor in turn: its patch series, then its peak series
     expected = []
     for factor, (lo, hi) in (("load", (800, 1500)), ("pressure", (29, 35)), ("tread", (2, 8))):
+        patch, peak = [], []
         for value in np.linspace(lo, hi, 5).tolist():
             fields = {"load": 1150.0, "pressure": 32.0, "tread": 5.0, factor: value}
             geom = derive_geometry(scenario(vertical_load=fields["load"],
                                             inflation_pressure=fields["pressure"],
                                             tread_depth=fields["tread"]))
-            expected += [f"patch_length_vs_{factor},{value:.12g},{geom.patch_chord:.12g}",
-                         f"peak_radial_vs_{factor},{value:.12g},{geom.deflection_mm:.12g}"]
+            patch.append(f"patch_length_vs_{factor},{value:.12g},{geom.patch_chord:.12g}")
+            peak.append(f"peak_radial_vs_{factor},{value:.12g},{geom.deflection_mm:.12g}")
+        expected += patch + peak
     assert lines[2:] == expected
 
 
@@ -634,8 +648,22 @@ def test_cli_simulate_plot_integration(workspace, tmp_path):
     assert cli("simulate", "--scenario", workspace / "scenario.json",
                "--turns", 3, "--out", out, "--seed", 2,
                "--plot-integration", fig8) == 0
-    text = fig8.read_text()
-    assert "filtered_mm" in text and "unfiltered_mm" in text
+    # The first revolution of the trace, which starts at top dead centre:
+    # round(period * fs) samples at x = i / fs, integrated at 1 / period.
+    trace, truth, _, _ = read_trace(out)
+    period, fs = float(truth.wheel_period_s[0]), trace.sample_rate
+    n = round(period * fs)
+    turn = trace.a_radial[:n]
+    series = {
+        "filtered_mm": accel_to_displacement(-turn, fs, 1.0 / period),
+        "unfiltered_mm": -double_integrate(turn, fs) * 1e3,
+    }
+    lines = fig8.read_text().splitlines()
+    assert lines[:2] == ["# schema=tiresense.plot.v1", "series,x,y"]
+    assert lines[2:] == [f"{name},{i / fs:.12g},{y:.12g}"
+                         for name, values in series.items()
+                         for i, y in enumerate(values.tolist())]
+    assert len(lines) == 2 + 2 * n
 
 
 # ---------------------------------------------------------------------------
@@ -924,6 +952,10 @@ def _sidecar_v1(root):
 _LINE_NAMES = {
     "simulate-noise-1e200": f"{os.sep}scenario.json: sensor noise or bias",
     "simulate-bias-1e308": f"{os.sep}scenario.json: sensor noise or bias",
+    "simulate-radius-below-tread": f"{os.sep}scenario.json: effective radius ",
+    "simulate-load-20000": f"{os.sep}scenario.json: deflection ",
+    "simulate-sample-rate-100": f"{os.sep}scenario.json: sample rate 100 Hz gives fewer",
+    "simulate-release-window": f"{os.sep}scenario.json: release window extends past",
     "load-model-v1": "; refit with calibrate-load",
     "load-model-v2": "; refit with calibrate-load",
     "scenario-with-v2-constants":
@@ -1001,6 +1033,18 @@ _LINE_NAMES = {
                      id="simulate-noise-1e200"),
         pytest.param(lambda root: _scenario_file(root, dc_bias=[1e308] * 3),
                      id="simulate-bias-1e308"),
+        # refused by simulate's geometry and resolution checks
+        pytest.param(lambda root: _scenario_file(root, unloaded_radius=0.04, tread_depth=0.0),
+                     id="simulate-radius-below-tread"),
+        pytest.param(lambda root: _scenario_file(root, vertical_load=20000.0),
+                     id="simulate-load-20000"),
+        pytest.param(lambda root: _scenario_file(root, sample_rate=100.0),
+                     id="simulate-sample-rate-100"),
+        # a contact half-angle that rounds to pi / 2; one ulp less load simulates
+        pytest.param(lambda root: _scenario_file(root, unloaded_radius=1.0, tread_depth=8.0,
+                                                 inflation_pressure=32.0,
+                                                 vertical_load=44961.788774192355),
+                     id="simulate-release-window"),
         # about 700 TiB of truth arrays: more than the address space, so the
         # allocator refuses it at once
         pytest.param(lambda root: _scenario_file(root, turns=10**14),
