@@ -133,12 +133,11 @@ def _feature_tables(paths, include_lateral: bool):
     Each trace lives until the next is read, so the heap is not trimmed in between."""
     for path in paths:
         trace, truth, scenario, _ = read_trace(path)
-        table, _ = extract_features(
-            trace,
-            wheel_speed=scenario.vehicle_speed,
-            radius_hint=scenario.unloaded_radius,
-            include_lateral=include_lateral,
-        )
+        try:
+            table, _ = extract_features(trace, scenario.vehicle_speed, scenario.unloaded_radius,
+                                        include_lateral)
+        except TireSenseError as exc:
+            raise type(exc)(f"{path}: {exc}") from None
         yield truth, scenario, table
 
 
@@ -250,8 +249,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    ranges, points = read_ranges(args.ranges)
-    report = sensitivity_sweep(ranges, points=points)
+    ranges = read_ranges(args.ranges)
+    try:
+        report = sensitivity_sweep(ranges)
+    except TireSenseError as exc:
+        raise type(exc)(f"{args.ranges}: {exc}") from None
     write_sensitivity(args.out, report)
     if args.plot_data is not None:
         # one-at-a-time sweep curves, columns value, peak radial and chord

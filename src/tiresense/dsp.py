@@ -129,23 +129,26 @@ def estimate_period(
     Raises
     ------
     TooShortError
-        If the trace covers fewer than three hinted periods.
+        If the trace covers fewer than three of the shortest periods the
+        search accepts, 0.8 times the hinted one.
     NoPeakError
         If no interior autocorrelation maximum exists in the window, for
         example on a constant signal.
     """
     fs = trace.sample_rate
     hinted = 2.0 * np.pi * radius_hint / speed_hint
+    shortest = 0.8 * hinted
     n = len(trace)
-    if n < 3 * hinted * fs:
+    if n < 3 * shortest * fs:
+        # rounded apart, so that a refused trace never reads as long enough
         raise TooShortError(
-            f"need at least 3 hinted periods ({3 * hinted:.3f} s), "
-            f"trace has {n / fs:.3f} s"
+            f"need at least 3 periods of 0.8 x the hint ({np.ceil(3e3 * shortest):.0f} ms), "
+            f"trace has {np.floor(1e3 * n / fs):.0f} ms"
         )
     x = trace.a_radial[: int(round(PERIOD_PREFIX_TURNS * hinted * fs))]
     x = x - x.mean()
     n = len(x)
-    lo = max(1, int(np.floor(0.8 * hinted * fs)))
+    lo = max(1, int(np.floor(shortest * fs)))
     hi = min(n - 2, int(np.ceil(1.2 * hinted * fs)))
     if lo >= hi:
         raise NoPeakError("autocorrelation search window is empty")
@@ -267,12 +270,10 @@ def accel_to_displacement(
     return disp
 
 
-def displacement_weights(
-    n: int, sample_rate: float, rotation_frequency: float, columns: np.ndarray
-) -> np.ndarray:
+def displacement_weights(n: int, sample_rate: float, columns: np.ndarray) -> np.ndarray:
     """One row per column ``j`` of ``columns``: the weights ``w_j`` with
-    ``w_j @ x == accel_to_displacement(x, ...)[j]`` for any n-sample turn
-    ``x``, up to rounding.
+    ``w_j @ x == accel_to_displacement(x, sample_rate, sample_rate / n)[j]``
+    for any n-sample turn ``x``, up to rounding.
 
     The chain up to the detrend is linear, and on the circular turn window
     it commutes with shifts up to an added constant: each high-pass is a
@@ -288,7 +289,7 @@ def displacement_weights(
     """
     impulse = np.full(n, -1.0 / n)
     impulse[0] += 1.0
-    response = _integrate_twice(impulse, sample_rate, rotation_frequency)
+    response = _integrate_twice(impulse, sample_rate, sample_rate / n)
     # Both inputs of a convolution have zero mean, so the output has too,
     # and a constant times the sum of a row cannot creep in through rounding.
     response -= response.mean()

@@ -32,7 +32,8 @@ SLIP_CLAMP_MARGIN = 0.2
 
 # Each swept factor and the TireScenario field it sets.
 SWEEP_FACTORS = {"load": "vertical_load", "pressure": "inflation_pressure", "tread": "tread_depth"}
-# Points per factor when a ranges file names none.
+# Points per factor.  Every swept feature is monotone in its factor, so the
+# spans come from the range ends; the points between only draw the curve.
 SWEEP_POINTS = 7
 # Unloaded radius of the swept tire; fields other than the factors keep their defaults.
 SWEEP_RADIUS = 0.3
@@ -262,8 +263,8 @@ def predict_slip(model: SlipModel, peak_lateral_mm, lateral_slope):
 class SensitivityReport:
     """Range share of each factor per feature, percentages summing to 100.
 
-    ``curves`` keeps every swept point: factor -> a ``(points, 3)`` array of
-    the factor's value, the peak radial displacement and the patch chord.
+    ``curves`` maps each factor to a ``(SWEEP_POINTS, 3)`` array of its
+    swept values, the peak radial displacements and the patch chords.
     """
 
     ranges: dict
@@ -273,10 +274,7 @@ class SensitivityReport:
     curves: dict
 
 
-def sensitivity_sweep(
-    ranges: dict[str, tuple[float, float]],
-    points: int = SWEEP_POINTS,
-) -> SensitivityReport:
+def sensitivity_sweep(ranges: dict[str, tuple[float, float]]) -> SensitivityReport:
     """One-at-a-time sensitivity of the footprint features.
 
     Each factor sweeps its range while the others sit at the range centre;
@@ -292,7 +290,7 @@ def sensitivity_sweep(
     curves: dict[str, np.ndarray] = {}
     for factor, (lo, hi) in ranges.items():
         rows, fields = [], {SWEEP_FACTORS[f]: c for f, c in center.items()}
-        for value in np.linspace(lo, hi, points).tolist():
+        for value in np.linspace(lo, hi, SWEEP_POINTS).tolist():
             fields[SWEEP_FACTORS[factor]] = value
             geom = derive_geometry(TireScenario(unloaded_radius=SWEEP_RADIUS, **fields))
             rows.append((value, geom.deflection_mm, geom.patch_chord))

@@ -63,7 +63,7 @@ def lateral_features(
     # one group per (leading, fit_n) pair, keyed as one integer
     keys, group = np.unique(leading * (n + 1) + fit_n, return_inverse=True)
     first = leading.min()
-    weights = displacement_weights(n, sample_rate, sample_rate / n, np.append(
+    weights = displacement_weights(n, sample_rate, np.append(
         np.arange(first, (leading + fit_n).max()), start + np.argmax(np.abs(window))))
     fits = np.array([_line_slope(weights[lo : lo + size].T)
                      for lo, size in zip(keys // (n + 1) - first, keys % (n + 1))])
@@ -95,7 +95,6 @@ def extract_features(
         return np.lib.stride_tricks.sliding_window_view(channel, length)[at]
 
     fs = trace.sample_rate
-    rotation_frequency = fs / length
     edges = detect_patch_edges(by_turn(trace.a_tangential, starts))
     ok = np.flatnonzero(edges.failed == 0)
     leading, trailing = edges.leading[ok], edges.trailing[ok]
@@ -109,10 +108,9 @@ def extract_features(
         # is the centre's height over the column where the mean profile of
         # the trace's turns is lowest.
         radial = by_turn(trace.a_radial, starts[ok])
-        mean = accel_to_displacement(radial.mean(axis=0), fs, rotation_frequency)
+        mean = accel_to_displacement(radial.mean(axis=0), fs, fs / length)
         centres, group = np.unique((leading + trailing) // 2, return_inverse=True)
-        weights = displacement_weights(length, fs, rotation_frequency,
-                                       np.append(centres, np.argmin(mean)))
+        weights = displacement_weights(length, fs, np.append(centres, np.argmin(mean)))
         dip[ok] = np.einsum("ti,ti->t", radial, (weights[:-1] - weights[-1])[group])
         del radial
         peak[ok] = slope[ok] = 0.0

@@ -23,7 +23,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import GeometryError, ScenarioError, SchemaError
-from .estimation import SWEEP_POINTS, LoadSurfaceModel, SlipModel
+from .estimation import SWEEP_FACTORS, LoadSurfaceModel, SlipModel
 from .features import FEATURE_FIELDS
 from .geometry import derive_geometry
 from .scenario import SensorSpec, TireScenario
@@ -39,10 +39,6 @@ SENSITIVITY_SCHEMA = "tiresense.sensitivity.v1"
 PLOT_SCHEMA = "tiresense.plot.v1"
 FEATURES_SCHEMA = "tiresense.features.v1"
 _ESTIMATES_HEADER = "turn,load_lbf,slip_deg,valid"
-
-# Most points a sweep ranges file may ask for per factor: far more than a
-# figure's curve needs, and the sweep stays well under a second.
-MAX_SWEEP_POINTS = 1000
 
 # Most .npy header bytes read_trace lets numpy parse.  np.save (numpy 2.4)
 # writes 118 for any (rows, 3) <f8 array; a longer header-length field is a damaged file,
@@ -348,17 +344,16 @@ def write_report(path: Path, report: dict) -> None:
     _write_json(Path(path), payload)
 
 
-def read_ranges(path: Path) -> tuple[dict, int]:
-    """Read a sweep ranges file: factor -> [lo, hi] plus optional points."""
+def read_ranges(path: Path) -> dict:
+    """Read a sweep ranges file: factor -> [lo, hi]."""
     payload = _read_object(path)
-    points = _field(path, "points", int, payload.pop("points", SWEEP_POINTS))
-    if not 2 <= points <= MAX_SWEEP_POINTS:
-        raise SchemaError(f"{path}: points must lie in [2, {MAX_SWEEP_POINTS}]")
-    ranges = {
+    for name in payload:
+        if name not in SWEEP_FACTORS:
+            raise SchemaError(f"{path}: {name} is not a factor of {list(SWEEP_FACTORS)}")
+    return {
         factor: tuple(map(float, _field(path, factor, tuple[float, float], bounds)))
         for factor, bounds in payload.items()
     }
-    return ranges, points
 
 
 def write_sensitivity(path: Path, report) -> None:

@@ -69,9 +69,11 @@ def test_constant_signal_has_no_peak():
         estimate_period(trace, 20.0, 0.3)
 
 
-def test_period_needs_three_hinted_periods(default_scenario, quiet_sensor):
+def test_period_needs_three_shortest_search_periods(default_scenario, quiet_sensor):
+    # 2 turns fall short of 3 x 0.8 hinted periods; the refusal's two
+    # durations are rounded apart
     trace, _ = simulate(default_scenario, quiet_sensor, 2)
-    with pytest.raises(TooShortError):
+    with pytest.raises(TooShortError, match=r"the hint \(227 ms\), trace has 188 ms$"):
         estimate_period(trace, default_scenario.vehicle_speed, 0.3)
 
 
@@ -371,7 +373,7 @@ def test_every_integration_runs_the_chain(monkeypatch):
         accel_to_displacement(turn, FS, FS / 942)
         assert len(calls) == 2
     calls.clear()
-    displacement_weights(942, FS, FS / 942, np.array([0, 471]))
+    displacement_weights(942, FS, np.array([0, 471]))
     assert len(calls) == 2
 
 
@@ -384,7 +386,7 @@ def test_weights_read_the_profile_columns(length):
     # sorted and distinct, then unsorted with a repeat
     for columns in ([0, 1, 300, length // 2, length - 1], [length - 1, 7, 300, 0, 7]):
         columns = np.array(columns)
-        weights = displacement_weights(length, FS, FS / length, columns)
+        weights = displacement_weights(length, FS, columns)
         assert weights.shape == (len(columns), length)
         read = np.stack([np.einsum("ti,i->t", turns, w) for w in weights], axis=-1)
         assert_rows_close(read, profiles[:, columns])

@@ -12,6 +12,7 @@ from tiresense import (
     simulate,
 )
 from tiresense.estimation import (
+    SWEEP_POINTS,
     LoadSurfaceModel,
     SlipModel,
     convergence_turn,
@@ -371,28 +372,35 @@ def test_slip_prediction_equivariant_under_feature_scaling(scale):
 # ---------------------------------------------------------------------------
 # sensitivity sweep
 
-def reference_sweep(ranges, points):
+SWEEP_FEATURES = ("peak_radial_displacement", "contact_patch_length")
+
+
+def swept_features(values):
+    """The two swept features of the 0.3 m tire at factor ``values``."""
+    geom = derive_geometry(TireScenario(
+        unloaded_radius=0.3, vertical_load=values["load"],
+        inflation_pressure=values["pressure"], tread_depth=values["tread"]))
+    return geom.deflection_mm, geom.patch_chord
+
+
+def reference_sweep(ranges):
     """The sweep as a loop over dicts of lists: (shares, spans, curves)."""
-    features = ("peak_radial_displacement", "contact_patch_length")
     center = {factor: 0.5 * (lo + hi) for factor, (lo, hi) in ranges.items()}
-    spans = {f: {} for f in features}
+    spans = {f: {} for f in SWEEP_FEATURES}
     curves = {}
     for factor, (lo, hi) in ranges.items():
         values = dict(center)
-        swept = {"value": [], **{feature: [] for feature in features}}
-        for value in np.linspace(lo, hi, points):
+        swept = {"value": [], **{feature: [] for feature in SWEEP_FEATURES}}
+        for value in np.linspace(lo, hi, SWEEP_POINTS):
             values[factor] = float(value)
             swept["value"].append(values[factor])
-            geom = derive_geometry(TireScenario(
-                unloaded_radius=0.3, vertical_load=values["load"],
-                inflation_pressure=values["pressure"], tread_depth=values["tread"]))
-            swept["peak_radial_displacement"].append(geom.deflection_mm)
-            swept["contact_patch_length"].append(geom.patch_chord)
-        for feature in features:
+            for feature, y in zip(SWEEP_FEATURES, swept_features(values)):
+                swept[feature].append(y)
+        for feature in SWEEP_FEATURES:
             spans[feature][factor] = float(max(swept[feature]) - min(swept[feature]))
         curves[factor] = swept
     shares = {}
-    for feature in features:
+    for feature in SWEEP_FEATURES:
         total = sum(spans[feature].values())
         if total > 0.0:
             shares[feature] = {
@@ -404,16 +412,16 @@ def reference_sweep(ranges, points):
     return shares, spans, curves
 
 
-@pytest.mark.parametrize("ranges, points", [
-    (TABLE_RANGES, 5),
-    ({**TABLE_RANGES, "tread": (5.0, 5.0)}, 4),
+@pytest.mark.parametrize("ranges", [
+    TABLE_RANGES,
+    {**TABLE_RANGES, "tread": (5.0, 5.0)},
     # Over these wide ranges the three patch spans sum to another last bit
     # in this key order than in the order load, pressure, tread.
-    ({"tread": (0.0, 8.0), "load": (100.0, 2000.0), "pressure": (20.0, 40.0)}, 5),
+    {"tread": (0.0, 8.0), "load": (100.0, 2000.0), "pressure": (20.0, 40.0)},
 ], ids=["criterion-4", "collapsed-tread", "tread-load-pressure"])
-def test_sweep_matches_reference_bit_for_bit(ranges, points):
-    shares, spans, curves = reference_sweep(ranges, points)
-    report = sensitivity_sweep(ranges, points)
+def test_sweep_matches_reference_bit_for_bit(ranges):
+    shares, spans, curves = reference_sweep(ranges)
+    report = sensitivity_sweep(ranges)
     assert report.shares == shares and report.spans == spans
     assert [list(span) for span in report.spans.values()] == [list(ranges)] * 2
     assert list(report.curves) == list(curves)
@@ -421,6 +429,13 @@ def test_sweep_matches_reference_bit_for_bit(ranges, points):
         expected = np.column_stack(
             [curve["value"], curve["peak_radial_displacement"], curve["contact_patch_length"]])
         assert report.curves[factor].tobytes() == expected.tobytes()
+    # Each feature is monotone in each factor, so a span is the feature's
+    # change between the range ends, however many points lie between.
+    center = {factor: 0.5 * (lo + hi) for factor, (lo, hi) in ranges.items()}
+    for factor, (lo, hi) in ranges.items():
+        at_lo, at_hi = (swept_features({**center, factor: end}) for end in (lo, hi))
+        for feature, y_lo, y_hi in zip(SWEEP_FEATURES, at_lo, at_hi):
+            assert report.spans[feature][factor] == abs(y_hi - y_lo)
 
 
 def test_sensitivity_shares_sum_to_100():

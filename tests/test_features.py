@@ -162,6 +162,17 @@ def test_lateral_features_odd_in_slip():
     assert slope_neg == pytest.approx(-slope_pos, rel=0.01)  # signed, odd
 
 
+# The hint 2 pi R / v is longer than the loaded turn, so at these speeds and
+# rates 3 turns are shorter than 3 hinted periods.
+@pytest.mark.parametrize("speed, rate", [(12.0, 1000.0), (12.0, 10_000.0), (20.0, 2000.0),
+                                         (20.0, 10_000.0), (33.0, 1000.0)])
+def test_three_turn_trace_gives_three_turns(speed, rate):
+    trace, _ = simulate(scenario(vehicle_speed=speed), SensorSpec(sample_rate=rate, seed=2), 3)
+    assert len(trace) < 3 * 2 * np.pi * 0.3 / speed * rate
+    rows, skipped = extract_features(trace, speed, 0.3)
+    assert (len(rows), skipped) == (3, 0)
+
+
 def test_features_deterministic_for_fixed_seed():
     scen = scenario()
     sensor = SensorSpec(seed=3)

@@ -29,7 +29,6 @@ from tiresense.estimation import (
 from tiresense.features import FEATURE_FIELDS, extract_features
 from tiresense.geometry import derive_geometry
 from tiresense.io import (
-    MAX_SWEEP_POINTS,
     MAX_TRACE_HEADER_BYTES,
     SIDECAR_SCHEMA,
     TRACE_SCHEMA,
@@ -603,7 +602,7 @@ def test_cli_unknown_flag_exits_nonzero(workspace, tmp_path):
 def test_cli_sweep(tmp_path):
     ranges = tmp_path / "ranges.json"
     ranges.write_text(json.dumps(
-        {"load": [800, 1500], "pressure": [29, 35], "tread": [2, 8], "points": 5}
+        {"load": [800, 1500], "pressure": [29, 35], "tread": [2, 8]}
     ))
     out = tmp_path / "table3.json"
     plot = tmp_path / "sweep.csv"
@@ -614,11 +613,12 @@ def test_cli_sweep(tmp_path):
     assert shares["load"] >= 80.0
     lines = plot.read_text().splitlines()
     assert lines[1] == "series,x,y"
-    # each factor in turn: its patch series, then its peak series
+    # each factor in turn: its patch series, then its peak series, at
+    # SWEEP_POINTS values each
     expected = []
     for factor, (lo, hi) in (("load", (800, 1500)), ("pressure", (29, 35)), ("tread", (2, 8))):
         patch, peak = [], []
-        for value in np.linspace(lo, hi, 5).tolist():
+        for value in np.linspace(lo, hi, SWEEP_POINTS).tolist():
             fields = {"load": 1150.0, "pressure": 32.0, "tread": 5.0, factor: value}
             geom = derive_geometry(scenario(vertical_load=fields["load"],
                                             inflation_pressure=fields["pressure"],
@@ -627,19 +627,6 @@ def test_cli_sweep(tmp_path):
             peak.append(f"peak_radial_vs_{factor},{value:.12g},{geom.deflection_mm:.12g}")
         expected += patch + peak
     assert lines[2:] == expected
-
-
-def test_cli_sweep_points_bound(tmp_path, capsys):
-    plot = tmp_path / "plot.csv"
-    # a ranges file without points sweeps SWEEP_POINTS per factor
-    for extra, points in (({}, SWEEP_POINTS), ({"points": MAX_SWEEP_POINTS}, MAX_SWEEP_POINTS)):
-        assert cli(*_ranges(tmp_path, **extra), "--plot-data", plot) == 0
-        assert len(plot.read_text().splitlines()) == 2 + 2 * 3 * points
-    (tmp_path / "out").unlink()
-    assert cli(*_ranges(tmp_path, points=MAX_SWEEP_POINTS + 1)) == 1
-    assert capsys.readouterr().err == (
-        f"error: {tmp_path / 'ranges.json'}: points must lie in [2, {MAX_SWEEP_POINTS}]\n")
-    assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_plot_integration(workspace, tmp_path):
@@ -708,10 +695,11 @@ def bad_inputs(tmp_path_factory):
     return root
 
 
-def _ranges(root, **extra):
+def _ranges(root, **changes):
+    """sweep on the criterion-4 ranges with ``changes``; a None drops the factor."""
+    ranges = {"load": [800, 1500], "pressure": [29, 35], "tread": [2, 8], **changes}
     path = root / "ranges.json"
-    path.write_text(json.dumps({"load": [800, 1500], "pressure": [29, 35],
-                                "tread": [2, 8], **extra}))
+    path.write_text(json.dumps({k: v for k, v in ranges.items() if v is not None}))
     return ["sweep", "--ranges", path, "--out", root / "out"]
 
 
@@ -794,6 +782,15 @@ def _every_turn_skipped(root, command):
     write_trace(root / "dead" / "dead.csv",
                 AccelTrace(trace.sample_rate, samples), truth, scen, sensor)
     return [command, "--traces", root / "dead", "--out", root / "out"]
+
+
+def _two_turns(root, command):
+    """``command`` on a 2-turn trace, shorter than the period search needs."""
+    (root / "two").mkdir(exist_ok=True)
+    write_trace_files(root / "two" / "two.npy", scenario(), SENSOR, 2)
+    if command == "estimate":
+        return _estimate(root, "two/two.npy")
+    return [command, "--traces", root / "two", "--out", root / "out"]
 
 
 def _turns_short_of_sidecar(root):
@@ -961,6 +958,13 @@ _LINE_NAMES = {
     "scenario-with-v2-constants":
         "unknown fields ['release_angle', 'stiffness_c0', 'stiffness_c1', 'wear_radius_gain']",
     "turns-short-of-sidecar": f"{os.sep}short.npy: found 19 of the sidecar's 20 turns",
+    "estimate-two-turns": f"{os.sep}two.npy: need at least 3 periods of 0.8 x the hint",
+    "calibrate-load-two-turns": f"{os.sep}two.npy: need at least 3 periods of 0.8 x the hint",
+    "extra-factor": f"{os.sep}ranges.json: speed is not a factor",
+    "points": f"{os.sep}ranges.json: points is not a factor",
+    "missing-factor": f"{os.sep}ranges.json: ranges must cover exactly ",
+    "sweep-negative-load": f"{os.sep}ranges.json: vertical_load must be positive",
+    "sweep-pressure-3500": f"{os.sep}ranges.json: inflation_pressure must lie in (0, ",
     "sidecar-pressure-1e300": f"{os.sep}edited.json: inflation_pressure must lie in (0, ",
     "truth-zero-load": f"{os.sep}truth.json: vertical_load must be positive",
     "truth-degenerate-geometry": f"{os.sep}truth.json: deflection ",
@@ -971,9 +975,12 @@ _LINE_NAMES = {
     "make_argv",
     [
         pytest.param(lambda root: _ranges(root, speed=[10, 30]), id="extra-factor"),
-        pytest.param(lambda root: _ranges(root, points=1), id="points-1"),
-        pytest.param(lambda root: _ranges(root, points=2.5), id="points-2.5"),
-        pytest.param(lambda root: _ranges(root, points="x"), id="points-x"),
+        pytest.param(lambda root: _ranges(root, points=5), id="points"),
+        pytest.param(lambda root: _ranges(root, tread=None), id="missing-factor"),
+        pytest.param(lambda root: _ranges(root, load=[-5, 1500]), id="sweep-negative-load"),
+        # the range's centre, 1764.5 psi, lies past MAX_PRESSURE_PSI
+        pytest.param(lambda root: _ranges(root, pressure=[29, 3500]),
+                     id="sweep-pressure-3500"),
         pytest.param(_no_valid_turn, id="no-valid-turn"),
         pytest.param(_rate_mismatch, id="sample-rate-mismatch"),
         *(pytest.param(lambda root, n=name, e=edit: _edited_trace(root, n, e), id=name)
@@ -995,6 +1002,9 @@ _LINE_NAMES = {
         pytest.param(lambda root: _every_turn_skipped(root, "calibrate-slip"),
                      id="calibrate-slip-every-turn-skipped"),
         pytest.param(_turns_short_of_sidecar, id="turns-short-of-sidecar"),
+        pytest.param(lambda root: _two_turns(root, "estimate"), id="estimate-two-turns"),
+        pytest.param(lambda root: _two_turns(root, "calibrate-load"),
+                     id="calibrate-load-two-turns"),
         pytest.param(_non_utf8_estimates, id="estimates-non-utf8"),
         pytest.param(_non_utf8_load_model, id="load-model-non-utf8"),
         pytest.param(lambda root: _estimates_field(root, 1, "nan"), id="estimates-nan-load"),
@@ -1254,7 +1264,7 @@ def json_inputs(tmp_path_factory):
     write_estimates(root / "est.csv", np.full(4, 1000.0), np.full(4, 2.0),
                     np.ones(4, dtype=bool))
     (root / "ranges.json").write_text(json.dumps(
-        {"load": [800, 1500], "pressure": [29, 35], "tread": [2, 8], "points": 3}))
+        {"load": [800, 1500], "pressure": [29, 35], "tread": [2, 8]}))
     # trace.json again, mutated as the sidecar that estimate reads beside bad.csv
     (root / "sidecar.json").write_bytes((root / "trace.json").read_bytes())
     (root / "bad.csv").write_bytes((root / "trace.csv").read_bytes())
