@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .dsp import accel_to_displacement, double_integrate
-from .errors import SchemaError, TireSenseError
+from .errors import SchemaError, TireSenseError, quote_count
 from .estimation import (
     convergence_turn,
     estimate_load_stream,
@@ -207,11 +207,10 @@ def _cmd_evaluate(args) -> int:
     true_load = float(scenario.vertical_load)
     true_slip = float(scenario.slip_angle)
     if len(loads) != n_truth:
-        raise SchemaError(
-            f"estimate rows ({len(loads)}) do not match truth turns ({n_truth})"
-        )
+        raise SchemaError(f"{args.estimates}: {len(loads)} estimate rows do not match "
+                          f"the {quote_count(n_truth)} turns of {args.truth}")
     if not valid.any():
-        raise TireSenseError("no valid turn to evaluate")
+        raise TireSenseError(f"{args.estimates}: no valid turn to evaluate")
 
     rel_err = np.abs(loads[valid] - true_load) / true_load
     final_rel_err = abs(loads[-1] - true_load) / true_load

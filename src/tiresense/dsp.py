@@ -13,7 +13,6 @@ with a ``displacement_weights`` row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -44,17 +43,6 @@ EDGE_MARGIN_WIDTHS = 1
 EDGE_MIN_SEPARATION_WIDTHS = 1
 EDGE_NOISE_FLOOR_SIGMAS = 10.0
 MAD_TO_SIGMA = 1.4826
-
-
-@dataclass(frozen=True)
-class WheelTurnSegment:
-    """Sample window ``[start_index, end_index)`` of one revolution, patch centred."""
-
-    start_index: int
-    end_index: int
-
-    def __len__(self) -> int:
-        return self.end_index - self.start_index
 
 
 def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
@@ -166,8 +154,10 @@ def estimate_period(
     return k / fs
 
 
-def segment_turns(trace: AccelTrace, period: float) -> list[WheelTurnSegment]:
-    """Split a trace into whole revolutions, one centred patch per segment.
+def segment_turns(trace: AccelTrace, period: float) -> np.recarray:
+    """Split a trace into whole revolutions, one centred patch per segment:
+    a record array with one record per turn, its sample window
+    ``[start_index, end_index)``.
 
     Patch centres are the minima of the lightly smoothed radial channel.
     Starting from the deepest one, each next centre is searched within
@@ -218,7 +208,7 @@ def segment_turns(trace: AccelTrace, period: float) -> list[WheelTurnSegment]:
     starts = np.clip(starts[cut <= MAX_CUT_FRACTION * length], 0, n - length)
     if not len(starts):
         raise TooShortError("no complete wheel turn found")
-    return [WheelTurnSegment(int(s), int(s) + length) for s in starts]
+    return np.rec.fromarrays([starts, starts + length], names=("start_index", "end_index"))
 
 
 def _line_slope(y: np.ndarray) -> np.ndarray:

@@ -5,6 +5,15 @@ command line can map validation failures to a single exit code while real
 I/O problems (`OSError`) keep their own.
 """
 
+import sys
+
+
+def quote_count(n: int) -> str:
+    """An input integer as an error quotes it: 12 significant digits, or the float bound."""
+    if abs(n) > sys.float_info.max:
+        return f"{'below -' if n < 0 else 'above '}{sys.float_info.max:.4g}"
+    return f"{n:.12g}"
+
 
 class TireSenseError(Exception):
     """Base class for all validation and processing errors."""

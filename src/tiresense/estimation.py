@@ -285,6 +285,10 @@ def sensitivity_sweep(ranges: dict[str, tuple[float, float]]) -> SensitivityRepo
     """
     if set(ranges) != set(SWEEP_FACTORS):
         raise InvalidArgumentError(f"ranges must cover exactly {sorted(SWEEP_FACTORS)}")
+    # TireScenario checks each field alone, so what it refuses here is a range's own bound.
+    for end in (0, 1):
+        TireScenario(unloaded_radius=SWEEP_RADIUS,
+                     **{SWEEP_FACTORS[f]: bounds[end] for f, bounds in ranges.items()})
     center = {factor: 0.5 * (lo + hi) for factor, (lo, hi) in ranges.items()}
 
     curves: dict[str, np.ndarray] = {}

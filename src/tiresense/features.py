@@ -87,9 +87,8 @@ def extract_features(
     search only.
     """
     period = estimate_period(trace, wheel_speed, radius_hint)
-    segments = segment_turns(trace, period)
-    length = len(segments[0])
-    starts = np.array([seg.start_index for seg in segments])
+    turns = segment_turns(trace, period)  # one record per turn, every window of one length
+    starts, length = turns.start_index, int(turns.end_index[0] - turns.start_index[0])
 
     def by_turn(channel: np.ndarray, at: np.ndarray) -> np.ndarray:  # the turns starting at ``at``
         return np.lib.stride_tricks.sliding_window_view(channel, length)[at]
@@ -99,7 +98,7 @@ def extract_features(
     ok = np.flatnonzero(edges.failed == 0)
     leading, trailing = edges.leading[ok], edges.trailing[ok]
 
-    columns = np.full((4, len(segments)), np.nan)
+    columns = np.full((4, len(starts)), np.nan)
     patch, dip, peak, slope = columns  # views: each fills one column
     patch[ok] = wheel_speed * (trailing - leading) / fs
     if len(ok):
@@ -117,5 +116,5 @@ def extract_features(
         if include_lateral:
             lateral = by_turn(trace.a_lateral, starts[ok])
             peak[ok], slope[ok] = lateral_features(lateral, leading, trailing, wheel_speed, fs)
-    table = np.rec.fromarrays([np.arange(len(segments)), *columns], names=FEATURE_FIELDS)
-    return table, len(segments) - len(ok)
+    table = np.rec.fromarrays([np.arange(len(starts)), *columns], names=FEATURE_FIELDS)
+    return table, len(starts) - len(ok)

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import GeometryError
-from .scenario import FULL_TREAD_MM, WEAR_RADIUS_GAIN, TireScenario
-from .units import LBF_TO_N, MM_TO_M
+from .scenario import FULL_TREAD_MM, LBF_TO_N, MM_TO_M, WEAR_RADIUS_GAIN, TireScenario
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ def derive_geometry(scenario: TireScenario) -> TireGeometry:
     )
     if deflection >= r_eff:
         raise GeometryError(
-            f"deflection {deflection * 1e3:.1f} mm reaches the effective "
-            f"radius {r_eff * 1e3:.1f} mm; patch geometry is degenerate"
+            f"deflection {deflection * 1e3:.4g} mm reaches the effective "
+            f"radius {r_eff * 1e3:.4g} mm; patch geometry is degenerate"
         )
     half_angle = math.acos((r_eff - deflection) / r_eff)
     return TireGeometry(r_eff, deflection, half_angle)

@@ -22,7 +22,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import GeometryError, ScenarioError, SchemaError
+from .errors import GeometryError, ScenarioError, SchemaError, quote_count
 from .estimation import SWEEP_FACTORS, LoadSurfaceModel, SlipModel
 from .features import FEATURE_FIELDS
 from .geometry import derive_geometry
@@ -241,15 +241,16 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
                               "array of shape (rows, 3)")
         rows, left = shape[0], os.fstat(handle.fileno()).st_size - handle.tell()
         if rows * 24 != left:
-            raise SchemaError(f"{path}: the header's {rows} rows take {rows * 24} bytes, "
-                              f"but {left} follow it")
+            raise SchemaError(f"{path}: the header's {quote_count(rows)} rows take "
+                              f"{quote_count(rows * 24)} bytes, but {left} follow it")
         scenario, sensor, n_turns = read_sidecar(sidecar_path(path))
         # Bounds the truth arrays by the trace before ground_truth allocates them.
         if not 1 <= n_turns <= rows / MIN_SAMPLES_PER_TURN:
-            raise SchemaError(f"{path}: n_turns {n_turns} does not fit {rows} rows")
+            raise SchemaError(f"{path}: n_turns {quote_count(n_turns)} does not fit {rows} rows")
         truth = ground_truth(scenario, n_turns)
         if rows != (expected := truth.n_samples(sensor.sample_rate)):
-            raise SchemaError(f"{path}: {rows} rows, but the sidecar's turns take {expected}")
+            raise SchemaError(f"{path}: {rows} rows, but the sidecar's turns take "
+                              f"{quote_count(expected)}")
         samples = np.fromfile(handle, dtype="<f8", count=3 * rows).reshape(rows, 3)
     try:
         trace = AccelTrace(sensor.sample_rate, samples)

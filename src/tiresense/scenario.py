@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 from .errors import ScenarioError
 
+# Scenario fields keep test-report units (lbf, psi, mm); the physics runs in SI.
+LBF_TO_N = 4.4482216
+MM_TO_M = 1e-3
 FULL_TREAD_MM = 8.0
 MAX_SLIP_DEG = 10.0
 # Far above any road tire's inflation, and low enough that the pressure's

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, ResolutionError, ScenarioError
+from .errors import GeometryError, ResolutionError, ScenarioError, quote_count
 from .geometry import TireGeometry, derive_geometry
 from .scenario import SensorSpec, TireScenario
 
@@ -201,8 +201,8 @@ def simulate(
     geom, omega, period = _rolling(scenario)
     if sensor.sample_rate < MIN_SAMPLES_PER_TURN / period:
         raise ResolutionError(
-            f"sample rate {sensor.sample_rate:.0f} Hz gives fewer than "
-            f"{MIN_SAMPLES_PER_TURN} samples per {period * 1e3:.1f} ms turn"
+            f"sample rate {sensor.sample_rate:g} Hz gives fewer than "
+            f"{MIN_SAMPLES_PER_TURN} samples per {period * 1e3:.4g} ms turn"
         )
     if 2.0 * geom.contact_half_angle >= math.pi:
         raise GeometryError("release window extends past the top of the wheel")
@@ -210,7 +210,7 @@ def simulate(
     fs = sensor.sample_rate
     if not n_turns < _MAX_SAMPLES / (period * fs):  # int < float cannot overflow
         raise ScenarioError(
-            f"{n_turns} turns at {fs:g} Hz need more samples than one array holds"
+            f"{quote_count(n_turns)} turns at {fs:g} Hz need more samples than one array holds"
         )
     truth = ground_truth(scenario, n_turns)
     n = truth.n_samples(fs)

@@ -106,17 +106,28 @@ def test_ten_turns_give_ten_segments(clean_trace):
     assert len(segments) == 10
     expected = round(truth.wheel_period_s[0] * trace.sample_rate)
     for seg in segments:
-        assert abs(len(seg) - expected) <= 1
+        assert abs(seg.end_index - seg.start_index - expected) <= 1
         # exactly one patch: one positive and one negative tangential spike
         leading, trailing = edges_of(
             trace.a_tangential[seg.start_index : seg.end_index]
         )
-        assert 0 < trailing - leading < len(seg) // 2
-    assert len({len(seg) for seg in segments}) == 1
+        assert 0 < trailing - leading < (seg.end_index - seg.start_index) // 2
+    assert len({seg.end_index - seg.start_index for seg in segments}) == 1
     # windows of one integer length on a fractional period: gaps and
     # overlaps of at most one sample
     for a, b in zip(segments[:-1], segments[1:]):
         assert abs(b.start_index - a.end_index) <= 1
+
+
+def test_segments_are_rows_of_one_window_length(clean_trace):
+    # perfbench's segment-centring hook reads the result this way: its
+    # len(), and start_index and end_index of each row it iterates.
+    trace, truth = clean_trace
+    segments = segment_turns(trace, truth.wheel_period_s[0])
+    assert len(segments) == truth.n_turns
+    lengths = [row.end_index - row.start_index for row in segments]
+    assert len(lengths) == truth.n_turns
+    assert len(set(lengths)) == 1
 
 
 def test_segment_too_short(default_scenario, quiet_sensor):
@@ -403,7 +414,9 @@ def test_profile_mean_is_zero_after_detrend(clean_trace):
     trace, truth = clean_trace
     seg = segment_turns(trace, truth.wheel_period_s[0])[2]
     turn = trace.a_radial[seg.start_index : seg.end_index]
-    profile = accel_to_displacement(-turn, trace.sample_rate, FS / len(seg))
+    profile = accel_to_displacement(
+        -turn, trace.sample_rate, FS / (seg.end_index - seg.start_index)
+    )
     assert abs(profile.mean()) < 1e-6 * np.abs(profile).max()
 
 
@@ -413,7 +426,8 @@ def test_zero_phase_keeps_dip_centred(clean_trace):
         window = slice(seg.start_index, seg.end_index)
         leading, trailing = edges_of(trace.a_tangential[window])
         profile = accel_to_displacement(
-            -trace.a_radial[window], trace.sample_rate, FS / len(seg)
+            -trace.a_radial[window], trace.sample_rate,
+            FS / (seg.end_index - seg.start_index),
         )
         assert abs(int(np.argmin(profile)) - (leading + trailing) // 2) < 3
 

@@ -229,7 +229,8 @@ def broken_turn_trace(slip_angle=0.0):
     its segments and {turn: (rule, make)}."""
     trace, _ = simulate(scenario(slip_angle=slip_angle), QUIET, 10)
     segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
-    length = len(segments[0])  # 942: 9-sample smoothing, 471 = half a turn
+    # 942: 9-sample smoothing, 471 = half a turn
+    length = segments[0].end_index - segments[0].start_index
     wiggle = np.where(np.arange(length) % 2, 1.0, -1.0)  # MAD 1: floor 14.8
 
     def spikes(entry, exit_, height):
@@ -280,7 +281,7 @@ def test_extract_features_matches_per_turn_reference():
     # every turn keeps its number, the skipped ones included
     assert table.turn_index.tolist() == list(range(len(segments)))
 
-    fs, length = mixed.sample_rate, len(segments[0])
+    fs, length = mixed.sample_rate, segments[0].end_index - segments[0].start_index
     turns = np.stack([mixed.samples[s.start_index : s.end_index] for s in segments])
     radial = accel_to_displacement(-turns[:, :, 2], fs, fs / length)
     lateral = accel_to_displacement(turns[:, :, 1], fs, fs / length)
@@ -322,7 +323,7 @@ def test_one_ok_turn_dips_at_its_own_maximum():
     for i, seg in enumerate(segments):
         if i != keep:
             samples[seg.start_index : seg.end_index, 0] = 0.0
-    fs, length = trace.sample_rate, len(segments[0])
+    fs, length = trace.sample_rate, segments[0].end_index - segments[0].start_index
     rows, skipped = extract_features(AccelTrace(fs, samples), 20.0, 0.3)
     assert skipped == len(segments) - 1
     turn = samples[segments[keep].start_index : segments[keep].end_index]
@@ -341,7 +342,7 @@ def test_lateral_features_batch_matches_reference():
     # off the peak window.
     trace, _ = simulate(scenario(slip_angle=3.0), SensorSpec(seed=9), 8)
     segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
-    fs, n = trace.sample_rate, len(segments[0])
+    fs, n = trace.sample_rate, segments[0].end_index - segments[0].start_index
     turns = np.stack([trace.samples[s.start_index : s.end_index] for s in segments])
     edges = np.array([edges_of(turn[:, 0]) for turn in turns]).T
     # 3 samples apart: round(0.9) = 1, so the slope fits 2 samples

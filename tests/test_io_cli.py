@@ -830,6 +830,8 @@ _DAMAGED_TRACES = {
     # a 1e11-row header on the clean body: np.load would try to allocate
     # 2.18 TiB before it found the body short
     "trace-header-1e11-rows": lambda data, samples: _with_header(data, shape=(10**11, 3)),
+    # rows of 51 digits, which the error quotes to 12
+    "trace-header-1e50-rows": lambda data, samples: _with_header(data, shape=(10**50, 3)),
     # numpy reads a Python 2 long in the shape, with a warning in newer
     # versions that must not reach stderr
     "trace-header-python2": lambda data, samples: data.replace(b", 3), } ", b"L, 2), }", 1),
@@ -964,7 +966,17 @@ _LINE_NAMES = {
     "points": f"{os.sep}ranges.json: points is not a factor",
     "missing-factor": f"{os.sep}ranges.json: ranges must cover exactly ",
     "sweep-negative-load": f"{os.sep}ranges.json: vertical_load must be positive",
-    "sweep-pressure-3500": f"{os.sep}ranges.json: inflation_pressure must lie in (0, ",
+    "sweep-pressure-3500":
+        f"{os.sep}ranges.json: inflation_pressure must lie in (0, 1000.0] psi, got 3500.0",
+    "sweep-tread-400": f"{os.sep}ranges.json: tread_depth must lie in [0, 8.0] mm, got 400.0",
+    "sweep-load-1e300": f"{os.sep}ranges.json: deflection 2.224e+298 mm reaches ",
+    "no-valid-turn": f"{os.sep}est.csv: no valid turn to evaluate",
+    "evaluate-n-turns-1e400":
+        f"{os.sep}est.csv: 4 estimate rows do not match the above 1.798e+308 turns of ",
+    "sidecar-vehicle-speed-1e-300": f"{os.sep}edited.csv: ",
+    "sidecar-n-turns-1e400": f"{os.sep}edited.csv: n_turns above 1.798e+308 does not fit ",
+    "simulate-turns-1e300": f"{os.sep}scenario.json: 1e+300 turns at 10000 Hz need more ",
+    "simulate-period-1e303-ms": f"{os.sep}scenario.json: sample rate 1e-305 Hz gives fewer ",
     "sidecar-pressure-1e300": f"{os.sep}edited.json: inflation_pressure must lie in (0, ",
     "truth-zero-load": f"{os.sep}truth.json: vertical_load must be positive",
     "truth-degenerate-geometry": f"{os.sep}truth.json: deflection ",
@@ -978,9 +990,25 @@ _LINE_NAMES = {
         pytest.param(lambda root: _ranges(root, points=5), id="points"),
         pytest.param(lambda root: _ranges(root, tread=None), id="missing-factor"),
         pytest.param(lambda root: _ranges(root, load=[-5, 1500]), id="sweep-negative-load"),
-        # the range's centre, 1764.5 psi, lies past MAX_PRESSURE_PSI
+        # the error quotes the bound past MAX_PRESSURE_PSI or FULL_TREAD_MM,
+        # not the range's centre
         pytest.param(lambda root: _ranges(root, pressure=[29, 3500]),
                      id="sweep-pressure-3500"),
+        pytest.param(lambda root: _ranges(root, tread=[2, 400]), id="sweep-tread-400"),
+        # each of these quotes a figure of hundreds of digits, or one past
+        # the float range, in a bounded form
+        pytest.param(lambda root: _ranges(root, load=[1e300, 1e300]), id="sweep-load-1e300"),
+        pytest.param(lambda root: _evaluate_truth(
+            root, {**json.loads((root / "trace.json").read_text()), "n_turns": 10**400}),
+            id="evaluate-n-turns-1e400"),
+        pytest.param(lambda root: _estimate_scenario(root, vehicle_speed=1e-300),
+                     id="sidecar-vehicle-speed-1e-300"),
+        pytest.param(lambda root: _estimate_sidecar(root, n_turns=10**400),
+                     id="sidecar-n-turns-1e400"),
+        pytest.param(lambda root: _scenario_file(root, turns=10**300),
+                     id="simulate-turns-1e300"),
+        pytest.param(lambda root: _scenario_file(root, vehicle_speed=1e-300, sample_rate=1e-305),
+                     id="simulate-period-1e303-ms"),
         pytest.param(_no_valid_turn, id="no-valid-turn"),
         pytest.param(_rate_mismatch, id="sample-rate-mismatch"),
         *(pytest.param(lambda root, n=name, e=edit: _edited_trace(root, n, e), id=name)
@@ -1090,6 +1118,7 @@ def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv, request):
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
+    assert not re.search(r"\d{16}", proc.stderr), "a figure of more than 15 digits"
     assert _LINE_NAMES.get(request.node.callspec.id, "") in proc.stderr
     assert not (bad_inputs / "out").exists()
 
