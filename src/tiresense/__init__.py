@@ -11,12 +11,9 @@ __version__ = "0.1.0"
 
 from .errors import (
     DenominatorError,
-    GeometryError,
     InvalidArgumentError,
-    InvalidCutoffError,
     NoPeakError,
     RankDeficiencyError,
-    ResolutionError,
     ScenarioError,
     SchemaError,
     TireSenseError,
@@ -29,13 +26,10 @@ from .simulate import AccelTrace, GroundTruth, ground_truth, simulate
 __all__ = [
     "AccelTrace",
     "DenominatorError",
-    "GeometryError",
     "GroundTruth",
     "InvalidArgumentError",
-    "InvalidCutoffError",
     "NoPeakError",
     "RankDeficiencyError",
-    "ResolutionError",
     "ScenarioError",
     "SchemaError",
     "SensorSpec",

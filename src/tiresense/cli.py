@@ -1,8 +1,8 @@
 """Command line surface tying the pipeline together.
 
 Subcommands: simulate, calibrate-load, calibrate-slip, estimate, evaluate,
-sweep.  Exit codes: 0 success, 1 validation, schema or floating-point
-error, 2 I/O error.  Diagnostics go to stderr as a single line.
+sweep.  Exit codes: 0 success, 1 a refusal (``errors.REFUSALS``), 2 I/O
+error.  Diagnostics go to stderr as a single line.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .dsp import accel_to_displacement, double_integrate
-from .errors import SchemaError, TireSenseError, quote_count
+from .errors import REFUSALS, SchemaError, TireSenseError, naming, quote_count
 from .estimation import (
     convergence_turn,
     estimate_load_stream,
@@ -111,10 +111,8 @@ def _cmd_simulate(args) -> int:
     scenario, sensor = read_scenario(args.scenario)
     if args.seed is not None:
         sensor = replace(sensor, seed=args.seed)
-    try:
+    with naming(args.scenario):
         trace, truth = simulate(scenario, sensor, args.turns)
-    except TireSenseError as exc:
-        raise type(exc)(f"{args.scenario}: {exc}") from None
     write_trace(args.out, trace, truth, scenario, sensor)
     if args.plot_integration is not None:
         # the trace starts at top dead centre: its first turn centres the first patch
@@ -132,41 +130,39 @@ def _feature_tables(paths, include_lateral: bool):
     """The ground truth, scenario and feature table of each trace in ``paths``.
     Each trace lives until the next is read, so the heap is not trimmed in between."""
     for path in paths:
-        trace, truth, scenario, _ = read_trace(path)
-        try:
+        with naming(path):
+            trace, truth, scenario, _ = read_trace(path)
             table, _ = extract_features(trace, scenario.vehicle_speed, scenario.unloaded_radius,
                                         include_lateral)
-        except TireSenseError as exc:
-            raise type(exc)(f"{path}: {exc}") from None
         yield truth, scenario, table
 
 
-def _calibration_samples(traces_dir: Path, include_lateral: bool, columns) -> np.ndarray:
-    """The rows ``columns(scenario, turns)`` of the turns with a patch, over
-    every file in ``traces_dir`` but the .json sidecars."""
-    paths = sorted(p for p in Path(traces_dir).iterdir() if p.is_file() and p.suffix != ".json")
-    if not paths:
-        raise SchemaError(f"{traces_dir}: no trace files found")
-    blocks = []
-    for _, scenario, table in _feature_tables(paths, include_lateral):
-        turns = table[np.isfinite(table.patch_length)]
-        blocks.append(np.column_stack(np.broadcast_arrays(*columns(scenario, turns))))
-    return np.concatenate(blocks)
+def _calibrate(traces_dir: Path, include_lateral: bool, columns, fit):
+    """``fit`` of the rows ``columns(scenario, turns)`` of the turns with a
+    patch, over every file in ``traces_dir`` but the .json sidecars."""
+    with naming(traces_dir):
+        paths = sorted(p for p in Path(traces_dir).iterdir()
+                       if p.is_file() and p.suffix != ".json")
+        if not paths:
+            raise SchemaError("no trace files found")
+        blocks = []
+        for _, scenario, table in _feature_tables(paths, include_lateral):
+            turns = table[np.isfinite(table.patch_length)]
+            blocks.append(np.column_stack(np.broadcast_arrays(*columns(scenario, turns))))
+        return fit(np.concatenate(blocks))
 
 
 def _cmd_calibrate_load(args) -> int:
-    samples = _calibration_samples(args.traces, False, lambda scenario, turns: (
+    write_load_model(args.out, _calibrate(args.traces, False, lambda scenario, turns: (
         scenario.vertical_load, scenario.inflation_pressure, turns.peak_radial_displacement
-    ))
-    write_load_model(args.out, fit_load_surface(samples))
+    ), fit_load_surface))
     return 0
 
 
 def _cmd_calibrate_slip(args) -> int:
-    samples = _calibration_samples(args.traces, True, lambda scenario, turns: (
+    write_slip_model(args.out, _calibrate(args.traces, True, lambda scenario, turns: (
         turns.peak_lateral_displacement, turns.lateral_slope, scenario.slip_angle
-    ))
-    write_slip_model(args.out, fit_slip_model(samples))
+    ), fit_slip_model))
     return 0
 
 
@@ -174,9 +170,8 @@ def _cmd_estimate(args) -> int:
     lateral = args.slip_model is not None or args.features is not None
     [(truth, scenario, table)] = _feature_tables([args.trace], lateral)
     if len(table) != truth.n_turns:
-        raise SchemaError(
-            f"{args.trace}: found {len(table)} of the sidecar's {truth.n_turns} turns"
-        )
+        with naming(args.trace):
+            raise SchemaError(f"found {len(table)} of the sidecar's {truth.n_turns} turns")
     surface = read_load_model(args.load_model)
     slip_model = read_slip_model(args.slip_model) if args.slip_model else None
 
@@ -206,53 +201,51 @@ def _cmd_evaluate(args) -> int:
     scenario, _, n_truth = read_sidecar(args.truth)
     true_load = float(scenario.vertical_load)
     true_slip = float(scenario.slip_angle)
-    if len(loads) != n_truth:
-        raise SchemaError(f"{args.estimates}: {len(loads)} estimate rows do not match "
-                          f"the {quote_count(n_truth)} turns of {args.truth}")
-    if not valid.any():
-        raise TireSenseError(f"{args.estimates}: no valid turn to evaluate")
+    with naming(args.estimates):
+        if len(loads) != n_truth:
+            raise SchemaError(f"{len(loads)} estimate rows do not match "
+                              f"the {quote_count(n_truth)} turns of {args.truth}")
+        if not valid.any():
+            raise TireSenseError("no valid turn to evaluate")
 
-    rel_err = np.abs(loads[valid] - true_load) / true_load
-    final_rel_err = abs(loads[-1] - true_load) / true_load
+        rel_err = np.abs(loads[valid] - true_load) / true_load
+        final_rel_err = abs(loads[-1] - true_load) / true_load
 
-    report = {
-        "tool_version": __version__,
-        "inputs": {
-            "estimates_sha256": sha256_of(args.estimates),
-            "truth_sha256": sha256_of(args.truth),
-        },
-        "load": {
-            "true_lbf": true_load,
-            "converged_estimate_lbf": float(loads[-1]),
-            "converged_relative_error": float(final_rel_err),
-            "relative_error_mean": float(np.mean(rel_err)),
-            "relative_error_rms": float(np.sqrt(np.mean(rel_err**2))),
-            "relative_error_max": float(np.max(rel_err)),
-            "convergence_turn": convergence_turn(loads, valid),
-        },
-        "slip": None,
-        "skipped_turns": int(np.sum(~valid)),
-        "n_turns": int(len(loads)),
-    }
-    slip_mask = valid & np.isfinite(slips)
-    if slip_mask.any():
-        slip_err = np.abs(slips[slip_mask] - true_slip)
-        report["slip"] = {
-            "true_deg": true_slip,
-            "error_mean": float(np.mean(slip_err)),
-            "error_rms": float(np.sqrt(np.mean(slip_err**2))),
-            "error_max": float(np.max(slip_err)),
+        report = {
+            "tool_version": __version__,
+            "inputs": {
+                "estimates_sha256": sha256_of(args.estimates),
+                "truth_sha256": sha256_of(args.truth),
+            },
+            "load": {
+                "true_lbf": true_load,
+                "converged_estimate_lbf": float(loads[-1]),
+                "converged_relative_error": float(final_rel_err),
+                "relative_error_mean": float(np.mean(rel_err)),
+                "relative_error_rms": float(np.sqrt(np.mean(rel_err**2))),
+                "relative_error_max": float(np.max(rel_err)),
+                "convergence_turn": convergence_turn(loads, valid),
+            },
+            "slip": None,
+            "skipped_turns": int(np.sum(~valid)),
+            "n_turns": int(len(loads)),
         }
+        slip_mask = valid & np.isfinite(slips)
+        if slip_mask.any():
+            slip_err = np.abs(slips[slip_mask] - true_slip)
+            report["slip"] = {
+                "true_deg": true_slip,
+                "error_mean": float(np.mean(slip_err)),
+                "error_rms": float(np.sqrt(np.mean(slip_err**2))),
+                "error_max": float(np.max(slip_err)),
+            }
     write_report(args.report, report)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    ranges = read_ranges(args.ranges)
-    try:
-        report = sensitivity_sweep(ranges)
-    except TireSenseError as exc:
-        raise type(exc)(f"{args.ranges}: {exc}") from None
+    with naming(args.ranges):
+        report = sensitivity_sweep(read_ranges(args.ranges))
     write_sensitivity(args.out, report)
     if args.plot_data is not None:
         # one-at-a-time sweep curves, columns value, peak radial and chord
@@ -277,13 +270,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # A finite but huge input can overflow deep in numpy's or Python's
-        # float arithmetic, or ask for an array no allocator grants; each
-        # ends the command with one line instead of a stack of warnings or a
-        # traceback.
+        # numpy's overflow and invalid arithmetic raise, and end the command
+        # as refusals do: with one line, not a stack of warnings
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return _COMMANDS[args.command](args)
-    except (TireSenseError, FloatingPointError, OverflowError, MemoryError) as exc:
+    except REFUSALS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidCutoffError, NoPeakError, TooShortError
+from .errors import InvalidArgumentError, NoPeakError, TooShortError
 from .simulate import AccelTrace
 
 # High-pass corner as a fraction of the wheel rotation frequency: below the
@@ -81,7 +81,7 @@ def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarra
     passband is within 1% of unity from 4x the cutoff upward.
     """
     if not 0.0 < cutoff < sample_rate / 2.0:
-        raise InvalidCutoffError(
+        raise InvalidArgumentError(
             f"cutoff {cutoff} Hz must lie inside (0, {sample_rate / 2:.0f}) Hz"
         )
     x = np.asarray(signal, dtype=float)

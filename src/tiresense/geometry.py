@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GeometryError
+from .errors import ScenarioError
 from .scenario import FULL_TREAD_MM, LBF_TO_N, MM_TO_M, WEAR_RADIUS_GAIN, TireScenario
 
 
@@ -44,14 +44,14 @@ def derive_geometry(scenario: TireScenario) -> TireGeometry:
 
     Raises
     ------
-    GeometryError
+    ScenarioError
         If wear consumes the whole radius or the deflection reaches the
         effective radius, leaving no meaningful patch geometry.
     """
     worn_mm = FULL_TREAD_MM - scenario.tread_depth
     r_eff = scenario.unloaded_radius - WEAR_RADIUS_GAIN * worn_mm * MM_TO_M
     if r_eff <= 0:
-        raise GeometryError(
+        raise ScenarioError(
             f"effective radius {r_eff:.4f} m is not positive at "
             f"tread {scenario.tread_depth} mm"
         )
@@ -59,7 +59,7 @@ def derive_geometry(scenario: TireScenario) -> TireGeometry:
         scenario.vertical_load * LBF_TO_N / scenario.vertical_stiffness * MM_TO_M
     )
     if deflection >= r_eff:
-        raise GeometryError(
+        raise ScenarioError(
             f"deflection {deflection * 1e3:.4g} mm reaches the effective "
             f"radius {r_eff * 1e3:.4g} mm; patch geometry is degenerate"
         )

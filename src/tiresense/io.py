@@ -22,12 +22,12 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import GeometryError, ScenarioError, SchemaError, quote_count
+from .errors import ScenarioError, SchemaError, naming, quote_count
 from .estimation import SWEEP_FACTORS, LoadSurfaceModel, SlipModel
 from .features import FEATURE_FIELDS
 from .geometry import derive_geometry
 from .scenario import SensorSpec, TireScenario
-from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace, GroundTruth, ground_truth
+from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace, GroundTruth, ground_truth, trace_rows
 
 TRACE_SCHEMA = "tiresense.trace.v3"
 SIDECAR_SCHEMA = "tiresense.sidecar.v3"
@@ -55,9 +55,9 @@ def _read_object(path: Path) -> dict:
     try:
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError
-        raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
+        raise SchemaError(f"not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
+        raise SchemaError("expected a JSON object")
     return payload
 
 
@@ -91,46 +91,40 @@ def _describe(hint) -> str:
     return "an integer" if hint is int else "a finite number"
 
 
-def _field(path: Path, name: str, hint, value):
+def _field(name: str, hint, value):
     if is_dataclass(hint):
-        return _record(path, hint, value)
+        return _record(hint, value)
     try:
         return _decode(hint, value)
     except ValueError:
-        raise SchemaError(
-            f"{path}: {name} must be {_describe(hint)}, got {json.dumps(value)}"
-        ) from None
+        raise SchemaError(f"{name} must be {_describe(hint)}, got {json.dumps(value)}") from None
 
 
-def _record(path: Path, cls, payload):
+def _record(cls, payload):
     """The dataclass ``cls`` built from a JSON object holding exactly its
     fields, each checked against the field's annotation."""
     if not isinstance(payload, dict):
-        raise SchemaError(f"{path}: {cls.__name__} fields must be a JSON object")
+        raise SchemaError(f"{cls.__name__} fields must be a JSON object")
     types = _field_types(cls)
     unknown = sorted(set(payload) - set(types))
     if unknown:
-        raise SchemaError(f"{path}: unknown fields {unknown}")
+        raise SchemaError(f"unknown fields {unknown}")
     missing = [f.name for f in fields(cls)
                if f.default is MISSING and f.name not in payload]
     if missing:
-        raise SchemaError(f"{path}: missing required fields {missing}")
-    # outside the try: a nested record's error already names the file
-    values = {k: _field(path, k, types[k], v) for k, v in payload.items()}
-    try:
-        return cls(**values)
-    except ScenarioError as exc:  # a value TireScenario or SensorSpec refuses
-        raise ScenarioError(f"{path}: {exc}") from None
+        raise SchemaError(f"missing required fields {missing}")
+    return cls(**{k: _field(k, types[k], v) for k, v in payload.items()})
 
 
 def _read_record(path: Path, schema: str, cls, remedy: str = ""):
     """The dataclass ``cls`` from a JSON file that names ``schema``; a file
     of another version is an error that ends with ``remedy``."""
-    payload = _read_object(path)
-    version = payload.pop("schema_version", None)
-    if version != schema:
-        raise SchemaError(f"{path}: schema_version {version!r} is not {schema!r}{remedy}")
-    return _record(path, cls, payload)
+    with naming(path):
+        payload = _read_object(path)
+        version = payload.pop("schema_version", None)
+        if version != schema:
+            raise SchemaError(f"schema_version {version!r} is not {schema!r}{remedy}")
+        return _record(cls, payload)
 
 
 def _write_table(path: Path, schema: str, header: str, *blocks) -> None:
@@ -154,11 +148,12 @@ def sha256_of(path: Path) -> str:
 
 def read_scenario(path: Path) -> tuple[TireScenario, SensorSpec]:
     """Read a flat scenario JSON carrying tire and sensor fields."""
-    payload = _read_object(path)
-    names = {f.name for f in fields(SensorSpec)}
-    sensor = {k: v for k, v in payload.items() if k in names}
-    tire = {k: v for k, v in payload.items() if k not in names}
-    return _record(path, TireScenario, tire), _record(path, SensorSpec, sensor)
+    with naming(path):
+        payload = _read_object(path)
+        names = {f.name for f in fields(SensorSpec)}
+        sensor = {k: v for k, v in payload.items() if k in names}
+        tire = {k: v for k, v in payload.items() if k not in names}
+        return _record(TireScenario, tire), _record(SensorSpec, sensor)
 
 
 def scenario_to_dict(scenario: TireScenario, sensor: SensorSpec) -> dict:
@@ -205,10 +200,8 @@ def read_sidecar(path: Path) -> tuple[TireScenario, SensorSpec, int]:
     """Read and validate a trace's JSON sidecar: scenario, sensor, turn count."""
     # A v2 scenario may hold other simulator constants than today's.
     sidecar = _read_record(path, SIDECAR_SCHEMA, _Sidecar, "; regenerate it with simulate")
-    try:
+    with naming(path):
         derive_geometry(sidecar.scenario)  # a scenario no tire can have is no truth
-    except GeometryError as exc:
-        raise GeometryError(f"{path}: {exc}") from None
     return sidecar.scenario, sidecar.sensor, sidecar.n_turns
 
 
@@ -216,7 +209,7 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
     """Read a trace and its sidecar back into memory.  Sample ``i`` was
     taken at ``i / sample_rate``.  The ``.npy`` header, the file size and the
     sidecar's turns must agree on the rows before the samples are read."""
-    with Path(path).open("rb") as handle:
+    with naming(path), Path(path).open("rb") as handle:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # numpy may warn on a Python 2 header
@@ -231,31 +224,31 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
         except (ValueError, tokenize.TokenError) as exc:
             handle.seek(0)
             if handle.read(25) == b"# schema=tiresense.trace.":
-                raise SchemaError(f"{path}: a CSV trace from before {TRACE_SCHEMA}; "
+                raise SchemaError(f"a CSV trace from before {TRACE_SCHEMA}; "
                                   "regenerate it with simulate") from None
             reason = str(exc).partition("\n")[0]
-            raise SchemaError(f"{path}: not a {TRACE_SCHEMA} .npy array ({reason})") from None
+            raise SchemaError(f"not a {TRACE_SCHEMA} .npy array ({reason})") from None
         if dtype != np.dtype("<f8") or len(shape) != 2 or shape[1] != 3 or fortran_order:
-            raise SchemaError(f"{path}: a {'Fortran' if fortran_order else 'C'}-order "
+            raise SchemaError(f"a {'Fortran' if fortran_order else 'C'}-order "
                               f"{dtype.str} array of shape {shape}, not a C-order <f8 "
                               "array of shape (rows, 3)")
         rows, left = shape[0], os.fstat(handle.fileno()).st_size - handle.tell()
         if rows * 24 != left:
-            raise SchemaError(f"{path}: the header's {quote_count(rows)} rows take "
+            raise SchemaError(f"the header's {quote_count(rows)} rows take "
                               f"{quote_count(rows * 24)} bytes, but {left} follow it")
         scenario, sensor, n_turns = read_sidecar(sidecar_path(path))
-        # Bounds the truth arrays by the trace before ground_truth allocates them.
+        # The trace bounds the truth arrays, and holds the rows of the sidecar's
+        # turns, before ground_truth derives them: a period may overflow.
         if not 1 <= n_turns <= rows / MIN_SAMPLES_PER_TURN:
-            raise SchemaError(f"{path}: n_turns {quote_count(n_turns)} does not fit {rows} rows")
+            raise SchemaError(f"n_turns {quote_count(n_turns)} does not fit {rows} rows")
+        if rows != (expected := trace_rows(scenario, sensor.sample_rate, n_turns)):
+            raise SchemaError(f"{rows} rows, but the sidecar's turns take {quote_count(expected)}")
         truth = ground_truth(scenario, n_turns)
-        if rows != (expected := truth.n_samples(sensor.sample_rate)):
-            raise SchemaError(f"{path}: {rows} rows, but the sidecar's turns take "
-                              f"{quote_count(expected)}")
         samples = np.fromfile(handle, dtype="<f8", count=3 * rows).reshape(rows, 3)
-    try:
-        trace = AccelTrace(sensor.sample_rate, samples)
-    except ScenarioError as exc:  # a sample out of AccelTrace's bound
-        raise SchemaError(f"{path}: {exc}") from None
+        try:
+            trace = AccelTrace(sensor.sample_rate, samples)
+        except ScenarioError as exc:  # a sample out of AccelTrace's bound
+            raise SchemaError(str(exc)) from None
     return trace, truth, scenario, sensor
 
 
@@ -298,28 +291,29 @@ def read_estimates(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The table ``write_estimates`` wrote.  The two header lines are checked
     on their own handle; the body is then parsed from the path, which lets
     numpy's reader take the file in large chunks."""
-    try:
-        with Path(path).open() as handle:
-            found = [handle.readline().strip(), handle.readline().strip()]
-        if found != [f"# schema={ESTIMATES_SCHEMA}", _ESTIMATES_HEADER]:
-            raise SchemaError(f"{path}: header lines {found} are not {ESTIMATES_SCHEMA}'s")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # a table may have no row
-            data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=2)
-    except ValueError as exc:  # a malformed row, or a UnicodeDecodeError
-        raise SchemaError(f"{path}: malformed table ({exc})") from exc
-    if data.size and data.shape[1] != 4:
-        raise SchemaError(f"{path}: expected 4 columns")
-    data = data.reshape(-1, 4)  # a table with no row reads as shape (0, 1)
-    loads, slips, valid = data[:, 1], data[:, 2], data[:, 3] == 1.0
-    if not np.array_equal(data[:, 0], np.arange(len(data))):
-        raise SchemaError(f"{path}: turn must count 0, 1, 2, ... by row")
-    if not np.isfinite(loads).all():
-        raise SchemaError(f"{path}: load_lbf must be finite")
-    if np.isinf(slips).any():
-        raise SchemaError(f"{path}: slip_deg must be finite or nan")
-    if not (valid | (data[:, 3] == 0.0)).all():
-        raise SchemaError(f"{path}: valid must be 0 or 1")
+    with naming(path):
+        try:
+            with Path(path).open() as handle:
+                found = [handle.readline().strip(), handle.readline().strip()]
+            if found != [f"# schema={ESTIMATES_SCHEMA}", _ESTIMATES_HEADER]:
+                raise SchemaError(f"header lines {found} are not {ESTIMATES_SCHEMA}'s")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a table may have no row
+                data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=2)
+        except ValueError as exc:  # a malformed row, or a UnicodeDecodeError
+            raise SchemaError(f"malformed table ({exc})") from exc
+        if data.size and data.shape[1] != 4:
+            raise SchemaError("expected 4 columns")
+        data = data.reshape(-1, 4)  # a table with no row reads as shape (0, 1)
+        loads, slips, valid = data[:, 1], data[:, 2], data[:, 3] == 1.0
+        if not np.array_equal(data[:, 0], np.arange(len(data))):
+            raise SchemaError("turn must count 0, 1, 2, ... by row")
+        if not np.isfinite(loads).all():
+            raise SchemaError("load_lbf must be finite")
+        if np.isinf(slips).any():
+            raise SchemaError("slip_deg must be finite or nan")
+        if not (valid | (data[:, 3] == 0.0)).all():
+            raise SchemaError("valid must be 0 or 1")
     return loads, slips, valid
 
 
@@ -347,14 +341,15 @@ def write_report(path: Path, report: dict) -> None:
 
 def read_ranges(path: Path) -> dict:
     """Read a sweep ranges file: factor -> [lo, hi]."""
-    payload = _read_object(path)
-    for name in payload:
-        if name not in SWEEP_FACTORS:
-            raise SchemaError(f"{path}: {name} is not a factor of {list(SWEEP_FACTORS)}")
-    return {
-        factor: tuple(map(float, _field(path, factor, tuple[float, float], bounds)))
-        for factor, bounds in payload.items()
-    }
+    with naming(path):
+        payload = _read_object(path)
+        for name in payload:
+            if name not in SWEEP_FACTORS:
+                raise SchemaError(f"{name} is not a factor of {list(SWEEP_FACTORS)}")
+        return {
+            factor: tuple(map(float, _field(factor, tuple[float, float], bounds)))
+            for factor, bounds in payload.items()
+        }
 
 
 def write_sensitivity(path: Path, report) -> None:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError, ResolutionError, ScenarioError, quote_count
+from .errors import ScenarioError, quote_count
 from .geometry import TireGeometry, derive_geometry
 from .scenario import SensorSpec, TireScenario
 
@@ -109,16 +109,18 @@ class GroundTruth:
     def n_turns(self) -> int:
         return len(self.turn_start_time_s)
 
-    def n_samples(self, sample_rate: float) -> int:
-        """Samples ``simulate`` takes of these turns at ``sample_rate``."""
-        return round(self.n_turns * float(self.wheel_period_s[0]) * sample_rate)
-
 
 def _rolling(scenario: TireScenario) -> tuple[TireGeometry, float, float]:
     """Geometry, rolling rate in rad/s and revolution period in seconds."""
     geom = derive_geometry(scenario)
     omega = scenario.vehicle_speed / geom.effective_radius
     return geom, omega, 2.0 * math.pi / omega
+
+
+def trace_rows(scenario: TireScenario, sample_rate: float, n_turns: int) -> float:
+    """Samples ``simulate`` takes of ``n_turns`` turns of ``scenario`` at
+    ``sample_rate``: a whole number, or inf where the period overflows."""
+    return float(np.rint(n_turns * _rolling(scenario)[2] * sample_rate))
 
 
 def ground_truth(scenario: TireScenario, n_turns: int) -> GroundTruth:
@@ -188,24 +190,21 @@ def simulate(
 
     Raises
     ------
-    GeometryError
-        Propagated from geometry derivation, or when the release window
-        does not fit between patch exit and the top of the wheel.
-    ResolutionError
-        When the sample rate resolves fewer than 20 samples per turn.
     ScenarioError
-        When ``n_turns`` is below 1 or needs more samples than one array
-        holds, or when the sensor's noise or bias takes a sample beyond
-        ``MAX_ABS_SAMPLE``.
+        When the contact geometry is degenerate or its release window
+        passes the top of the wheel, when the sample rate resolves fewer
+        than 20 samples per turn, when ``n_turns`` is below 1 or needs more
+        samples than one array holds, or when the sensor's noise or bias
+        takes a sample beyond ``MAX_ABS_SAMPLE``.
     """
     geom, omega, period = _rolling(scenario)
     if sensor.sample_rate < MIN_SAMPLES_PER_TURN / period:
-        raise ResolutionError(
+        raise ScenarioError(
             f"sample rate {sensor.sample_rate:g} Hz gives fewer than "
             f"{MIN_SAMPLES_PER_TURN} samples per {period * 1e3:.4g} ms turn"
         )
     if 2.0 * geom.contact_half_angle >= math.pi:
-        raise GeometryError("release window extends past the top of the wheel")
+        raise ScenarioError("release window extends past the top of the wheel")
 
     fs = sensor.sample_rate
     if not n_turns < _MAX_SAMPLES / (period * fs):  # int < float cannot overflow
@@ -213,7 +212,7 @@ def simulate(
             f"{quote_count(n_turns)} turns at {fs:g} Hz need more samples than one array holds"
         )
     truth = ground_truth(scenario, n_turns)
-    n = truth.n_samples(fs)
+    n = int(trace_rows(scenario, fs, n_turns))
     dt = 1.0 / fs
 
     # The samples are filled in blocks of BLOCK_SAMPLES rows, so every

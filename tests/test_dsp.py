@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiresense import (
-    InvalidCutoffError,
+    InvalidArgumentError,
     NoPeakError,
     SensorSpec,
     TooShortError,
@@ -229,7 +229,8 @@ def test_highpass_superposition():
 
 @pytest.mark.parametrize("cutoff", [0.0, -3.0, FS / 2, FS])
 def test_highpass_invalid_cutoff(cutoff):
-    with pytest.raises(InvalidCutoffError):
+    with pytest.raises(InvalidArgumentError, match=rf"^cutoff {cutoff} Hz must lie inside "
+                       rf"\(0, {FS / 2:.0f}\) Hz$"):
         highpass(np.zeros(100), FS, cutoff)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiresense import GeometryError, ScenarioError, TireScenario, derive_geometry
+from tiresense import ScenarioError, TireScenario, derive_geometry
 from tiresense.geometry import TireGeometry
 
 from conftest import scenario
@@ -44,12 +44,14 @@ def test_tread_changes_chord_not_deflection():
 
 
 def test_degenerate_deflection_raises():
-    with pytest.raises(GeometryError):
+    with pytest.raises(ScenarioError, match=r"^deflection .* mm reaches the effective radius "
+                       r".* mm; patch geometry is degenerate$"):
         derive_geometry(scenario(vertical_load=20000.0))
 
 
 def test_wear_consuming_radius_raises():
-    with pytest.raises(GeometryError):
+    with pytest.raises(ScenarioError, match=r"^effective radius -0\.0018 m is not positive "
+                       r"at tread 2\.0 mm$"):
         derive_geometry(scenario(unloaded_radius=0.03, tread_depth=2.0))
 
 

@@ -16,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiresense
-from tiresense import SchemaError, SensorSpec, TireSenseError, simulate
+from tiresense import ScenarioError, SchemaError, SensorSpec, TireSenseError, simulate
 from tiresense.cli import main
 from tiresense.dsp import accel_to_displacement, double_integrate
+from tiresense.errors import naming
 from tiresense.estimation import (
     SWEEP_POINTS,
     LoadSurfaceModel,
@@ -974,6 +975,14 @@ _LINE_NAMES = {
     "evaluate-n-turns-1e400":
         f"{os.sep}est.csv: 4 estimate rows do not match the above 1.798e+308 turns of ",
     "sidecar-vehicle-speed-1e-300": f"{os.sep}edited.csv: ",
+    "sidecar-vehicle-speed-5e-324":
+        f"{os.sep}edited.csv: 3770 rows, but the sidecar's turns take above 1.798e+308",
+    "sidecar-radius-1e308":
+        f"{os.sep}edited.csv: 3770 rows, but the sidecar's turns take above 1.798e+308",
+    "calibrate-load-every-turn-skipped": f"{os.sep}dead: design matrix is rank deficient",
+    "calibrate-slip-every-turn-skipped": f"{os.sep}dead: design matrix is rank deficient",
+    "simulate-turns-1e14": f"{os.sep}scenario.json: ",
+    "estimates-load-1e300": f"{os.sep}est.csv: overflow encountered in ",
     "sidecar-n-turns-1e400": f"{os.sep}edited.csv: n_turns above 1.798e+308 does not fit ",
     "simulate-turns-1e300": f"{os.sep}scenario.json: 1e+300 turns at 10000 Hz need more ",
     "simulate-period-1e303-ms": f"{os.sep}scenario.json: sample rate 1e-305 Hz gives fewer ",
@@ -1003,6 +1012,11 @@ _LINE_NAMES = {
             id="evaluate-n-turns-1e400"),
         pytest.param(lambda root: _estimate_scenario(root, vehicle_speed=1e-300),
                      id="sidecar-vehicle-speed-1e-300"),
+        # the period, and so the sidecar's rows, overflow to infinity
+        pytest.param(lambda root: _estimate_scenario(root, vehicle_speed=5e-324),
+                     id="sidecar-vehicle-speed-5e-324"),
+        pytest.param(lambda root: _estimate_scenario(root, unloaded_radius=1e308),
+                     id="sidecar-radius-1e308"),
         pytest.param(lambda root: _estimate_sidecar(root, n_turns=10**400),
                      id="sidecar-n-turns-1e400"),
         pytest.param(lambda root: _scenario_file(root, turns=10**300),
@@ -1037,6 +1051,8 @@ _LINE_NAMES = {
         pytest.param(_non_utf8_load_model, id="load-model-non-utf8"),
         pytest.param(lambda root: _estimates_field(root, 1, "nan"), id="estimates-nan-load"),
         pytest.param(lambda root: _estimates_field(root, 1, "inf"), id="estimates-inf-load"),
+        # finite, but its squared error overflows
+        pytest.param(lambda root: _estimates_field(root, 1, "1e300"), id="estimates-load-1e300"),
         pytest.param(lambda root: _estimates_field(root, 3, "2"), id="estimates-valid-2"),
         pytest.param(lambda root: _estimates_field(root, 3, "nan"), id="estimates-valid-nan"),
         *(pytest.param(lambda root, v=value: _estimates_field(root, 0, v),
@@ -1117,7 +1133,7 @@ def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv, request):
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.startswith(f"error: {bad_inputs}{os.sep}"), "names no input"
     assert not re.search(r"\d{16}", proc.stderr), "a figure of more than 15 digits"
     assert _LINE_NAMES.get(request.node.callspec.id, "") in proc.stderr
     assert not (bad_inputs / "out").exists()
@@ -1151,6 +1167,32 @@ def test_damaged_trace_is_one_line_schema_error(bad_inputs, name):
     assert str(raised.value).startswith(f"{path}: ")
     assert "\n" not in str(raised.value)
     assert peak < 2 * path.stat().st_size + _READ_OVERHEAD
+
+
+def test_a_trace_refusal_names_the_innermost_file(bad_inputs):
+    trace = _estimate_scenario(bad_inputs, inflation_pressure=1e300)[2]
+    sidecar = bad_inputs / "edited.json"
+    with pytest.raises(ScenarioError) as raised:
+        read_trace(trace)
+    assert str(raised.value).startswith(f"{sidecar}: inflation_pressure must lie in ")
+    assert raised.value.path == sidecar
+    # the sidecar reads, but its turns take other rows than the trace holds
+    _estimate_scenario(bad_inputs, vehicle_speed=24.0)
+    with pytest.raises(SchemaError) as raised:
+        read_trace(trace)
+    assert str(raised.value) == f"{trace}: 3770 rows, but the sidecar's turns take 3142"
+    assert raised.value.path == trace
+
+
+def test_naming_makes_arithmetic_failures_named_refusals():
+    with pytest.raises(TireSenseError) as raised, naming("scenario.json"):
+        raise OverflowError("int too large to convert to float")
+    assert type(raised.value) is TireSenseError
+    assert str(raised.value) == "scenario.json: int too large to convert to float"
+    assert raised.value.path == "scenario.json"
+    with pytest.raises(SchemaError, match="^inner.json: bad$"):
+        with naming("outer"), naming("inner.json"):
+            raise SchemaError("bad")
 
 
 def test_estimate_with_every_turn_skipped_writes_every_turn_invalid(bad_inputs, tmp_path):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tiresense import (
-    ResolutionError,
     ScenarioError,
     SensorSpec,
     derive_geometry,
@@ -92,7 +91,8 @@ def test_sample_count_and_finiteness(default_scenario, noisy_sensor):
 
 def test_resolution_error_on_coarse_sampling(default_scenario):
     slow = SensorSpec(sample_rate=100.0, noise_std=0.0)
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ScenarioError, match=r"^sample rate 100 Hz gives fewer than 20 samples "
+                       r"per .* ms turn$"):
         simulate(default_scenario, slow, 1)
 
 
@@ -125,9 +125,9 @@ def reference_samples(scen, sensor, n_turns):
     column_stack, then noise and bias each added out of place.  The sine
     and cosine are taken of the interior angles alone, not sliced from the
     ones ``_liner_positions`` computes for every position."""
-    geom, omega, _ = _rolling(scen)
+    geom, omega, period = _rolling(scen)
     fs = sensor.sample_rate
-    n = ground_truth(scen, n_turns).n_samples(fs)
+    n = round(n_turns * period * fs)
     dt = 1.0 / fs
     t_pos = (np.arange(n + 2) - 1.0) * dt
     x, y, z, _, _ = _liner_positions(t_pos, scen, geom, omega)
