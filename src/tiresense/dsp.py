@@ -192,7 +192,7 @@ def segment_turns(trace: AccelTrace, period: float) -> np.recarray:
             hi = int(round(center + step + half_window))
             if lo < 0 or hi >= n:
                 return found
-            center = lo + int(np.argmin(smooth[lo : hi + 1]))
+            center = lo + int(smooth[lo : hi + 1].argmin())
             found.append(center)
 
     anchor = int(np.argmin(smooth))

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tiresense import SensorSpec, derive_geometry, simulate
+from tiresense import SensorSpec, derive_geometry, features, simulate
 from tiresense.dsp import (
     _line_slope,
     accel_to_displacement,
@@ -352,7 +352,9 @@ def test_lateral_features_batch_matches_reference():
         leading, trailing = edges + shift
         if shift:
             assert trailing.max() < n < np.median(leading) + 2 * np.median(trailing - leading)
-        peak, slope = lateral_features(lateral, leading, trailing, 20.0, fs)
+        # the rows of the flattened array are its turns
+        peak, slope = lateral_features(lateral.ravel(), np.arange(len(lateral)) * n,
+                                       lateral.mean(axis=0), leading, trailing, 20.0, fs)
         profiles = accel_to_displacement(lateral, fs, fs / n)
         column = reference_lateral_column(profiles.mean(axis=0), leading, trailing)
         for i, turn_edges in enumerate(zip(leading, trailing)):
@@ -362,8 +364,31 @@ def test_lateral_features_batch_matches_reference():
         assert np.abs(slope).min() > 1e-3  # a slip-angle trace: the relative bound bites
 
 
-def test_peak_memory_stays_within_2_8_traces():
-    # tracemalloc sees numpy's buffers; the trace itself is made before it starts.
+@pytest.mark.parametrize("lateral", [False, True])
+def test_table_does_not_depend_on_block_size(monkeypatch, lateral):
+    # The skipped turns 1, 3, 5 and 7 straddle the block edges, so a block
+    # edge that dropped or repeated a turn would shift the table.  The mean
+    # profiles only pick a column, which the last bits rarely move, so the
+    # mean of every turn is checked against numpy's, which sums the turns
+    # one after another; a mean summed block by block rounds differently.
+    mixed, segments, _ = broken_turn_trace()
+    starts = segments.start_index
+    turns, length = len(starts), int(segments.end_index[0] - starts[0])
+    assert features.FEATURE_BLOCK_SAMPLES >= turns * length  # one block
+    expected, skipped = extract_features(mixed, 20.0, 0.3, include_lateral=lateral)
+    turn_samples = mixed.samples[starts[:, None] + np.arange(length)]
+    for block in (1, 7, turns - 1, turns, turns + 1):
+        monkeypatch.setattr(features, "FEATURE_BLOCK_SAMPLES", block * length)
+        table, blocked_skipped = extract_features(mixed, 20.0, 0.3, include_lateral=lateral)
+        assert (table.tobytes(), blocked_skipped) == (expected.tobytes(), skipped), block
+        mean = features._mean_turn(mixed.samples, starts, length)
+        assert mean.tobytes() == turn_samples.mean(axis=0).tobytes(), block
+
+
+def test_peak_memory_stays_within_0_8_traces():
+    # tracemalloc sees numpy's buffers; the trace itself is made before it
+    # starts.  Turns are gathered a block at a time, so what remains is
+    # segment_turns' smoothed radial channel, about two thirds of a trace.
     trace, _ = simulate(scenario(slip_angle=2.0), SensorSpec(seed=7), 400)
     tracemalloc.start()
     try:
@@ -372,4 +397,4 @@ def test_peak_memory_stays_within_2_8_traces():
     finally:
         tracemalloc.stop()
     assert skipped == 0 and len(table) >= 399
-    assert peak <= 2.8 * trace.samples.nbytes
+    assert peak <= 0.8 * trace.samples.nbytes
