@@ -6,9 +6,9 @@ high-pass again, integrate again, and detrend.  Filtering before each
 integration is what keeps a constant accelerometer bias from turning into
 quadratic drift.  Filters run forward and backward so the patch features
 keep their timing (zero net phase).  Turns share one length, so the edge
-detection runs on a ``(turns, samples)`` array in one call.  The chain is
-linear, so a column of a turn's profile is also a dot product of the turn
-with a ``displacement_weights`` row.
+detection takes a ``(turns, samples)`` array, a block of turns per call.
+The chain is linear, so a column of a turn's profile is also a dot product
+of the turn with a ``displacement_weights`` row.
 """
 
 from __future__ import annotations
@@ -315,36 +315,30 @@ class PatchEdges(NamedTuple):
     floor: np.ndarray     # EDGE_NOISE_FLOOR_SIGMAS robust noise sigmas
 
 
-def _deviation_median(sorted_rows: np.ndarray, median: np.ndarray) -> np.ndarray:
-    """Median of ``|row - median|`` for each row of a row-sorted array.
+def _deviation_median(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Median of each row of a 2-D array, and median of ``|row - median|``.
 
-    Along a sorted row the deviation falls to the median and rises after
+    Along the sorted row the deviation falls to the median and rises after
     it, so its ``j + 1`` smallest values fill a run of ``j + 1`` neighbours,
     and its ``j``-th smallest value is the least, over all such runs, of the
-    larger deviation at the run's two ends.  This needs no second sort.
-    Over the run starts ``a`` the deviation ``median - row[a]`` at the lower
-    end never rises and ``row[a + j] - median`` at the upper end never
-    falls, so the least larger end lies on one side or the other of where
-    they cross; a binary search per row finds that crossing.
+    larger deviation at the run's two ends, ``median - row[a]`` and
+    ``row[a + j] - median`` for the run from ``a``.  This needs no second
+    sort.  For even ``n`` the upper middle's runs are one longer; since
+    ``median - row[a]`` never rises along the row, the larger end of the run
+    from ``a`` is the larger of it and the shorter run's from ``a + 1``.
     """
-    n = sorted_rows.shape[-1]
-    rows = np.arange(len(sorted_rows))
-
-    def smallest(j: int) -> np.ndarray:
-        def ends(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return median - sorted_rows[rows, a], sorted_rows[rows, a + j] - median
-
-        # first run start whose upper end is at least its lower end
-        lo, hi = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), n - j)
-        while (lo < hi).any():
-            mid = (lo + hi) // 2
-            lower, upper = ends(np.minimum(mid, n - j - 1))
-            above = (upper >= lower) | (lo == hi)  # a found start stays put
-            hi, lo = np.where(above, mid, hi), np.where(above, lo, mid + 1)
-        candidates = [np.maximum(*ends(np.clip(a, 0, n - j - 1))) for a in (lo - 1, lo)]
-        return np.minimum(*candidates)
-
-    return 0.5 * (smallest((n - 1) // 2) + smallest(n // 2))
+    rows = np.sort(rows, axis=-1)
+    n = rows.shape[-1]
+    j = (n - 1) // 2
+    shift = n // 2 - j  # 1 for even n
+    median = 0.5 * (rows[:, j] + rows[:, j + shift])
+    lower = rows[:, : n - j] - median[:, None]
+    np.negative(lower, out=lower)  # median - row[a], bit for bit
+    ends = rows[:, j:] - median[:, None]
+    np.maximum(lower, ends, out=ends)
+    last = n - j - shift
+    longer = np.maximum(lower[:, :last], ends[:, shift:], out=lower[:, :last])
+    return median, 0.5 * (ends.min(axis=-1) + longer.min(axis=-1))
 
 
 def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
@@ -375,6 +369,9 @@ def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
     x = np.asarray(tangential, dtype=float)
     turns, n = x.shape
     width = int(round(n * EDGE_SMOOTH_FRACTION))
+    # first, so that the sorted rows are freed before the smoothing allocates
+    median, deviation = _deviation_median(x)
+    floor = EDGE_NOISE_FLOOR_SIGMAS * (MAD_TO_SIGMA * deviation)
     smooth = moving_average(x, width)
     rows = np.arange(turns)
     offsets = np.arange(-width, width + 1)
@@ -392,11 +389,6 @@ def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
     trailing = refine(np.argmin(smooth, axis=-1), -1.0)
     separation = trailing - leading
     margin = EDGE_MARGIN_WIDTHS * width
-    sorted_rows = np.sort(x, axis=-1)
-    median = 0.5 * (sorted_rows[:, (n - 1) // 2] + sorted_rows[:, n // 2])
-    floor = EDGE_NOISE_FLOOR_SIGMAS * (
-        MAD_TO_SIGMA * _deviation_median(sorted_rows, median)
-    )
     spike = np.minimum(x[rows, leading] - median, median - x[rows, trailing])
     failed = np.select(
         [

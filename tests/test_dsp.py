@@ -572,10 +572,15 @@ def test_fast_length_is_the_smallest_5_smooth_length():
     assert [_fast_length(int(k)) for k in n] == expected.tolist()
 
 
-@pytest.mark.parametrize("length", [1, 2, 7, 8, 943, 944])
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 942, 943, 944])
 def test_deviation_median_matches_numpy(length):
-    # small integers: many ties, and every median and deviation is exact
-    rows = np.random.default_rng(length).integers(-4, 5, (300, length)).astype(float)
-    median = np.median(rows, axis=1)
-    expected = np.median(np.abs(rows - median[:, None]), axis=1)
-    assert np.array_equal(_deviation_median(np.sort(rows, axis=-1), median), expected)
+    # Small integers: many ties, and every median and deviation is exact.
+    # Then the same rows plus gaussian noise, and constant rows.  The feature
+    # pass sends blocks of 1 to 139 turns.
+    rng = np.random.default_rng(length)
+    for turns in (1, 40, 139, 300):
+        ties = rng.integers(-4, 5, (turns, length)).astype(float)
+        for rows in (ties, ties + rng.normal(size=ties.shape), np.repeat(ties[:, :1], length, axis=1)):
+            median = np.median(rows, axis=1)
+            deviation = np.median(np.abs(rows - median[:, None]), axis=1)
+            assert np.array_equal(np.array(_deviation_median(rows)), [median, deviation])
