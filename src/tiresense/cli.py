@@ -83,12 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slip-model", type=Path, default=None)
     p.add_argument("--out", required=True, type=Path)
     p.add_argument(
-        "--plot-data",
-        type=Path,
-        default=None,
-        help="emit per-turn estimate vs truth series",
-    )
-    p.add_argument(
         "--features",
         type=Path,
         default=None,
@@ -187,12 +181,6 @@ def _cmd_estimate(args) -> int:
     write_estimates(args.out, result.estimates_lbf, slips, result.valid)
     if args.features is not None:
         write_feature_table(args.features, table)
-    if args.plot_data is not None:
-        turns = np.arange(len(table))
-        write_plot_data(args.plot_data, {
-            "estimate_lbf": (turns, result.estimates_lbf),
-            "truth_lbf": (turns, np.full(len(table), scenario.vertical_load)),
-        })
     return 0
 
 

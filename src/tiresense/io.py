@@ -1,9 +1,10 @@
 """File formats: scenario JSON, trace ``.npy`` array with JSON sidecar,
 model files, estimate tables, reports and plot data.
 
-Every file this package writes names its schema version, but the trace, whose
-version is its ``.npy`` header layout; readers reject unknown versions rather
-than guessing.  All numeric formatting is fixed so identical inputs produce
+Every file this package writes names its schema version but two: the trace,
+whose version is its ``.npy`` header layout, and the scenario file, whose
+fields are checked by name.  Readers reject unknown versions rather than
+guessing.  All numeric formatting is fixed so identical inputs produce
 byte-identical files.
 """
 

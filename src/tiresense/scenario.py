@@ -8,6 +8,7 @@ physically meaningful configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ScenarioError
@@ -65,7 +66,7 @@ class TireScenario:
                 f"tread_depth must lie in [0, {FULL_TREAD_MM}] mm, "
                 f"got {self.tread_depth}"
             )
-        if abs(self.slip_angle) > MAX_SLIP_DEG:
+        if not abs(self.slip_angle) <= MAX_SLIP_DEG:
             # The brush profile is adhesion-only; large angles would need a
             # sliding region.
             raise ScenarioError(
@@ -96,10 +97,12 @@ class SensorSpec:
     def __post_init__(self) -> None:
         if not self.sample_rate > 0:
             raise ScenarioError("sample_rate must be positive")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ScenarioError("noise_std must be non-negative")
         if len(self.dc_bias) != 3:
             raise ScenarioError("dc_bias needs one value per axis (3)")
+        if not all(map(math.isfinite, self.dc_bias)):
+            raise ScenarioError("dc_bias must be finite")
         if self.seed % 1 != 0 or self.seed < 0:  # not float(seed): seed may be huge
             raise ScenarioError("seed must be a non-negative integer")
         # normalise to a plain tuple of floats so traces hash/compare cleanly

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiresense import ScenarioError, TireScenario, derive_geometry
+from tiresense import ScenarioError, SensorSpec, TireScenario, derive_geometry
 from tiresense.geometry import TireGeometry
 
 from conftest import scenario
@@ -66,11 +66,28 @@ def test_wear_consuming_radius_raises():
         ("tread_depth", 9.0),
         ("slip_angle", 11.0),
         ("slip_angle", -10.5),
+        ("slip_angle", math.nan),
     ],
 )
 def test_scenario_invariants(field, value):
     with pytest.raises(ScenarioError):
         scenario(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("sample_rate", math.nan),
+        ("noise_std", -1.0),
+        ("noise_std", math.nan),
+        ("dc_bias", (5.0, math.nan, 5.0)),
+        ("dc_bias", (math.inf, 5.0, 5.0)),
+    ],
+)
+def test_sensor_invariants(field, value):
+    # a NaN noise level would otherwise simulate a noise-free trace
+    with pytest.raises(ScenarioError):
+        SensorSpec(**{field: value})
 
 
 @settings(max_examples=60, deadline=None)

@@ -465,9 +465,8 @@ def test_cli_full_workflow(workspace, tmp_path):
     assert cli("simulate", "--scenario", workspace / "scenario.json",
                "--turns", 8, "--out", trace, "--seed", 21) == 0
     estimates = tmp_path / "est.csv"
-    plot = tmp_path / "fig11.csv"
     assert cli("estimate", "--trace", trace, "--load-model", load_model,
-               "--slip-model", slip_model, "--out", estimates, "--plot-data", plot) == 0
+               "--slip-model", slip_model, "--out", estimates) == 0
     report_path = tmp_path / "report.json"
     assert cli("evaluate", "--estimates", estimates,
                "--truth", tmp_path / "run.json", "--report", report_path) == 0
@@ -480,10 +479,6 @@ def test_cli_full_workflow(workspace, tmp_path):
     assert report["slip"]["error_max"] < 1.0
     assert report["skipped_turns"] == 0
     assert len(report["inputs"]["estimates_sha256"]) == 64
-    plot_lines = plot.read_text().splitlines()
-    assert plot_lines[1] == "series,x,y"
-    assert any(line.startswith("estimate_lbf") for line in plot_lines)
-    assert any(line.startswith("truth_lbf") for line in plot_lines)
 
 
 def test_cli_estimate_deterministic(workspace, tmp_path):
@@ -503,17 +498,41 @@ def test_cli_estimate_deterministic(workspace, tmp_path):
         if not full:
             assert cli(*args) == 0
             return [est]
-        features, plot, report = (tmp_path / f"{run}_{name}" for name in
-                                  ("features.csv", "plot.csv", "report.json"))
-        assert cli(*args, "--slip-model", slip_model, "--features", features,
-                   "--plot-data", plot) == 0
+        features, report = (tmp_path / f"{run}_{name}" for name in
+                            ("features.csv", "report.json"))
+        assert cli(*args, "--slip-model", slip_model, "--features", features) == 0
         assert cli("evaluate", "--estimates", est, "--truth", tmp_path / "t.json",
                    "--report", report) == 0
-        return [est, features, plot, report]
+        return [est, features, report]
 
     for full in (False, True):
         for a, b in zip(outputs(f"a{full}", full), outputs(f"b{full}", full)):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_cli_estimate_reads_no_load_or_slip_truth(workspace, tmp_path):
+    # The estimators know the speed, the pressure and the sensor, not the
+    # load or the slip, so a sidecar that states another load or slip for
+    # the same samples moves no output byte.
+    load_model, slip_model = tmp_path / "lm.json", tmp_path / "sm.json"
+    assert cli("calibrate-load", "--traces", workspace / "calib", "--out", load_model) == 0
+    assert cli("calibrate-slip", "--traces", workspace / "slip", "--out", slip_model) == 0
+    source = tmp_path / "source.csv"
+    assert cli("simulate", "--scenario", workspace / "scenario.json",
+               "--turns", 6, "--out", source, "--seed", 9) == 0
+    sidecar = json.loads(source.with_suffix(".json").read_text())
+    outputs = []
+    for i, changes in enumerate(({}, {"vertical_load": 400.0}, {"vertical_load": 1100.0},
+                                 {"slip_angle": 3.0})):
+        trace, est, features = (tmp_path / f"{i}{name}" for name in
+                                (".csv", "_est.csv", "_features.csv"))
+        trace.write_bytes(source.read_bytes())
+        trace.with_suffix(".json").write_text(
+            json.dumps({**sidecar, "scenario": {**sidecar["scenario"], **changes}}))
+        assert cli("estimate", "--trace", trace, "--load-model", load_model,
+                   "--slip-model", slip_model, "--out", est, "--features", features) == 0
+        outputs.append((est.read_bytes(), features.read_bytes()))
+    assert outputs[1:] == outputs[:1] * 3
 
 
 def test_cli_estimate_emits_feature_table(workspace, tmp_path):
@@ -1139,10 +1158,12 @@ def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv, request):
     assert not (bad_inputs / "out").exists()
 
 
-@pytest.mark.parametrize("option, value", [("--lambda", "0.98"), ("--p0", "1e6")])
+@pytest.mark.parametrize("option, value", [("--lambda", "0.98"), ("--p0", "1e6"),
+                                           ("--plot-data", "fig11.csv")])
 def test_cli_estimate_has_no_rls_options(bad_inputs, capsys, option, value):
     # The RLS runs at estimation's DEFAULT_FORGETTING and INITIAL_COVARIANCE,
-    # and no option of estimate sets either.
+    # and no option of estimate sets either.  Nor does estimate write fig 11:
+    # its series are est.csv's load_lbf and the report's load.true_lbf.
     (bad_inputs / "out").unlink(missing_ok=True)
     with pytest.raises(SystemExit) as exited:
         cli(*_estimate(bad_inputs, "trace.csv", option, value))
