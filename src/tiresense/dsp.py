@@ -13,12 +13,13 @@ of the turn with a ``displacement_weights`` row.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NoPeakError, TooShortError
-from .simulate import AccelTrace
+from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace
 
 # High-pass corner as a fraction of the wheel rotation frequency: below the
 # once-per-turn fundamental that carries the patch dip, far above DC.
@@ -43,6 +44,10 @@ EDGE_MARGIN_WIDTHS = 1
 EDGE_MIN_SEPARATION_WIDTHS = 1
 EDGE_NOISE_FLOOR_SIGMAS = 10.0
 MAD_TO_SIGMA = 1.4826
+
+# (turn length, sample rate) pairs whose integration chain displacement_weights
+# keeps: a calibration grid's speeds at one or two sample rates.
+CHAIN_CACHE_SIZE = 16
 
 
 def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
@@ -116,6 +121,9 @@ def estimate_period(
 
     Raises
     ------
+    InvalidArgumentError
+        If a hint is not positive and finite, or the hinted period is
+        shorter than ``MIN_SAMPLES_PER_TURN`` samples.
     TooShortError
         If the trace covers fewer than three of the shortest periods the
         search accepts, 0.8 times the hinted one.
@@ -123,8 +131,16 @@ def estimate_period(
         If no interior autocorrelation maximum exists in the window, for
         example on a constant signal.
     """
+    for name, hint in (("speed", speed_hint), ("radius", radius_hint)):
+        if not 0.0 < hint < np.inf:
+            raise InvalidArgumentError(f"{name} hint must be positive and finite, got {hint}")
     fs = trace.sample_rate
     hinted = 2.0 * np.pi * radius_hint / speed_hint
+    if not hinted * fs >= MIN_SAMPLES_PER_TURN:
+        raise InvalidArgumentError(
+            f"hinted period {hinted * 1e3:.4g} ms (radius {radius_hint} m, speed "
+            f"{speed_hint} m/s) is shorter than {MIN_SAMPLES_PER_TURN} samples at {fs:g} Hz"
+        )
     shortest = 0.8 * hinted
     n = len(trace)
     if n < 3 * shortest * fs:
@@ -260,6 +276,27 @@ def accel_to_displacement(
     return disp
 
 
+@functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)
+def _chain(n: int, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """The chain's zero-mean impulse response ``h`` on an n-sample turn, and
+    the circular correlation ``C^T t`` of the centred ramp ``t`` with it.
+
+    Both depend on the length and the rate alone, so they are built once per
+    pair, and are read-only: every caller shares them.
+    """
+    impulse = np.full(n, -1.0 / n)
+    impulse[0] += 1.0
+    response = _integrate_twice(impulse, sample_rate, sample_rate / n)
+    # Both inputs of a convolution have zero mean, so the output has too,
+    # and a constant times the sum of a row cannot creep in through rounding.
+    response -= response.mean()
+    t = np.arange(n) - (n - 1) / 2.0
+    correlation = np.fft.irfft(np.fft.rfft(t) * np.conj(np.fft.rfft(response)), n)
+    response.flags.writeable = False
+    correlation.flags.writeable = False
+    return response, correlation
+
+
 def displacement_weights(n: int, sample_rate: float, columns: np.ndarray) -> np.ndarray:
     """One row per column ``j`` of ``columns``: the weights ``w_j`` with
     ``w_j @ x == accel_to_displacement(x, sample_rate, sample_rate / n)[j]``
@@ -275,16 +312,13 @@ def displacement_weights(n: int, sample_rate: float, columns: np.ndarray) -> np.
     and ``P_t`` the detrend against ``t``, and
     ``w_j = 1e3 * P_1 (C^T e_j - (t_j / t.t) C^T t)``, where
     ``(C^T e_j)[i] = h[(j - i) mod n]`` and ``C^T t`` is the circular
-    correlation of ``t`` with ``h``.
+    correlation of ``t`` with ``h``.  ``h`` and ``C^T t`` are built on the
+    first call for each ``(n, sample_rate)`` and kept for the
+    ``CHAIN_CACHE_SIZE`` most recent pairs; ``accel_to_displacement`` keeps
+    nothing and runs the chain on every call.
     """
-    impulse = np.full(n, -1.0 / n)
-    impulse[0] += 1.0
-    response = _integrate_twice(impulse, sample_rate, sample_rate / n)
-    # Both inputs of a convolution have zero mean, so the output has too,
-    # and a constant times the sum of a row cannot creep in through rounding.
-    response -= response.mean()
+    response, correlation = _chain(n, sample_rate)
     t = np.arange(n) - (n - 1) / 2.0
-    correlation = np.fft.irfft(np.fft.rfft(t) * np.conj(np.fft.rfft(response)), n)
     columns = np.asarray(columns)
     # window n - 1 - j of the reversed response tiled twice is h[(j - i) mod n]
     rows = np.lib.stride_tricks.sliding_window_view(np.tile(response[::-1], 2), n)[n - 1 - columns]

@@ -54,6 +54,11 @@ class TireScenario:
             raise ScenarioError("unloaded_radius must be positive")
         if not self.vehicle_speed > 0:
             raise ScenarioError("vehicle_speed must be positive")
+        # An infinite radius never turns the wheel; an infinite speed turns it
+        # in no time.
+        for name in ("unloaded_radius", "vehicle_speed"):
+            if getattr(self, name) == math.inf:
+                raise ScenarioError(f"{name} must be finite")
         if not self.vertical_load > 0:
             raise ScenarioError("vertical_load must be positive")
         if not 0 < self.inflation_pressure <= MAX_PRESSURE_PSI:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,31 @@ def test_period_needs_three_shortest_search_periods(default_scenario, quiet_sens
     trace, _ = simulate(default_scenario, quiet_sensor, 2)
     with pytest.raises(TooShortError, match=r"the hint \(227 ms\), trace has 188 ms$"):
         estimate_period(trace, default_scenario.vehicle_speed, 0.3)
+
+
+@pytest.mark.parametrize(
+    "speed,radius,line",
+    [
+        pytest.param(np.nan, 0.3, r"^speed hint must be positive and finite, got nan$",
+                     id="nan-speed"),
+        pytest.param(20.0, np.nan, r"^radius hint must be positive and finite, got nan$",
+                     id="nan-radius"),
+        pytest.param(0.0, 0.3, r"^speed hint must be positive and finite, got 0\.0$",
+                     id="zero-speed"),
+        pytest.param(-20.0, 0.3, r"^speed hint must be positive and finite, got -20\.0$",
+                     id="negative-speed"),
+        pytest.param(np.inf, 0.3, r"^speed hint must be positive and finite, got inf$",
+                     id="infinite-speed"),
+        pytest.param(20.0, 1e-6, r"^hinted period 0\.0003142 ms \(radius 1e-06 m, speed "
+                     r"20\.0 m/s\) is shorter than 20 samples at 10000 Hz$", id="tiny-radius"),
+    ],
+)
+def test_bad_hint_is_refused(clean_trace, speed, radius, line):
+    trace, _ = clean_trace
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError, match=line):
+            estimate_period(trace, speed, radius)
 
 
 def direct_period(trace, speed, radius):
@@ -370,8 +397,9 @@ def test_integration_matches_stage_by_stage_chain(length):
 
 
 def test_every_integration_runs_the_chain(monkeypatch):
-    # no call reuses an earlier call's work: each one high-passes twice,
-    # so a profiler's count and time of highpass cover every pass
+    # no integration reuses an earlier call's work: each one high-passes
+    # twice, so a profiler's count and time of highpass cover every pass;
+    # the weights build the chain once per (length, rate)
     calls = []
 
     def counting(*args):
@@ -384,9 +412,17 @@ def test_every_integration_runs_the_chain(monkeypatch):
         calls.clear()
         accel_to_displacement(turn, FS, FS / 942)
         assert len(calls) == 2
-    calls.clear()
-    displacement_weights(942, FS, np.array([0, 471]))
-    assert len(calls) == 2
+    dsp._chain.cache_clear()
+    for n, rate, columns, passes in [
+        (942, FS, [0, 471], 2),
+        (942, FS, [5, 471, 5], 0),
+        (942, 500.0, [0, 471], 2),
+        (943, FS, [0, 471], 2),
+        (942, FS, [0], 0),
+    ]:
+        calls.clear()
+        displacement_weights(n, rate, np.array(columns))
+        assert len(calls) == passes, (n, rate)
 
 
 @pytest.mark.parametrize("length", [941, 942, 943])
@@ -402,6 +438,30 @@ def test_weights_read_the_profile_columns(length):
         assert weights.shape == (len(columns), length)
         read = np.stack([np.einsum("ti,i->t", turns, w) for w in weights], axis=-1)
         assert_rows_close(read, profiles[:, columns])
+
+
+@pytest.mark.parametrize("rate", [500.0, FS])
+@pytest.mark.parametrize("length", [941, 942, 943, 3770])
+def test_cached_chain_keeps_the_weights_bits(length, rate):
+    # a warm call gathers from the arrays a cold call built, after calls at
+    # other columns and lengths
+    columns = np.array([length - 1, 7, 300, 0, 7])
+    dsp._chain.cache_clear()
+    cold = displacement_weights(length, rate, columns)
+    displacement_weights(length, rate, np.arange(length - 1, -1, -97))
+    displacement_weights(length + 1, rate, columns)
+    assert np.array_equal(displacement_weights(length, rate, columns), cold)
+
+
+def test_cached_chain_is_read_only():
+    response, correlation = dsp._chain(942, FS)
+    for cached in (response, correlation):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 0.0
+    weights = displacement_weights(942, FS, np.array([0, 471]))
+    weights[0, 0] = 0.0  # each call's rows are its own
+    assert not np.shares_memory(weights, response)
+    assert not np.shares_memory(weights, correlation)
 
 
 @pytest.mark.parametrize("length", [471, 941, 942, 943, 1000])

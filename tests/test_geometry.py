@@ -59,7 +59,9 @@ def test_wear_consuming_radius_raises():
     "field,value",
     [
         ("unloaded_radius", 0.0),
+        ("unloaded_radius", math.inf),
         ("vehicle_speed", -1.0),
+        ("vehicle_speed", math.inf),
         ("vertical_load", 0.0),
         ("inflation_pressure", 0.0),
         ("tread_depth", -1.0),
