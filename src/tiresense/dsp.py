@@ -278,8 +278,9 @@ def accel_to_displacement(
 
 @functools.lru_cache(maxsize=CHAIN_CACHE_SIZE)
 def _chain(n: int, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
-    """The chain's zero-mean impulse response ``h`` on an n-sample turn, and
-    the circular correlation ``C^T t`` of the centred ramp ``t`` with it.
+    """The circulant windows of the chain's zero-mean impulse response ``h``
+    on an n-sample turn, whose window ``n - 1 - j`` is ``h[(j - i) mod n]``,
+    and the circular correlation ``C^T t`` of the centred ramp ``t`` with ``h``.
 
     Both depend on the length and the rate alone, so they are built once per
     pair, and are read-only: every caller shares them.
@@ -292,9 +293,9 @@ def _chain(n: int, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     response -= response.mean()
     t = np.arange(n) - (n - 1) / 2.0
     correlation = np.fft.irfft(np.fft.rfft(t) * np.conj(np.fft.rfft(response)), n)
-    response.flags.writeable = False
     correlation.flags.writeable = False
-    return response, correlation
+    # the reversed response tiled twice; the view of its windows is read-only
+    return np.lib.stride_tricks.sliding_window_view(np.tile(response[::-1], 2), n), correlation
 
 
 def displacement_weights(n: int, sample_rate: float, columns: np.ndarray) -> np.ndarray:
@@ -312,17 +313,19 @@ def displacement_weights(n: int, sample_rate: float, columns: np.ndarray) -> np.
     and ``P_t`` the detrend against ``t``, and
     ``w_j = 1e3 * P_1 (C^T e_j - (t_j / t.t) C^T t)``, where
     ``(C^T e_j)[i] = h[(j - i) mod n]`` and ``C^T t`` is the circular
-    correlation of ``t`` with ``h``.  ``h`` and ``C^T t`` are built on the
-    first call for each ``(n, sample_rate)`` and kept for the
-    ``CHAIN_CACHE_SIZE`` most recent pairs; ``accel_to_displacement`` keeps
-    nothing and runs the chain on every call.
+    correlation of ``t`` with ``h``.  The windows of ``h`` and ``C^T t`` are
+    built on the first call for each ``(n, sample_rate)`` and kept for the
+    ``CHAIN_CACHE_SIZE`` most recent pairs, so a call only gathers and
+    detrends its rows; ``accel_to_displacement`` keeps nothing and runs the
+    chain on every call.
     """
-    response, correlation = _chain(n, sample_rate)
+    windows, correlation = _chain(n, sample_rate)
     t = np.arange(n) - (n - 1) / 2.0
     columns = np.asarray(columns)
-    # window n - 1 - j of the reversed response tiled twice is h[(j - i) mod n]
-    rows = np.lib.stride_tricks.sliding_window_view(np.tile(response[::-1], 2), n)[n - 1 - columns]
-    rows -= (t[columns] / (t @ t))[:, None] * correlation
+    rows = windows[n - 1 - columns]
+    # one row at a time, so no temporary is as large as the rows
+    for row, scale in zip(rows, t[columns] / (t @ t)):
+        row -= scale * correlation
     rows -= rows.mean(axis=-1, keepdims=True)
     rows *= 1e3
     return rows

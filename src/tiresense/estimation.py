@@ -163,7 +163,7 @@ def rls(measurements, forgetting: float = DEFAULT_FORGETTING) -> tuple[np.ndarra
     # theta mixes finite values, so only y - theta can overflow, and an
     # infinite theta turns NaN at the next update and stays so
     if not math.isfinite(theta):
-        raise FloatingPointError("overflow encountered in the RLS update")
+        raise InvalidArgumentError("overflow encountered in the RLS update")
     return np.array(estimates), np.array(covariances)
 
 

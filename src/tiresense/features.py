@@ -18,8 +18,9 @@ of each noisy profile would be biased upward by its noise, more so the
 longer the turn; a fixed column is not.  Each feature is linear in the
 turn's samples, a dot product with ``dsp.displacement_weights`` rows, so no
 turn is integrated: one ``accel_to_displacement`` call integrates the mean
-radial and lateral turns as the rows of one array, and one
-``displacement_weights`` call builds every row the trace's features read.
+radial and lateral turns as the rows of one array, and each feature builds
+the rows it reads with its own ``displacement_weights`` call, a gather from
+the chain's circulant windows, which ``dsp`` keeps per turn length.
 """
 
 from __future__ import annotations
@@ -74,31 +75,31 @@ def _mean_turn(samples: np.ndarray, at: np.ndarray, length: int) -> np.ndarray:
     return total / len(at)
 
 
-def _lateral_column(mean: np.ndarray, leading: np.ndarray, trailing: np.ndarray) -> int:
-    """Column of the lateral peak: where the turns' mean profile ``mean`` is
-    largest in magnitude within the median patch plus one patch-length of
-    release after the exit, where the brush deflection tops out."""
-    start = int(np.median(leading))
-    window = np.abs(mean[start : start + 2 * int(np.median(trailing - leading))])
-    return start + int(np.argmax(window))
-
-
 def lateral_features(
-    lateral: np.ndarray, at: np.ndarray, weights: np.ndarray, leading: np.ndarray,
-    fit_n: np.ndarray, wheel_speed: float, sample_rate: float,
+    lateral: np.ndarray, at: np.ndarray, profile: np.ndarray, leading: np.ndarray,
+    trailing: np.ndarray, wheel_speed: float, sample_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Peak lateral displacement (mm) and initial slope (mm/mm) of each raw
     lateral turn, the samples of the ``lateral`` channel from each start in
-    ``at`` (at least one).  ``weights`` holds the ``displacement_weights``
-    rows of each column from the first ``leading`` edge to the last a slope
-    fit reads, then the peak column's.  Each slope is the least-squares line
-    through the ``fit_n`` columns from the turn's ``leading`` edge against
-    patch-travel distance; both features are dot products with those rows.
+    ``at`` (at least one), with patch edges ``leading`` and ``trailing``.
+    ``profile`` is the integrated mean of those turns.  The peak is read at
+    one column: where ``profile`` is largest in magnitude within the median
+    patch plus one patch-length of release after the exit, where the brush
+    deflection tops out.  Each slope is the least-squares line through the
+    first ``SLOPE_FIT_FRACTION`` of the turn's patch against patch-travel
+    distance; both features are dot products with ``displacement_weights``
+    rows.
     """
-    n = weights.shape[-1]
+    n = len(profile)
+    start = int(np.median(leading))
+    window = np.abs(profile[start : start + 2 * int(np.median(trailing - leading))])
+    # each slope fits the first 30% of its patch, to the turn's end at the latest
+    fit_n = np.clip(np.round(SLOPE_FIT_FRACTION * (trailing - leading)).astype(int), 2, n - leading)
+    first = leading.min()
+    weights = displacement_weights(n, sample_rate, np.append(
+        np.arange(first, (leading + fit_n).max()), start + np.argmax(window)))
     # one group per (leading, fit_n) pair, keyed as one integer
     keys, group = np.unique(leading * (n + 1) + fit_n, return_inverse=True)
-    first = leading.min()
     fits = np.array([_line_slope(weights[lo : lo + size].T)
                      for lo, size in zip(keys // (n + 1) - first, keys % (n + 1))])
     peak, slope = [], []
@@ -146,20 +147,13 @@ def extract_features(
         mean = _mean_turn(trace.samples, at, length).T  # tangential, lateral, radial
         profiles = accel_to_displacement(mean[[2, 1] if include_lateral else [2]], fs, fs / length)
         centres, group = np.unique((leading + trailing) // 2, return_inverse=True)
-        read = [centres, [np.argmin(profiles[0])]]  # the profile columns the features read
-        if include_lateral:
-            # each slope fits the first 30% of its patch, to the turn's end at the latest
-            fit_n = np.clip(np.round(SLOPE_FIT_FRACTION * (trailing - leading)).astype(int),
-                            2, length - leading)
-            read += [np.arange(leading.min(), (leading + fit_n).max()),
-                     [_lateral_column(profiles[1], leading, trailing)]]
-        weights = displacement_weights(length, fs, np.concatenate(read))
-        rows = weights[: len(centres)] - weights[len(centres)]
+        weights = displacement_weights(length, fs, [*centres, np.argmin(profiles[0])])
+        rows = weights[:-1] - weights[-1]
         dip[ok] = np.concatenate([np.einsum("ti,ti->t", block, rows[group[part]])
                                   for part, block in _turn_blocks(trace.a_radial, at, length)])
         peak[ok] = slope[ok] = 0.0
         if include_lateral:
-            peak[ok], slope[ok] = lateral_features(trace.a_lateral, at, weights[len(centres) + 1 :],
-                                                   leading, fit_n, wheel_speed, fs)
+            peak[ok], slope[ok] = lateral_features(trace.a_lateral, at, profiles[1], leading,
+                                                   trailing, wheel_speed, fs)
     table = np.rec.fromarrays([np.arange(len(starts)), *columns], names=FEATURE_FIELDS)
     return table, len(starts) - len(ok)

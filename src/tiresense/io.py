@@ -1,11 +1,11 @@
 """File formats: scenario JSON, trace ``.npy`` array with JSON sidecar,
 model files, estimate tables, reports and plot data.
 
-Every file this package writes names its schema version but two: the trace,
-whose version is its ``.npy`` header layout, and the scenario file, whose
-fields are checked by name.  Readers reject unknown versions rather than
-guessing.  All numeric formatting is fixed so identical inputs produce
-byte-identical files.
+Every file this package writes names its schema version but the trace,
+whose version is its ``.npy`` header layout; the scenario file, which it
+only reads, has its fields checked by name.  Readers reject unknown
+versions rather than guessing.  All numeric formatting is fixed so
+identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -155,14 +155,6 @@ def read_scenario(path: Path) -> tuple[TireScenario, SensorSpec]:
         sensor = {k: v for k, v in payload.items() if k in names}
         tire = {k: v for k, v in payload.items() if k not in names}
         return _record(TireScenario, tire), _record(SensorSpec, sensor)
-
-
-def scenario_to_dict(scenario: TireScenario, sensor: SensorSpec) -> dict:
-    return {**asdict(scenario), **asdict(sensor)}
-
-
-def write_scenario(path: Path, scenario: TireScenario, sensor: SensorSpec) -> None:
-    _write_json(Path(path), scenario_to_dict(scenario, sensor))
 
 
 # ---------------------------------------------------------------------------

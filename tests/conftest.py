@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -22,6 +25,15 @@ def scenario(**overrides) -> TireScenario:
     )
     base.update(overrides)
     return TireScenario(**base)
+
+
+def scenario_payload(scen: TireScenario, sensor: SensorSpec) -> dict:
+    """The fields of a flat scenario file: the tire's, then the sensor's."""
+    return {**asdict(scen), **asdict(sensor)}
+
+
+def write_scenario(path, scen: TireScenario, sensor: SensorSpec) -> None:
+    path.write_text(json.dumps(scenario_payload(scen, sensor)))
 
 
 @pytest.fixture(scope="session")

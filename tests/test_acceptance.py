@@ -24,9 +24,8 @@ from tiresense.estimation import (
     sensitivity_sweep,
 )
 from tiresense.features import extract_features
-from tiresense.io import write_scenario
 
-from conftest import scenario
+from conftest import scenario, write_scenario
 
 FS = 10_000.0
 BIAS = (5.0, 5.0, 5.0)

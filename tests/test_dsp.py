@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -454,14 +455,28 @@ def test_cached_chain_keeps_the_weights_bits(length, rate):
 
 
 def test_cached_chain_is_read_only():
-    response, correlation = dsp._chain(942, FS)
-    for cached in (response, correlation):
+    windows, correlation = dsp._chain(942, FS)
+    assert windows.shape == (943, 942)
+    for cached in (windows[0], correlation):
         with pytest.raises(ValueError, match="read-only"):
             cached[0] = 0.0
     weights = displacement_weights(942, FS, np.array([0, 471]))
     weights[0, 0] = 0.0  # each call's rows are its own
-    assert not np.shares_memory(weights, response)
+    assert not np.shares_memory(weights, windows)
     assert not np.shares_memory(weights, correlation)
+
+
+def test_weights_peak_memory_stays_near_the_output():
+    # the detrend updates one row at a time, so no temporary is row-sized
+    columns = np.arange(300, 380)
+    displacement_weights(942, FS, columns)  # the chain is cached before the trace starts
+    tracemalloc.start()
+    try:
+        weights = displacement_weights(942, FS, columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * weights.nbytes
 
 
 @pytest.mark.parametrize("length", [471, 941, 942, 943, 1000])

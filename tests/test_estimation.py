@@ -244,7 +244,7 @@ def test_rls_state_validation():
 
 def test_rls_overflow_raises():
     # y - theta overflows when measurements near the float limit change sign
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(InvalidArgumentError, match="overflow"):
         rls([1.7e308, -1.7e308])
 
 

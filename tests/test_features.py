@@ -8,7 +8,6 @@ from tiresense.dsp import (
     _line_slope,
     accel_to_displacement,
     detect_patch_edges,
-    displacement_weights,
     estimate_period,
     segment_turns,
 )
@@ -338,8 +337,9 @@ def test_one_ok_turn_dips_at_its_own_maximum():
 
 
 def test_lateral_features_batch_matches_reference():
-    # Raw lateral turns and the weight rows of their columns in, each turn's
-    # features of its own profile out.
+    # Raw lateral turns, their integrated mean and their edges in, each
+    # turn's features of its own profile out, the peak at the column where
+    # the mean profile peaks.
     # Shifted by 380 samples, the patch sits near the turn's end, which cuts
     # off the peak window.
     trace, _ = simulate(scenario(slip_angle=3.0), SensorSpec(seed=9), 8)
@@ -357,25 +357,23 @@ def test_lateral_features_batch_matches_reference():
         profiles = accel_to_displacement(lateral, fs, fs / n)
         column = reference_lateral_column(profiles.mean(axis=0), leading, trailing)
         mean = accel_to_displacement(lateral.mean(axis=0), fs, fs / n)
-        assert features._lateral_column(mean, leading, trailing) == column
-        fit_n = np.maximum(2, np.round(0.3 * (trailing - leading)).astype(int))
-        weights = displacement_weights(
-            n, fs, np.append(np.arange(leading.min(), (leading + fit_n).max()), column))
         # the rows of the flattened array are its turns
-        peak, slope = lateral_features(lateral.ravel(), np.arange(len(lateral)) * n,
-                                       weights, leading, fit_n, 20.0, fs)
+        peak, slope = lateral_features(lateral.ravel(), np.arange(len(lateral)) * n, mean,
+                                       leading, trailing, 20.0, fs)
         for i, turn_edges in enumerate(zip(leading, trailing)):
             ref_peak, ref_slope = reference_lateral(profiles[i], turn_edges, column, 20.0, fs)
             assert peak[i] == pytest.approx(ref_peak, rel=1e-12, abs=0.0)
             assert slope[i] == pytest.approx(ref_slope, rel=1e-12, abs=0.0)
+        # the peak column is not the largest magnitude of every turn
+        assert not np.allclose(peak, np.abs(profiles).max(axis=1), rtol=1e-12, atol=0.0)
         assert np.abs(slope).min() > 1e-3  # a slip-angle trace: the relative bound bites
 
 
 @pytest.mark.parametrize("lateral", [False, True])
-def test_one_integration_and_one_weight_call_per_trace(monkeypatch, lateral):
+def test_one_integration_and_one_weight_call_per_feature(monkeypatch, lateral):
     # The mean turns of both channels are integrated as the rows of one
-    # array, and one call builds every weight row the features read, so a
-    # trace pays each call's fixed cost once.
+    # array, so a trace pays the chain's fixed cost once; the dip and the
+    # lateral features each build the weight rows they read, in one call.
     calls = []
     for name in ("accel_to_displacement", "displacement_weights"):
         def counting(*args, _name=name, _original=getattr(features, name)):
@@ -386,7 +384,7 @@ def test_one_integration_and_one_weight_call_per_trace(monkeypatch, lateral):
     trace, _ = simulate(scenario(slip_angle=2.0), SensorSpec(seed=3), 6)
     table, skipped = extract_features(trace, 20.0, 0.3, include_lateral=lateral)
     assert skipped == 0 and (table.lateral_slope != 0.0).all() == lateral
-    assert sorted(calls) == ["accel_to_displacement", "displacement_weights"]
+    assert sorted(calls) == ["accel_to_displacement"] + ["displacement_weights"] * (1 + lateral)
 
 
 @pytest.mark.parametrize("lateral", [False, True])

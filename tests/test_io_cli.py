@@ -38,18 +38,16 @@ from tiresense.io import (
     read_scenario,
     read_slip_model,
     read_trace,
-    scenario_to_dict,
     write_estimates,
     write_feature_table,
     write_load_model,
     write_plot_data,
-    write_scenario,
     write_slip_model,
     write_trace,
 )
 from tiresense.simulate import MAX_ABS_SAMPLE, AccelTrace
 
-from conftest import scenario
+from conftest import scenario, scenario_payload, write_scenario
 
 SENSOR = SensorSpec(noise_std=25.0, dc_bias=(5.0, 5.0, 5.0), seed=3)
 
@@ -74,7 +72,7 @@ def test_scenario_round_trip(tmp_path):
 
 def test_scenario_rejects_unknown_and_missing_fields(tmp_path):
     path = tmp_path / "scenario.json"
-    payload = scenario_to_dict(scenario(), SENSOR)
+    payload = scenario_payload(scenario(), SENSOR)
     payload["spin_rate"] = 3.0
     path.write_text(json.dumps(payload))
     with pytest.raises(SchemaError):
@@ -897,7 +895,7 @@ def _truth_load(root, load):
 
 
 def _scenario_file(root, turns=2, **changes):
-    payload = {**scenario_to_dict(scenario(), SENSOR), **changes}
+    payload = {**scenario_payload(scenario(), SENSOR), **changes}
     (root / "scenario.json").write_text(json.dumps(payload))
     return ["simulate", "--scenario", root / "scenario.json", "--turns", turns,
             "--out", root / "out"]
