@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", required=True, type=Path)
     p.add_argument("--turns", required=True, type=int)
     p.add_argument("--out", required=True, type=Path)
-    p.add_argument("--seed", type=int, default=None, help="override the sensor seed")
     p.add_argument(
         "--plot-integration",
         type=Path,
@@ -103,8 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args) -> int:
     scenario, sensor = read_scenario(args.scenario)
-    if args.seed is not None:
-        sensor = replace(sensor, seed=args.seed)
     with naming(args.scenario):
         trace, truth = simulate(scenario, sensor, args.turns)
     write_trace(args.out, trace, truth, scenario, sensor)

@@ -152,10 +152,9 @@ def estimate_period(
     x = trace.a_radial[: int(round(PERIOD_PREFIX_TURNS * hinted * fs))]
     x = x - x.mean()
     n = len(x)
-    lo = max(1, int(np.floor(shortest * fs)))
-    hi = min(n - 2, int(np.ceil(1.2 * hinted * fs)))
-    if lo >= hi:
-        raise NoPeakError("autocorrelation search window is empty")
+    # hinted * fs >= 20 and n >= 2.4 * hinted * fs leave 16 <= lo < hi <= n - 2
+    lo = int(np.floor(shortest * fs))
+    hi = int(np.ceil(1.2 * hinted * fs))
     # Circular wrap-around reaches only lags > m - n, so m >= n + hi + 1
     # keeps it off every lag up to hi + 1, the last one read.
     m = _fast_length(n + hi + 1)

@@ -45,11 +45,13 @@ def _fit(samples, columns: tuple[str, ...], basis, target: int = -1):
     """Least-squares fit of sample column ``target`` on the design columns that
     ``basis`` makes of the sample columns; ``columns`` names each row's values.
     Returns the sample columns, the coefficients in design-column order and
-    the residual RMS.  A design that cannot identify every coefficient (fewer
-    rows than coefficients, say) raises RankDeficiencyError."""
+    the residual RMS.  A non-finite sample raises InvalidArgumentError, and a
+    design that cannot identify every coefficient RankDeficiencyError."""
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != len(columns):
         raise InvalidArgumentError(f"samples must be rows of ({', '.join(columns)})")
+    if not np.isfinite(data).all():
+        raise InvalidArgumentError("samples must be finite")
     values = data.T
     design = np.column_stack(basis(*values))
     coefficients, _, _, singular = np.linalg.lstsq(design, values[target], rcond=None)

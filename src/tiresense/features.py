@@ -46,10 +46,10 @@ SLOPE_FIT_FRACTION = 0.3
 # size instead of growing with the trace.
 FEATURE_BLOCK_SAMPLES = 2**17
 
-# The feature table's fields: turn number, patch length (m), dip amplitude
-# (mm, >= 0 for a real patch), peak lateral displacement (mm, magnitude) and
-# lateral slope (mm lateral per mm of patch travel).
-FEATURE_FIELDS = ("turn_index", "patch_length", "peak_radial_displacement",
+# The feature table's fields, one record per turn: patch length (m), dip
+# amplitude (mm, >= 0 for a real patch), peak lateral displacement (mm,
+# magnitude) and lateral slope (mm lateral per mm of patch travel).
+FEATURE_FIELDS = ("patch_length", "peak_radial_displacement",
                   "peak_lateral_displacement", "lateral_slope")
 
 
@@ -117,9 +117,9 @@ def extract_features(
 ) -> tuple[np.recarray, int]:
     """Feature table of a trace: one record per turn, fields ``FEATURE_FIELDS``.
 
-    Turns whose edge detection fails keep their record, with their turn
-    index and NaN features, so downstream tables stay aligned with the turn
-    count; the second return value counts them.  Without ``include_lateral``
+    Turns whose edge detection fails keep their record, with NaN features,
+    so record ``i`` is turn ``i`` and downstream tables stay aligned with the
+    turn count; the second return value counts them.  Without ``include_lateral``
     both lateral features are 0 on the other turns.  ``wheel_speed`` is the
     vehicle speed from trace metadata and ``radius_hint`` seeds the period
     search only.  Turns are gathered in blocks of at most
@@ -155,5 +155,4 @@ def extract_features(
         if include_lateral:
             peak[ok], slope[ok] = lateral_features(trace.a_lateral, at, profiles[1], leading,
                                                    trailing, wheel_speed, fs)
-    table = np.rec.fromarrays([np.arange(len(starts)), *columns], names=FEATURE_FIELDS)
-    return table, len(starts) - len(ok)
+    return np.rec.fromarrays(columns, names=FEATURE_FIELDS), len(starts) - len(ok)

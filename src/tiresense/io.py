@@ -23,8 +23,8 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ScenarioError, SchemaError, naming, quote_count
-from .estimation import SWEEP_FACTORS, LoadSurfaceModel, SlipModel
+from .errors import InvalidArgumentError, ScenarioError, SchemaError, naming, quote_count
+from .estimation import SWEEP_FACTORS, LoadSurfaceModel, SensitivityReport, SlipModel
 from .features import FEATURE_FIELDS
 from .geometry import derive_geometry
 from .scenario import SensorSpec, TireScenario
@@ -176,7 +176,14 @@ def write_trace(
     scenario: TireScenario,
     sensor: SensorSpec,
 ) -> Path:
-    """Write the samples to exactly ``path`` and the JSON sidecar; returns the sidecar path."""
+    """Write the samples to exactly ``path`` and the JSON sidecar; returns the
+    sidecar path.  A trace whose rate or rows ``read_trace`` would refuse for
+    this sensor and these turns raises InvalidArgumentError and writes nothing."""
+    expected = trace_rows(scenario, sensor.sample_rate, truth.n_turns)
+    if (trace.sample_rate, len(trace)) != (sensor.sample_rate, expected):
+        raise InvalidArgumentError(
+            f"{len(trace)} rows at {trace.sample_rate:g} Hz, but {truth.n_turns} turns "
+            f"take {quote_count(expected)} rows at the sensor's {sensor.sample_rate:g} Hz")
     with Path(path).open("wb") as handle:
         np.save(handle, np.ascontiguousarray(trace.samples, dtype="<f8"), allow_pickle=False)
     sidecar = sidecar_path(path)
@@ -314,8 +321,8 @@ def write_feature_table(path: Path, table: np.recarray) -> None:
     """The feature table ``extract_features`` returns, one line per turn."""
     _write_table(path, FEATURES_SCHEMA,
                  "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope",
-                 ("%d,%.12g,%.12g,%.12g,%.12g\n",
-                  np.column_stack([table[name] for name in FEATURE_FIELDS])))
+                 ("%d,%.12g,%.12g,%.12g,%.12g\n", np.column_stack(
+                     [np.arange(len(table)), *(table[name] for name in FEATURE_FIELDS)])))
 
 
 def write_plot_data(path: Path, series: dict) -> None:
@@ -345,12 +352,8 @@ def read_ranges(path: Path) -> dict:
         }
 
 
-def write_sensitivity(path: Path, report) -> None:
-    payload = {
-        "schema_version": SENSITIVITY_SCHEMA,
-        "ranges": {k: list(v) for k, v in report.ranges.items()},
-        "center": report.center,
-        "shares": report.shares,
-        "spans": report.spans,
-    }
-    _write_json(Path(path), payload)
+def write_sensitivity(path: Path, report: SensitivityReport) -> None:
+    """The report but its curves, which ``sweep --plot-data`` writes."""
+    payload = asdict(report)
+    del payload["curves"]
+    _write_json(Path(path), {"schema_version": SENSITIVITY_SCHEMA, **payload})

@@ -345,13 +345,13 @@ def test_criterion_9_round_trip_identity():
 
 def test_criterion_10_end_to_end_determinism(tmp_path):
     scen = scenario()
-    sensor = SensorSpec(seed=0)
+    sensor = SensorSpec(seed=7)
     write_scenario(tmp_path / "scenario.json", scen, sensor)
     outputs = []
     for tag in ("a", "b"):
         trace = tmp_path / f"{tag}.csv"
         assert main(["simulate", "--scenario", str(tmp_path / "scenario.json"),
-                     "--turns", "6", "--out", str(trace), "--seed", "7"]) == 0
+                     "--turns", "6", "--out", str(trace)]) == 0
         calib = tmp_path / f"calib_{tag}"
         calib.mkdir()
         seed = 0

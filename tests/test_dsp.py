@@ -28,7 +28,7 @@ from tiresense.dsp import (
     moving_average,
     segment_turns,
 )
-from tiresense.simulate import AccelTrace
+from tiresense.simulate import MIN_SAMPLES_PER_TURN, AccelTrace
 
 from conftest import edges_of, rule_failed, scenario
 
@@ -105,6 +105,26 @@ def test_bad_hint_is_refused(clean_trace, speed, radius, line):
             estimate_period(trace, speed, radius)
 
 
+def spike_train(n, every, sample_rate):
+    """``n`` samples whose radial channel dips by 1000 m/s^2 every ``every`` samples."""
+    samples = np.zeros((n, 3))
+    samples[::every, 2] = -1000.0
+    return AccelTrace(sample_rate=sample_rate, samples=samples)
+
+
+@pytest.mark.parametrize("n", [48, 49, 60])
+def test_period_search_at_the_shortest_hint_and_trace(n):
+    # A hinted period of exactly MIN_SAMPLES_PER_TURN samples, on traces
+    # from the shortest the search accepts, 3 x 0.8 of it, up: the lag
+    # window [16, 24] needs no clamp to fit the prefix, and the spike
+    # train's period is found.
+    fs, radius, speed = 1000.0, 10.0 / np.pi, 1000.0
+    assert 2.0 * np.pi * radius / speed * fs == MIN_SAMPLES_PER_TURN
+    assert estimate_period(spike_train(n, 20, fs), speed, radius) == 20 / fs
+    with pytest.raises(TooShortError):
+        estimate_period(spike_train(47, 20, fs), speed, radius)
+
+
 def direct_period(trace, speed, radius):
     """estimate_period's lag from the lag products x[:-k] @ x[k:] themselves."""
     fs = trace.sample_rate
@@ -166,6 +186,19 @@ def test_segment_too_short(default_scenario, quiet_sensor):
     )
     with pytest.raises(TooShortError):
         segment_turns(half, truth.wheel_period_s[0])
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, np.nan, np.inf])
+def test_segment_refuses_a_period_that_is_not_positive_and_finite(clean_trace, period):
+    with pytest.raises(TooShortError, match="^period must be positive and finite$"):
+        segment_turns(clean_trace[0], period)
+
+
+def test_segment_refuses_one_turn_centred_on_its_first_sample():
+    # One turn of 100 samples whose only patch sits at sample 0: the turn
+    # centred there is cut by half its length, more than MAX_CUT_FRACTION.
+    with pytest.raises(TooShortError, match="^no complete wheel turn found$"):
+        segment_turns(spike_train(100, 100, FS), 100 / FS)
 
 
 def test_patch_centers_match_truth_phase(clean_trace, default_scenario):

@@ -128,6 +128,18 @@ def test_fits_reject_too_few_rows_and_name_their_columns(fit, columns):
         fit(np.ones((10, width + 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("fit, columns", FITS, ids=[fit.__name__ for fit, _ in FITS])
+def test_fits_refuse_non_finite_samples(fit, columns, bad, capfd):
+    # lstsq would not converge on them, with a LAPACK line on stderr, or
+    # would return NaN coefficients
+    rows = np.random.default_rng(5).uniform(1.0, 2.0, (10, len(columns.split(", "))))
+    rows[4] = bad
+    with pytest.raises(InvalidArgumentError, match="^samples must be finite$"):
+        fit(rows)
+    assert capfd.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # measurement inversion
 

@@ -16,7 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tiresense
-from tiresense import ScenarioError, SchemaError, SensorSpec, TireSenseError, simulate
+from tiresense import (
+    InvalidArgumentError,
+    ScenarioError,
+    SchemaError,
+    SensorSpec,
+    TireSenseError,
+    simulate,
+)
 from tiresense.cli import main
 from tiresense.dsp import accel_to_displacement, double_integrate
 from tiresense.errors import naming
@@ -45,7 +52,7 @@ from tiresense.io import (
     write_slip_model,
     write_trace,
 )
-from tiresense.simulate import MAX_ABS_SAMPLE, AccelTrace
+from tiresense.simulate import MAX_ABS_SAMPLE, AccelTrace, ground_truth
 
 from conftest import scenario, scenario_payload, write_scenario
 
@@ -103,6 +110,24 @@ def test_trace_round_trip(tmp_path):
     assert back_trace.samples.tobytes() == trace.samples.tobytes()
     for name, values in asdict(truth).items():
         assert getattr(back_truth, name).tobytes() == values.tobytes(), name
+
+
+@pytest.mark.parametrize("change, line", [
+    ({"sample_rate": 5000.0}, "^3770 rows at 10000 Hz, but 4 turns take 1885 rows "
+     "at the sensor's 5000 Hz$"),
+    ({"n_turns": 2}, "^3770 rows at 10000 Hz, but 2 turns take 1885 rows "
+     "at the sensor's 10000 Hz$"),
+], ids=["sample-rate", "n-turns"])
+def test_write_trace_refuses_a_pair_read_trace_would_refuse(tmp_path, change, line):
+    # The sensor's rate, or the truth's turns, disagree with the trace:
+    # nothing is written, not even the sidecar.
+    scen = scenario()
+    trace, truth = simulate(scen, SENSOR, 4)
+    sensor = replace(SENSOR, sample_rate=change.get("sample_rate", SENSOR.sample_rate))
+    truth = ground_truth(scen, change.get("n_turns", truth.n_turns))
+    with pytest.raises(InvalidArgumentError, match=line):
+        write_trace(tmp_path / "trace.npy", trace, truth, scen, sensor)
+    assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -241,7 +266,7 @@ def test_plot_data_empty_has_header_only(tmp_path):
     assert path.read_text().splitlines()[1:] == ["turn,load_lbf,slip_deg,valid"]
     loads, slips, valid = read_estimates(path)
     assert loads.shape == slips.shape == valid.shape == (0,) and valid.dtype == bool
-    empty = np.rec.fromarrays([np.arange(0)] + [np.empty(0)] * 4, names=FEATURE_FIELDS)
+    empty = np.rec.fromarrays([np.empty(0)] * 4, names=FEATURE_FIELDS)
     write_feature_table(path, empty)
     assert path.read_text().splitlines()[1:] == [
         "turn,patch_length_m,peak_radial_mm,peak_lateral_mm,lateral_slope"
@@ -294,13 +319,13 @@ def test_writers_match_row_by_row_reference(tmp_path, n_rows):
     _assert_same_bits(slips, _g_values(with_nan[:, 1]))
     assert np.array_equal(valid_back, valid)
 
-    rows = np.rec.fromarrays([np.arange(len(with_nan)), *with_nan.T], names=FEATURE_FIELDS)
+    rows = np.rec.fromarrays(with_nan.T, names=FEATURE_FIELDS)
     path = tmp_path / "features.csv"
     write_feature_table(path, rows)
     expected = [
-        f"{r.turn_index},{_g(r.patch_length)},{_g(r.peak_radial_displacement)},"
+        f"{i},{_g(r.patch_length)},{_g(r.peak_radial_displacement)},"
         f"{_g(r.peak_lateral_displacement)},{_g(r.lateral_slope)}"
-        for r in rows
+        for i, r in enumerate(rows)
     ]
     assert path.read_bytes() == _reference(
         "tiresense.features.v1",
@@ -408,6 +433,13 @@ def cli(*argv):
     return main([str(a) for a in argv])
 
 
+def _seeded_scenario(root, seed):
+    """The workspace's scenario file with the sensor seed ``seed``."""
+    path = root / f"scenario_seed{seed}.json"
+    write_scenario(path, scenario(), replace(SENSOR, seed=seed))
+    return path
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Scenario file, calibration traces, and one evaluation trace."""
@@ -440,13 +472,12 @@ def workspace(tmp_path_factory):
     return root
 
 
-def test_cli_simulate_deterministic(workspace, tmp_path):
+def test_cli_simulate_deterministic(tmp_path):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
-    assert cli("simulate", "--scenario", workspace / "scenario.json",
-               "--turns", 3, "--out", out_a, "--seed", 7) == 0
-    assert cli("simulate", "--scenario", workspace / "scenario.json",
-               "--turns", 3, "--out", out_b, "--seed", 7) == 0
+    scenario_file = _seeded_scenario(tmp_path, 7)
+    assert cli("simulate", "--scenario", scenario_file, "--turns", 3, "--out", out_a) == 0
+    assert cli("simulate", "--scenario", scenario_file, "--turns", 3, "--out", out_b) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
@@ -460,8 +491,8 @@ def test_cli_full_workflow(workspace, tmp_path):
                "--out", slip_model) == 0
 
     trace = tmp_path / "run.csv"
-    assert cli("simulate", "--scenario", workspace / "scenario.json",
-               "--turns", 8, "--out", trace, "--seed", 21) == 0
+    assert cli("simulate", "--scenario", _seeded_scenario(tmp_path, 21),
+               "--turns", 8, "--out", trace) == 0
     estimates = tmp_path / "est.csv"
     assert cli("estimate", "--trace", trace, "--load-model", load_model,
                "--slip-model", slip_model, "--out", estimates) == 0
@@ -487,8 +518,8 @@ def test_cli_estimate_deterministic(workspace, tmp_path):
                "--out", load_model) == 0
     assert cli("calibrate-slip", "--traces", workspace / "slip", "--out", slip_model) == 0
     trace = tmp_path / "t.csv"
-    assert cli("simulate", "--scenario", workspace / "scenario.json",
-               "--turns", 5, "--out", trace, "--seed", 3) == 0
+    assert cli("simulate", "--scenario", _seeded_scenario(tmp_path, 3),
+               "--turns", 5, "--out", trace) == 0
 
     def outputs(run, full):
         est = tmp_path / f"{run}_est.csv"
@@ -516,8 +547,8 @@ def test_cli_estimate_reads_no_load_or_slip_truth(workspace, tmp_path):
     assert cli("calibrate-load", "--traces", workspace / "calib", "--out", load_model) == 0
     assert cli("calibrate-slip", "--traces", workspace / "slip", "--out", slip_model) == 0
     source = tmp_path / "source.csv"
-    assert cli("simulate", "--scenario", workspace / "scenario.json",
-               "--turns", 6, "--out", source, "--seed", 9) == 0
+    assert cli("simulate", "--scenario", _seeded_scenario(tmp_path, 9),
+               "--turns", 6, "--out", source) == 0
     sidecar = json.loads(source.with_suffix(".json").read_text())
     outputs = []
     for i, changes in enumerate(({}, {"vertical_load": 400.0}, {"vertical_load": 1100.0},
@@ -553,10 +584,10 @@ def test_cli_estimate_emits_feature_table(workspace, tmp_path):
     assert (table[:, 3] > 0).all() and (table[:, 4] != 0).all()
 
 
-def test_cli_evaluate_length_mismatch(workspace, tmp_path):
+def test_cli_evaluate_length_mismatch(tmp_path):
     trace = tmp_path / "t.csv"
-    assert cli("simulate", "--scenario", workspace / "scenario.json",
-               "--turns", 4, "--out", trace, "--seed", 5) == 0
+    assert cli("simulate", "--scenario", _seeded_scenario(tmp_path, 5),
+               "--turns", 4, "--out", trace) == 0
     est = tmp_path / "est.csv"
     write_estimates(est, np.array([1000.0, 1001.0]), np.array([np.nan] * 2),
                     np.array([True, True]))
@@ -647,11 +678,11 @@ def test_cli_sweep(tmp_path):
     assert lines[2:] == expected
 
 
-def test_cli_simulate_plot_integration(workspace, tmp_path):
+def test_cli_simulate_plot_integration(tmp_path):
     out = tmp_path / "t.csv"
     fig8 = tmp_path / "fig8.csv"
-    assert cli("simulate", "--scenario", workspace / "scenario.json",
-               "--turns", 3, "--out", out, "--seed", 2,
+    assert cli("simulate", "--scenario", _seeded_scenario(tmp_path, 2),
+               "--turns", 3, "--out", out,
                "--plot-integration", fig8) == 0
     # The first revolution of the trace, which starts at top dead centre:
     # round(period * fs) samples at x = i / fs, integrated at 1 / period.
@@ -1156,15 +1187,20 @@ def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv, request):
     assert not (bad_inputs / "out").exists()
 
 
-@pytest.mark.parametrize("option, value", [("--lambda", "0.98"), ("--p0", "1e6"),
-                                           ("--plot-data", "fig11.csv")])
-def test_cli_estimate_has_no_rls_options(bad_inputs, capsys, option, value):
+@pytest.mark.parametrize("make_argv, option, value", [
+    pytest.param(_estimate, "--lambda", "0.98", id="--lambda-0.98"),
+    pytest.param(_estimate, "--p0", "1e6", id="--p0-1e6"),
+    pytest.param(_estimate, "--plot-data", "fig11.csv", id="--plot-data-fig11.csv"),
+    pytest.param(_scenario_file, "--seed", "7", id="simulate---seed-7"),
+])
+def test_cli_estimate_has_no_rls_options(bad_inputs, capsys, make_argv, option, value):
     # The RLS runs at estimation's DEFAULT_FORGETTING and INITIAL_COVARIANCE,
     # and no option of estimate sets either.  Nor does estimate write fig 11:
-    # its series are est.csv's load_lbf and the report's load.true_lbf.
+    # its series are est.csv's load_lbf and the report's load.true_lbf.  And
+    # simulate's sensor seed is the scenario file's, which no option overrides.
     (bad_inputs / "out").unlink(missing_ok=True)
     with pytest.raises(SystemExit) as exited:
-        cli(*_estimate(bad_inputs, "trace.csv", option, value))
+        cli(*make_argv(bad_inputs), option, value)
     assert exited.value.code == 2
     assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
     assert not (bad_inputs / "out").exists()
