@@ -57,6 +57,8 @@ def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
     Samples beyond either end count as zeros, as in
     ``np.convolve(signal, np.ones(width) / width, "same")``.  Each output is
     a difference of two running sums, so the cost does not grow with width.
+    The outputs overwrite their own running sums, so a call allocates one
+    array, ``width`` samples per row longer than its output.
     """
     width = max(1, int(width))
     x = np.asarray(signal, dtype=float)
@@ -67,7 +69,13 @@ def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
     total = np.zeros(x.shape[:-1] + (n + width,))
     np.cumsum(x, axis=-1, out=total[..., front : front + n])
     total[..., front + n :] = total[..., front + n - 1 : front + n]
-    out = np.subtract(total[..., width:], total[..., :-width])
+    # Output i, total[i + width] - total[i], goes over total[i], along the
+    # flattened sums: a row's last sums take values of the next row, outside
+    # the output.  numpy computes overlapping operands as if copied, and when
+    # each input runs ahead of the output, as here, it copies nothing.
+    flat = total.reshape(-1)
+    np.subtract(flat[width:], flat[:-width], out=flat[:-width])
+    out = total[..., :n]
     out /= width
     return out
 
@@ -186,6 +194,8 @@ def segment_turns(trace: AccelTrace, period: float) -> np.recarray:
 
     Raises
     ------
+    InvalidArgumentError
+        If the period is shorter than ``MIN_SAMPLES_PER_TURN`` samples.
     TooShortError
         If the trace holds no complete turn.
     """
@@ -194,6 +204,11 @@ def segment_turns(trace: AccelTrace, period: float) -> np.recarray:
     fs = trace.sample_rate
     n = len(trace)
     p = period * fs
+    # a search window of a few samples can return its own start for ever
+    if p < MIN_SAMPLES_PER_TURN:
+        raise InvalidArgumentError(
+            f"period {period * 1e3:.4g} ms is shorter than {MIN_SAMPLES_PER_TURN} samples at {fs:g} Hz"
+        )
     if n < int(round(p)):
         raise TooShortError("trace is shorter than one wheel turn")
 
@@ -265,9 +280,16 @@ def accel_to_displacement(
     per-turn mean and linear trend.  Output is in millimetres.  Any constant
     bias on the input dies at the mean-removal stage, so the output stays
     bounded.  Each row's profile depends on that row alone, bit for bit.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If a turn holds fewer than two samples, which leave no trend to fit.
     """
     x = np.asarray(channel, dtype=float)
     n = x.shape[-1]
+    if n < 2:
+        raise InvalidArgumentError(f"a turn needs at least 2 samples to integrate, got {n}")
     disp = _integrate_twice(x - x.mean(axis=-1, keepdims=True), sample_rate, rotation_frequency)
     disp -= disp.mean(axis=-1, keepdims=True)
     disp -= _line_slope(disp)[..., None] * (np.arange(n) - (n - 1) / 2.0)
@@ -401,8 +423,15 @@ def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
        sigmas (``MAD_TO_SIGMA`` x the turn's median absolute deviation)
        above or below the turn's median: the extremum is then just the
        largest noise sample, and a channel without spikes has no patch.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If the array is not 2-D.
     """
     x = np.asarray(tangential, dtype=float)
+    if x.ndim != 2:
+        raise InvalidArgumentError(f"edges need a (turns, samples) array, got {x.ndim}-D")
     turns, n = x.shape
     width = int(round(n * EDGE_SMOOTH_FRACTION))
     # first, so that the sorted rows are freed before the smoothing allocates

@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tiresense
 from tiresense import (
     InvalidArgumentError,
     NoPeakError,
@@ -192,6 +197,51 @@ def test_segment_too_short(default_scenario, quiet_sensor):
 def test_segment_refuses_a_period_that_is_not_positive_and_finite(clean_trace, period):
     with pytest.raises(TooShortError, match="^period must be positive and finite$"):
         segment_turns(clean_trace[0], period)
+
+
+# Run in a child process: at a period of about one sample, a window of the
+# turn search can return its own start, and a search that took such a
+# period would never end.
+SHORT_PERIOD_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+import numpy as np
+from tiresense import InvalidArgumentError
+from tiresense.dsp import segment_turns
+from tiresense.simulate import AccelTrace
+samples = np.zeros((100, 3))
+samples[::20, 2] = -1000.0
+try:
+    segment_turns(AccelTrace(sample_rate=1e4, samples=samples), float(sys.argv[1]))
+except InvalidArgumentError as error:
+    print(error)
+"""
+
+
+@pytest.mark.parametrize(
+    "period, line",
+    [
+        pytest.param(1e-5, "period 0.01 ms is shorter than 20 samples at 10000 Hz",
+                     id="0.1-sample"),
+        pytest.param(1e-4, "period 0.1 ms is shorter than 20 samples at 10000 Hz",
+                     id="1-sample"),
+        pytest.param(19 / FS, "period 1.9 ms is shorter than 20 samples at 10000 Hz",
+                     id="19-samples"),
+    ],
+)
+def test_segment_refuses_a_period_shorter_than_a_resolvable_turn(period, line):
+    # a child process with a time limit and a 512 MB address-space cap, so
+    # that a search that does not stop fails the test instead of the run
+    env = {**os.environ, "PYTHONPATH": str(Path(tiresense.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", SHORT_PERIOD_CHILD, repr(period)],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, line + "\n", "")
+
+
+def test_segment_takes_a_period_of_the_fewest_resolvable_samples():
+    segments = segment_turns(spike_train(100, MIN_SAMPLES_PER_TURN, FS), MIN_SAMPLES_PER_TURN / FS)
+    assert (segments.end_index - segments.start_index == MIN_SAMPLES_PER_TURN).all()
 
 
 def test_segment_refuses_one_turn_centred_on_its_first_sample():
@@ -512,6 +562,13 @@ def test_weights_peak_memory_stays_near_the_output():
     assert peak <= 1.25 * weights.nbytes
 
 
+@pytest.mark.parametrize("shape", [(0,), (1,), (3, 0), (3, 1)])
+def test_integration_refuses_a_turn_of_fewer_than_two_samples(shape):
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^a turn needs at least 2 samples to integrate, got {shape[-1]}$"):
+        accel_to_displacement(np.ones(shape), FS, 21.2)
+
+
 @pytest.mark.parametrize("length", [471, 941, 942, 943, 1000])
 def test_highpass_matches_length_n_filter(length):
     turns = turn_like(5, length)
@@ -584,6 +641,13 @@ def test_pure_noise_never_returns_wide_edges():
     separation = (edges.trailing - edges.leading)[accepted]
     assert np.all((0 < separation) & (separation < 900 // 2))
     assert np.sum(~accepted) >= 10  # rejected with high probability
+
+
+@pytest.mark.parametrize("shape", [(942,), (2, 3, 942)])
+def test_edges_refuse_an_array_that_is_not_2d(shape):
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^edges need a \\(turns, samples\\) array, got {len(shape)}-D$"):
+        detect_patch_edges(np.zeros(shape))
 
 
 def test_dead_turn_with_noisy_ends_raises():
@@ -669,6 +733,47 @@ def test_moving_average_matches_convolution(width):
     expected = np.array([np.convolve(row, kernel, "same") for row in x])
     assert np.abs(moving_average(x, width) - expected).max() < 1e-12
     assert np.abs(moving_average(x[0], width) - expected[0]).max() < 1e-12
+
+
+def reference_moving_average(signal, width):
+    """moving_average's arithmetic with a second array: zeros, cumsum,
+    subtract into a new array, divide."""
+    width = max(1, int(width))
+    x = np.asarray(signal, dtype=float)
+    if width == 1:
+        return x
+    n = x.shape[-1]
+    front = width // 2 + 1
+    total = np.zeros(x.shape[:-1] + (n + width,))
+    np.cumsum(x, axis=-1, out=total[..., front : front + n])
+    total[..., front + n :] = total[..., front + n - 1 : front + n]
+    out = np.subtract(total[..., width:], total[..., :-width])
+    out /= width
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 2, 9, 19, 600])
+@pytest.mark.parametrize("shape", [(500,), (3, 500), (2, 3, 500), (0,), (3, 0)])
+def test_moving_average_keeps_the_reference_bits(shape, width):
+    # segment_turns and detect_patch_edges take argmin and argmax of these
+    # values, so a rounding change could move a window
+    x = np.random.default_rng(width).normal(5.0, 1.0, shape)
+    smooth = moving_average(x, width)
+    expected = reference_moving_average(x, width)
+    assert smooth.shape == expected.shape
+    assert smooth.tobytes() == expected.tobytes()
+
+
+def test_moving_average_peak_memory_stays_near_the_output():
+    # the outputs overwrite their own running sums: one array per call
+    channel = np.random.default_rng(3).normal(0.0, 1.0, 100_000)
+    tracemalloc.start()
+    try:
+        smooth = moving_average(channel, 19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * smooth.nbytes
 
 
 def test_fast_length_is_the_smallest_5_smooth_length():
