@@ -59,9 +59,16 @@ def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
     a difference of two running sums, so the cost does not grow with width.
     The outputs overwrite their own running sums, so a call allocates one
     array, ``width`` samples per row longer than its output.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If the width is not finite or the signal has no axis.
     """
-    width = max(1, int(width))
     x = np.asarray(signal, dtype=float)
+    if not (-np.inf < width < np.inf and x.ndim):
+        raise InvalidArgumentError(f"moving average needs a finite width and an axis, got {width}")
+    width = max(1, int(width))
     if width == 1:
         return x
     n = x.shape[-1]
@@ -92,13 +99,19 @@ def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarra
     the boundary transients a padded time-domain filter leaves on windows
     only a couple of filter time constants long.  DC gain is zero and the
     passband is within 1% of unity from 4x the cutoff upward.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If the cutoff is not inside (0, sample_rate / 2), or a row is empty.
     """
     if not 0.0 < cutoff < sample_rate / 2.0:
         raise InvalidArgumentError(
             f"cutoff {cutoff} Hz must lie inside (0, {sample_rate / 2:.0f}) Hz"
         )
     x = np.asarray(signal, dtype=float)
-    n = x.shape[-1]
+    if not (n := x.shape[-1] if x.ndim else 0):
+        raise InvalidArgumentError(f"a high-pass needs samples along the last axis, got {x.shape}")
     ratio = (np.fft.rfftfreq(n, 1.0 / sample_rate) / cutoff) ** 2
     # |H|^2 of a second-order Butterworth high-pass, once per direction.
     return np.fft.irfft(np.fft.rfft(x) * (ratio**2 / (1.0 + ratio**2)), n)
@@ -195,20 +208,17 @@ def segment_turns(trace: AccelTrace, period: float) -> np.recarray:
     Raises
     ------
     InvalidArgumentError
-        If the period is shorter than ``MIN_SAMPLES_PER_TURN`` samples.
+        If the period is not finite or under ``MIN_SAMPLES_PER_TURN`` samples.
     TooShortError
         If the trace holds no complete turn.
     """
-    if not np.isfinite(period) or period <= 0:
-        raise TooShortError("period must be positive and finite")
     fs = trace.sample_rate
     n = len(trace)
     p = period * fs
     # a search window of a few samples can return its own start for ever
-    if p < MIN_SAMPLES_PER_TURN:
-        raise InvalidArgumentError(
-            f"period {period * 1e3:.4g} ms is shorter than {MIN_SAMPLES_PER_TURN} samples at {fs:g} Hz"
-        )
+    if not MIN_SAMPLES_PER_TURN <= p < np.inf:
+        raise InvalidArgumentError(f"period {period * 1e3:.4g} ms is not a finite span of at "
+                                   f"least {MIN_SAMPLES_PER_TURN} samples at {fs:g} Hz")
     if n < int(round(p)):
         raise TooShortError("trace is shorter than one wheel turn")
 
@@ -287,7 +297,7 @@ def accel_to_displacement(
         If a turn holds fewer than two samples, which leave no trend to fit.
     """
     x = np.asarray(channel, dtype=float)
-    n = x.shape[-1]
+    n = x.shape[-1] if x.ndim else 1  # a 0-D array is one sample
     if n < 2:
         raise InvalidArgumentError(f"a turn needs at least 2 samples to integrate, got {n}")
     disp = _integrate_twice(x - x.mean(axis=-1, keepdims=True), sample_rate, rotation_frequency)
@@ -427,11 +437,11 @@ def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
     Raises
     ------
     InvalidArgumentError
-        If the array is not 2-D.
+        If the array is not 2-D, or its rows hold no sample.
     """
     x = np.asarray(tangential, dtype=float)
-    if x.ndim != 2:
-        raise InvalidArgumentError(f"edges need a (turns, samples) array, got {x.ndim}-D")
+    if x.ndim != 2 or not x.shape[1]:
+        raise InvalidArgumentError(f"edges need a (turns, samples) array of samples, got {x.shape}")
     turns, n = x.shape
     width = int(round(n * EDGE_SMOOTH_FRACTION))
     # first, so that the sorted rows are freed before the smoothing allocates

@@ -171,6 +171,8 @@ def rls(measurements, forgetting: float = DEFAULT_FORGETTING) -> tuple[np.ndarra
 
 def convergence_turn(estimates: np.ndarray, valid: np.ndarray) -> int:
     """First 1-based turn after which the estimate stays within 1% of final."""
+    if not len(estimates):
+        raise InvalidArgumentError("no estimate to converge")
     final = estimates[-1]
     if final == 0.0:
         return len(estimates)
@@ -286,7 +288,7 @@ def sensitivity_sweep(ranges: dict[str, tuple[float, float]]) -> SensitivityRepo
     signal feature tracks), so the report is exact and deterministic.
     """
     if set(ranges) != set(SWEEP_FACTORS):
-        raise InvalidArgumentError(f"ranges must cover exactly {sorted(SWEEP_FACTORS)}")
+        raise InvalidArgumentError(f"ranges name {sorted(ranges)}, not {sorted(SWEEP_FACTORS)}")
     # TireScenario checks each field alone, so what it refuses here is a range's own bound.
     for end in (0, 1):
         TireScenario(unloaded_radius=SWEEP_RADIUS,

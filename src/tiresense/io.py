@@ -24,7 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import InvalidArgumentError, ScenarioError, SchemaError, naming, quote_count
-from .estimation import SWEEP_FACTORS, LoadSurfaceModel, SensitivityReport, SlipModel
+from .estimation import LoadSurfaceModel, SensitivityReport, SlipModel
 from .features import FEATURE_FIELDS
 from .geometry import derive_geometry
 from .scenario import SensorSpec, TireScenario
@@ -41,9 +41,9 @@ PLOT_SCHEMA = "tiresense.plot.v1"
 FEATURES_SCHEMA = "tiresense.features.v1"
 _ESTIMATES_HEADER = "turn,load_lbf,slip_deg,valid"
 
-# Most .npy header bytes read_trace lets numpy parse.  np.save (numpy 2.4)
-# writes 118 for any (rows, 3) <f8 array; a longer header-length field is a damaged file,
-# whose "header" would be samples.
+# Most .npy header bytes numpy may parse for read_trace (its max_header_size).
+# np.save (numpy 2.4) writes 118 for any (rows, 3) <f8 array; a longer
+# header-length field is a damaged file, whose "header" would be samples.
 MAX_TRACE_HEADER_BYTES = 256
 
 
@@ -215,12 +215,8 @@ def read_trace(path: Path) -> tuple[AccelTrace, GroundTruth, TireScenario, Senso
                 warnings.simplefilter("ignore")  # numpy may warn on a Python 2 header
                 if np.lib.format.read_magic(handle) != (1, 0):  # what np.save writes
                     raise ValueError("not .npy format 1.0")
-                length = handle.read(2)  # the header-length field
-                if (header_bytes := int.from_bytes(length, "little")) > MAX_TRACE_HEADER_BYTES:
-                    raise ValueError(f"header of {header_bytes} bytes, "
-                                     f"more than {MAX_TRACE_HEADER_BYTES}")
-                handle.seek(-len(length), os.SEEK_CUR)
-                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
+                shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(
+                    handle, max_header_size=MAX_TRACE_HEADER_BYTES)
         except (ValueError, tokenize.TokenError) as exc:
             handle.seek(0)
             if handle.read(25) == b"# schema=tiresense.trace.":
@@ -340,15 +336,11 @@ def write_report(path: Path, report: dict) -> None:
 
 
 def read_ranges(path: Path) -> dict:
-    """Read a sweep ranges file: factor -> [lo, hi]."""
+    """Read a sweep ranges file: factor -> [lo, hi]; ``sensitivity_sweep`` checks the factors."""
     with naming(path):
-        payload = _read_object(path)
-        for name in payload:
-            if name not in SWEEP_FACTORS:
-                raise SchemaError(f"{name} is not a factor of {list(SWEEP_FACTORS)}")
         return {
             factor: tuple(map(float, _field(factor, tuple[float, float], bounds)))
-            for factor, bounds in payload.items()
+            for factor, bounds in _read_object(path).items()
         }
 
 

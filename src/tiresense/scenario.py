@@ -50,15 +50,10 @@ class TireScenario:
     vehicle_speed: float = 20.0
 
     def __post_init__(self) -> None:
-        if not self.unloaded_radius > 0:
-            raise ScenarioError("unloaded_radius must be positive")
-        if not self.vehicle_speed > 0:
-            raise ScenarioError("vehicle_speed must be positive")
-        # An infinite radius never turns the wheel; an infinite speed turns it
-        # in no time.
+        # An infinite radius never turns the wheel; an infinite speed, in no time.
         for name in ("unloaded_radius", "vehicle_speed"):
-            if getattr(self, name) == math.inf:
-                raise ScenarioError(f"{name} must be finite")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite")
         if not self.vertical_load > 0:
             raise ScenarioError("vertical_load must be positive")
         if not 0 < self.inflation_pressure <= MAX_PRESSURE_PSI:

@@ -126,8 +126,8 @@ def trace_rows(scenario: TireScenario, sample_rate: float, n_turns: int) -> floa
 def ground_truth(scenario: TireScenario, n_turns: int) -> GroundTruth:
     """Exact truth for ``n_turns`` revolutions of ``scenario``, which fixes
     every turn's values; only the turn start times differ."""
-    if n_turns < 1:
-        raise ScenarioError("n_turns must be at least 1")
+    if not (isinstance(n_turns, (int, np.integer)) and n_turns >= 1):
+        raise ScenarioError("n_turns must be a whole number of at least 1")
     geom, _, period = _rolling(scenario)
     return GroundTruth(
         contact_half_angle_rad=np.full(n_turns, geom.contact_half_angle),
@@ -193,9 +193,9 @@ def simulate(
     ScenarioError
         When the contact geometry is degenerate or its release window
         passes the top of the wheel, when the sample rate resolves fewer
-        than 20 samples per turn, when ``n_turns`` is below 1 or needs more
-        samples than one array holds, or when the sensor's noise or bias
-        takes a sample beyond ``MAX_ABS_SAMPLE``.
+        than 20 samples per turn, when ``n_turns`` is not a whole number of
+        at least 1 or needs more samples than one array holds, or when the
+        sensor's noise or bias takes a sample beyond ``MAX_ABS_SAMPLE``.
     """
     geom, omega, period = _rolling(scenario)
     if sensor.sample_rate < MIN_SAMPLES_PER_TURN / period:

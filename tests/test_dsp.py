@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -193,9 +194,20 @@ def test_segment_too_short(default_scenario, quiet_sensor):
         segment_turns(half, truth.wheel_period_s[0])
 
 
-@pytest.mark.parametrize("period", [0.0, -1.0, np.nan, np.inf])
-def test_segment_refuses_a_period_that_is_not_positive_and_finite(clean_trace, period):
-    with pytest.raises(TooShortError, match="^period must be positive and finite$"):
+@pytest.mark.parametrize(
+    "period, shown",
+    [
+        pytest.param(0.0, "0", id="0.0"),
+        pytest.param(-1.0, "-1000", id="-1.0"),
+        pytest.param(np.nan, "nan", id="nan"),
+        pytest.param(np.inf, "inf", id="inf"),
+        pytest.param(19 / FS, "1.9", id="19-samples"),
+    ],
+)
+def test_segment_refuses_a_period_that_is_not_positive_and_finite(clean_trace, period, shown):
+    # one check, whose line reads true of each period it refuses
+    with pytest.raises(InvalidArgumentError, match=f"^period {shown} ms is not a finite span "
+                       "of at least 20 samples at 10000 Hz$"):
         segment_turns(clean_trace[0], period)
 
 
@@ -221,12 +233,12 @@ except InvalidArgumentError as error:
 @pytest.mark.parametrize(
     "period, line",
     [
-        pytest.param(1e-5, "period 0.01 ms is shorter than 20 samples at 10000 Hz",
-                     id="0.1-sample"),
-        pytest.param(1e-4, "period 0.1 ms is shorter than 20 samples at 10000 Hz",
-                     id="1-sample"),
-        pytest.param(19 / FS, "period 1.9 ms is shorter than 20 samples at 10000 Hz",
-                     id="19-samples"),
+        pytest.param(1e-5, "period 0.01 ms is not a finite span of at least 20 samples "
+                     "at 10000 Hz", id="0.1-sample"),
+        pytest.param(1e-4, "period 0.1 ms is not a finite span of at least 20 samples "
+                     "at 10000 Hz", id="1-sample"),
+        pytest.param(19 / FS, "period 1.9 ms is not a finite span of at least 20 samples "
+                     "at 10000 Hz", id="19-samples"),
     ],
 )
 def test_segment_refuses_a_period_shorter_than_a_resolvable_turn(period, line):
@@ -645,9 +657,42 @@ def test_pure_noise_never_returns_wide_edges():
 
 @pytest.mark.parametrize("shape", [(942,), (2, 3, 942)])
 def test_edges_refuse_an_array_that_is_not_2d(shape):
-    with pytest.raises(InvalidArgumentError,
-                       match=f"^edges need a \\(turns, samples\\) array, got {len(shape)}-D$"):
+    with pytest.raises(InvalidArgumentError, match=re.escape(
+            f"edges need a (turns, samples) array of samples, got {shape}")):
         detect_patch_edges(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "call, line",
+    [
+        pytest.param(lambda: detect_patch_edges(np.zeros((3, 0))),
+                     "edges need a (turns, samples) array of samples, got (3, 0)",
+                     id="edges-of-empty-rows"),
+        pytest.param(lambda: accel_to_displacement(np.array(1.0), FS, 21.2),
+                     "a turn needs at least 2 samples to integrate, got 1",
+                     id="integration-of-0-d"),
+        pytest.param(lambda: moving_average(np.array(1.0), 5),
+                     "moving average needs a finite width and an axis, got 5",
+                     id="moving-average-of-0-d"),
+        pytest.param(lambda: moving_average(np.zeros(10), np.nan),
+                     "moving average needs a finite width and an axis, got nan",
+                     id="moving-average-nan-width"),
+        pytest.param(lambda: moving_average(np.zeros(10), np.inf),
+                     "moving average needs a finite width and an axis, got inf",
+                     id="moving-average-inf-width"),
+        pytest.param(lambda: highpass(np.zeros(0), FS, 1.0),
+                     "a high-pass needs samples along the last axis, got (0,)",
+                     id="highpass-of-empty"),
+        pytest.param(lambda: highpass(np.array(1.0), FS, 1.0),
+                     "a high-pass needs samples along the last axis, got ()",
+                     id="highpass-of-0-d"),
+    ],
+)
+def test_degenerate_arrays_are_refused_in_one_line(call, line):
+    # a one-line refusal of the argument, not an error from inside numpy
+    with pytest.raises(InvalidArgumentError) as raised:
+        call()
+    assert str(raised.value) == line
 
 
 def test_dead_turn_with_noisy_ends_raises():

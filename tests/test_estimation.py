@@ -286,6 +286,11 @@ def test_noise_free_stream_reaches_calibration_floor():
     assert result.valid.all()
 
 
+def test_convergence_turn_refuses_no_estimate():
+    with pytest.raises(InvalidArgumentError, match="^no estimate to converge$"):
+        convergence_turn(np.zeros(0), np.zeros(0, dtype=bool))
+
+
 def test_stream_skips_invalid_features():
     model = surface_from(0.0, 0.03, 0.0, 0.0, 0.0)
     peaks = np.array([30.0, np.nan, 30.0, np.inf, 30.0])

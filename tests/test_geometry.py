@@ -76,6 +76,14 @@ def test_scenario_invariants(field, value):
         scenario(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["unloaded_radius", "vehicle_speed"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_scenario_refuses_a_radius_or_speed_that_is_not_positive_and_finite(field, value):
+    # one check per field, whose line reads true of each value it refuses
+    with pytest.raises(ScenarioError, match=f"^{field} must be positive and finite$"):
+        scenario(**{field: value})
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

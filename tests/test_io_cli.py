@@ -174,7 +174,8 @@ def test_trace_rejects_wrong_schema(tmp_path):
 
 def test_trace_refuses_oversized_header_before_parsing_it(tmp_path):
     # A \r inserted at byte 9 makes the header-length field 3446, so numpy
-    # would parse 3.4 KB of samples as the header.
+    # would parse 3.4 KB of samples as the header; its max_header_size
+    # refuses them first.
     path = tmp_path / "trace.csv"
     write_trace_files(path, scenario(), SENSOR, 2)
     data = path.read_bytes()
@@ -182,8 +183,8 @@ def test_trace_refuses_oversized_header_before_parsing_it(tmp_path):
     tracemalloc.start()
     try:
         with pytest.raises(SchemaError, match=re.escape(
-                f"{path}: not a {TRACE_SCHEMA} .npy array "
-                f"(header of 3446 bytes, more than {MAX_TRACE_HEADER_BYTES})")):
+                f"{path}: not a {TRACE_SCHEMA} .npy array (Header info length (3446) "
+                "is large and may not be safe to load securely.)")):
             read_trace(path)
     finally:
         peak = tracemalloc.get_traced_memory()[1]
@@ -1011,9 +1012,14 @@ _LINE_NAMES = {
     "turns-short-of-sidecar": f"{os.sep}short.npy: found 19 of the sidecar's 20 turns",
     "estimate-two-turns": f"{os.sep}two.npy: need at least 3 periods of 0.8 x the hint",
     "calibrate-load-two-turns": f"{os.sep}two.npy: need at least 3 periods of 0.8 x the hint",
-    "extra-factor": f"{os.sep}ranges.json: speed is not a factor",
-    "points": f"{os.sep}ranges.json: points is not a factor",
-    "missing-factor": f"{os.sep}ranges.json: ranges must cover exactly ",
+    "extra-factor": f"{os.sep}ranges.json: ranges name ['load', 'pressure', 'speed', 'tread'], "
+                    "not ['load', 'pressure', 'tread']",
+    # a value that is no range is refused as it is decoded, before the factors are checked
+    "points": f"{os.sep}ranges.json: points must be a [lo, hi] range with lo <= hi, got 5",
+    "points-range": f"{os.sep}ranges.json: ranges name ['load', 'points', 'pressure', 'tread'], "
+                    "not ['load', 'pressure', 'tread']",
+    "missing-factor": f"{os.sep}ranges.json: ranges name ['load', 'pressure'], "
+                      "not ['load', 'pressure', 'tread']",
     "sweep-negative-load": f"{os.sep}ranges.json: vertical_load must be positive",
     "sweep-pressure-3500":
         f"{os.sep}ranges.json: inflation_pressure must lie in (0, 1000.0] psi, got 3500.0",
@@ -1045,6 +1051,7 @@ _LINE_NAMES = {
     [
         pytest.param(lambda root: _ranges(root, speed=[10, 30]), id="extra-factor"),
         pytest.param(lambda root: _ranges(root, points=5), id="points"),
+        pytest.param(lambda root: _ranges(root, points=[1, 5]), id="points-range"),
         pytest.param(lambda root: _ranges(root, tread=None), id="missing-factor"),
         pytest.param(lambda root: _ranges(root, load=[-5, 1500]), id="sweep-negative-load"),
         # the error quotes the bound past MAX_PRESSURE_PSI or FULL_TREAD_MM,

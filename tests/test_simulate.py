@@ -109,6 +109,17 @@ def test_n_turns_must_be_positive(default_scenario, quiet_sensor):
         ground_truth(default_scenario, 0)
 
 
+@pytest.mark.parametrize("n_turns", [
+    pytest.param(2.5, id="2.5"),
+    pytest.param(3.0, id="float-3"),
+    pytest.param(np.float64(3.0), id="float64-3"),
+])
+def test_n_turns_must_be_a_whole_number(default_scenario, quiet_sensor, n_turns):
+    # a count of turns is an integer, even where a float holds a whole number
+    with pytest.raises(ScenarioError, match="^n_turns must be a whole number of at least 1$"):
+        simulate(default_scenario, quiet_sensor, n_turns)
+
+
 def test_trace_invariants_enforced():
     with pytest.raises(ScenarioError):
         AccelTrace(sample_rate=100.0, samples=np.zeros((5, 2)))
