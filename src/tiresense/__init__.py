@@ -19,8 +19,7 @@ from .errors import (
     TireSenseError,
     TooShortError,
 )
-from .geometry import TireGeometry, derive_geometry
-from .scenario import SensorSpec, TireScenario
+from .scenario import SensorSpec, TireGeometry, TireScenario, derive_geometry
 from .simulate import AccelTrace, GroundTruth, ground_truth, simulate
 
 __all__ = [

@@ -18,11 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DenominatorError, InvalidArgumentError, RankDeficiencyError
-from .geometry import derive_geometry
-from .scenario import TireScenario
+from .scenario import TireScenario, derive_geometry
 
 RANK_TOLERANCE = 1e-10
 DENOMINATOR_TOLERANCE = 1e-9
+# Largest sample magnitude a fit takes: decades above any load, pressure,
+# dip or slip, and small enough that the design's products and the
+# residual's squares stay finite.
+MAX_FIT_SAMPLE = 1e100
 
 DEFAULT_FORGETTING = 0.98
 INITIAL_COVARIANCE = 1e6
@@ -45,13 +48,15 @@ def _fit(samples, columns: tuple[str, ...], basis, target: int = -1):
     """Least-squares fit of sample column ``target`` on the design columns that
     ``basis`` makes of the sample columns; ``columns`` names each row's values.
     Returns the sample columns, the coefficients in design-column order and
-    the residual RMS.  A non-finite sample raises InvalidArgumentError, and a
-    design that cannot identify every coefficient RankDeficiencyError."""
+    the residual RMS.  A sample that is not finite or exceeds MAX_FIT_SAMPLE in
+    magnitude raises InvalidArgumentError, and a design that cannot identify
+    every coefficient RankDeficiencyError."""
     data = np.asarray(samples, dtype=float)
     if data.ndim != 2 or data.shape[1] != len(columns):
         raise InvalidArgumentError(f"samples must be rows of ({', '.join(columns)})")
-    if not np.isfinite(data).all():
-        raise InvalidArgumentError("samples must be finite")
+    if not (np.abs(data) <= MAX_FIT_SAMPLE).all():
+        raise InvalidArgumentError(
+            f"samples must be finite and at most {MAX_FIT_SAMPLE:g} in magnitude")
     values = data.T
     design = np.column_stack(basis(*values))
     coefficients, _, _, singular = np.linalg.lstsq(design, values[target], rcond=None)

@@ -26,8 +26,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ScenarioError, SchemaError, naming, quote_count
 from .estimation import LoadSurfaceModel, SensitivityReport, SlipModel
 from .features import FEATURE_FIELDS
-from .geometry import derive_geometry
-from .scenario import SensorSpec, TireScenario
+from .scenario import SensorSpec, TireScenario, derive_geometry
 from .simulate import MIN_SAMPLES_PER_TURN, AccelTrace, GroundTruth, ground_truth, trace_rows
 
 TRACE_SCHEMA = "tiresense.trace.v3"
@@ -284,18 +283,18 @@ def write_estimates(
 
 
 def read_estimates(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The table ``write_estimates`` wrote.  The two header lines are checked
-    on their own handle; the body is then parsed from the path, which lets
-    numpy's reader take the file in large chunks."""
+    """The table ``write_estimates`` wrote, one row per turn.  Its two header
+    lines are checked first, and the body is parsed from the same handle as
+    plain text, whatever the file's name."""
     with naming(path):
         try:
             with Path(path).open() as handle:
                 found = [handle.readline().strip(), handle.readline().strip()]
-            if found != [f"# schema={ESTIMATES_SCHEMA}", _ESTIMATES_HEADER]:
-                raise SchemaError(f"header lines {found} are not {ESTIMATES_SCHEMA}'s")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # a table may have no row
-                data = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=2)
+                if found != [f"# schema={ESTIMATES_SCHEMA}", _ESTIMATES_HEADER]:
+                    raise SchemaError(f"header lines {found} are not {ESTIMATES_SCHEMA}'s")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # a table may have no row
+                    data = np.loadtxt(handle, delimiter=",", ndmin=2)
         except ValueError as exc:  # a malformed row, or a UnicodeDecodeError
             raise SchemaError(f"malformed table ({exc})") from exc
         if data.size and data.shape[1] != 4:

@@ -1,15 +1,22 @@
-"""Scenario and sensor descriptions that drive the synthetic trace generator.
+"""The tire model: scenario and sensor descriptions, and the loaded tire's
+contact geometry, which drive the synthetic trace generator.
 
 A :class:`TireScenario` is the ground-truth physical state of one rolling
 tire; a :class:`SensorSpec` describes the accelerometer sampling it.  Both
 validate on construction so that every downstream stage can assume a
 physically meaningful configuration.
+
+The contact geometry is the flat-spot idealisation: a wheel of effective
+radius R, deflected vertically by d, meets the road along a straight
+segment.  The segment subtends the contact half-angle ``acos((R - d) / R)``
+at the wheel centre, and its straight length is the patch chord.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import ScenarioError
 
@@ -73,11 +80,6 @@ class TireScenario:
                 f"|slip_angle| must be <= {MAX_SLIP_DEG} deg, got {self.slip_angle}"
             )
 
-    @property
-    def vertical_stiffness(self) -> float:
-        """Vertical stiffness in N/mm at the scenario's inflation pressure."""
-        return STIFFNESS_C0 + STIFFNESS_C1 * self.inflation_pressure
-
 
 @dataclass(frozen=True)
 class SensorSpec:
@@ -103,7 +105,59 @@ class SensorSpec:
             raise ScenarioError("dc_bias needs one value per axis (3)")
         if not all(map(math.isfinite, self.dc_bias)):
             raise ScenarioError("dc_bias must be finite")
-        if self.seed % 1 != 0 or self.seed < 0:  # not float(seed): seed may be huge
+        # numpy seeds its generator from integers only, and a float may not hold one exactly
+        if not (isinstance(self.seed, Integral) and self.seed >= 0):
             raise ScenarioError("seed must be a non-negative integer")
         # normalise to a plain tuple of floats so traces hash/compare cleanly
         object.__setattr__(self, "dc_bias", tuple(float(b) for b in self.dc_bias))
+
+
+@dataclass(frozen=True)
+class TireGeometry:
+    """Contact geometry in SI units (lengths in metres, angles in radians)."""
+
+    effective_radius: float
+    deflection: float
+    contact_half_angle: float
+
+    @property
+    def deflection_mm(self) -> float:
+        return self.deflection / MM_TO_M
+
+    @property
+    def patch_chord(self) -> float:
+        """Straight-line length of the flattened contact segment."""
+        return 2.0 * self.effective_radius * math.sin(self.contact_half_angle)
+
+
+def derive_geometry(scenario: TireScenario) -> TireGeometry:
+    """Effective radius, vertical deflection and contact half-angle.
+
+    The effective radius shrinks linearly as tread wears off, vertical
+    stiffness grows linearly with inflation pressure, and the half-angle
+    follows from intersecting the deflected wheel circle with the road
+    plane.  Deflection is therefore independent of tread depth while the
+    patch length is not.
+
+    Raises
+    ------
+    ScenarioError
+        If wear consumes the whole radius or the deflection reaches the
+        effective radius, leaving no meaningful patch geometry.
+    """
+    worn_mm = FULL_TREAD_MM - scenario.tread_depth
+    r_eff = scenario.unloaded_radius - WEAR_RADIUS_GAIN * worn_mm * MM_TO_M
+    if r_eff <= 0:
+        raise ScenarioError(
+            f"effective radius {r_eff:.4f} m is not positive at "
+            f"tread {scenario.tread_depth} mm"
+        )
+    stiffness = STIFFNESS_C0 + STIFFNESS_C1 * scenario.inflation_pressure  # N/mm
+    deflection = scenario.vertical_load * LBF_TO_N / stiffness * MM_TO_M
+    if deflection >= r_eff:
+        raise ScenarioError(
+            f"deflection {deflection * 1e3:.4g} mm reaches the effective "
+            f"radius {r_eff * 1e3:.4g} mm; patch geometry is degenerate"
+        )
+    half_angle = math.acos((r_eff - deflection) / r_eff)
+    return TireGeometry(r_eff, deflection, half_angle)

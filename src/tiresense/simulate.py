@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ScenarioError, quote_count
-from .geometry import TireGeometry, derive_geometry
-from .scenario import SensorSpec, TireScenario
+from .scenario import SensorSpec, TireGeometry, TireScenario, derive_geometry
 
 # Minimum samples per wheel revolution for the patch to be resolvable.
 MIN_SAMPLES_PER_TURN = 20
@@ -111,10 +110,11 @@ class GroundTruth:
 
 
 def _rolling(scenario: TireScenario) -> tuple[TireGeometry, float, float]:
-    """Geometry, rolling rate in rad/s and revolution period in seconds."""
+    """Geometry, rolling rate in rad/s and revolution period in seconds; a
+    rate that underflows to 0 never completes a turn."""
     geom = derive_geometry(scenario)
     omega = scenario.vehicle_speed / geom.effective_radius
-    return geom, omega, 2.0 * math.pi / omega
+    return geom, omega, 2.0 * math.pi / omega if omega else math.inf
 
 
 def trace_rows(scenario: TireScenario, sample_rate: float, n_turns: int) -> float:
@@ -123,11 +123,15 @@ def trace_rows(scenario: TireScenario, sample_rate: float, n_turns: int) -> floa
     return float(np.rint(n_turns * _rolling(scenario)[2] * sample_rate))
 
 
+def _check_turns(n_turns: int) -> None:
+    if not (isinstance(n_turns, (int, np.integer)) and n_turns >= 1):
+        raise ScenarioError("n_turns must be a whole number of at least 1")
+
+
 def ground_truth(scenario: TireScenario, n_turns: int) -> GroundTruth:
     """Exact truth for ``n_turns`` revolutions of ``scenario``, which fixes
     every turn's values; only the turn start times differ."""
-    if not (isinstance(n_turns, (int, np.integer)) and n_turns >= 1):
-        raise ScenarioError("n_turns must be a whole number of at least 1")
+    _check_turns(n_turns)
     geom, _, period = _rolling(scenario)
     return GroundTruth(
         contact_half_angle_rad=np.full(n_turns, geom.contact_half_angle),
@@ -198,7 +202,7 @@ def simulate(
         sensor's noise or bias takes a sample beyond ``MAX_ABS_SAMPLE``.
     """
     geom, omega, period = _rolling(scenario)
-    if sensor.sample_rate < MIN_SAMPLES_PER_TURN / period:
+    if not sensor.sample_rate * period >= MIN_SAMPLES_PER_TURN:  # the period may be 0 or inf
         raise ScenarioError(
             f"sample rate {sensor.sample_rate:g} Hz gives fewer than "
             f"{MIN_SAMPLES_PER_TURN} samples per {period * 1e3:.4g} ms turn"
@@ -207,6 +211,7 @@ def simulate(
         raise ScenarioError("release window extends past the top of the wheel")
 
     fs = sensor.sample_rate
+    _check_turns(n_turns)  # before the bound, which a NaN or inf count also fails
     if not n_turns < _MAX_SAMPLES / (period * fs):  # int < float cannot overflow
         raise ScenarioError(
             f"{quote_count(n_turns)} turns at {fs:g} Hz need more samples than one array holds"

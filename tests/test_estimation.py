@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from tiresense.estimation import (
     sensitivity_sweep,
 )
 from tiresense.features import extract_features
-from tiresense.geometry import derive_geometry
+from tiresense.scenario import derive_geometry
 
 from conftest import scenario
 
@@ -128,16 +130,27 @@ def test_fits_reject_too_few_rows_and_name_their_columns(fit, columns):
         fit(np.ones((10, width + 1)))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1.01e100, 1e308])
 @pytest.mark.parametrize("fit, columns", FITS, ids=[fit.__name__ for fit, _ in FITS])
 def test_fits_refuse_non_finite_samples(fit, columns, bad, capfd):
     # lstsq would not converge on them, with a LAPACK line on stderr, or
-    # would return NaN coefficients
+    # would return NaN coefficients; from about 1e154 the design's products
+    # or the residual's squares overflow
     rows = np.random.default_rng(5).uniform(1.0, 2.0, (10, len(columns.split(", "))))
     rows[4] = bad
-    with pytest.raises(InvalidArgumentError, match="^samples must be finite$"):
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^samples must be finite and at most 1e\+100 in magnitude$"):
         fit(rows)
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("fit, columns", FITS, ids=[fit.__name__ for fit, _ in FITS])
+def test_a_fit_at_the_sample_bound_keeps_a_finite_residual(fit, columns):
+    rng = np.random.default_rng(5)
+    rows = rng.uniform(1.0, 2.0, (10, len(columns.split(", "))))
+    target = 0 if fit is fit_patch_load_model else -1
+    rows[:, target] = 1e100 * rng.uniform(0.5, 1.0, len(rows))
+    assert math.isfinite(fit(rows).fit_residual_rms)
 
 
 # ---------------------------------------------------------------------------

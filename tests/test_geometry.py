@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiresense import ScenarioError, SensorSpec, TireScenario, derive_geometry
-from tiresense.geometry import TireGeometry
+from tiresense.scenario import TireGeometry
 
 from conftest import scenario
 
@@ -98,6 +99,15 @@ def test_sensor_invariants(field, value):
     # a NaN noise level would otherwise simulate a noise-free trace
     with pytest.raises(ScenarioError):
         SensorSpec(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [7.0, 2.5, math.nan, math.inf, -1, "7"])
+def test_sensor_seed_must_be_a_non_negative_integer(seed):
+    # numpy's generator takes integer seeds only: 7.0 failed later, in simulate
+    with pytest.raises(ScenarioError, match="^seed must be a non-negative integer$"):
+        SensorSpec(seed=seed)
+    for whole in (0, np.int64(3), 2**70):
+        assert SensorSpec(seed=whole).seed == whole
 
 
 @settings(max_examples=60, deadline=None)

@@ -35,7 +35,6 @@ from tiresense.estimation import (
     fit_slip_model,
 )
 from tiresense.features import FEATURE_FIELDS, extract_features
-from tiresense.geometry import derive_geometry
 from tiresense.io import (
     MAX_TRACE_HEADER_BYTES,
     SIDECAR_SCHEMA,
@@ -52,6 +51,7 @@ from tiresense.io import (
     write_slip_model,
     write_trace,
 )
+from tiresense.scenario import derive_geometry
 from tiresense.simulate import MAX_ABS_SAMPLE, AccelTrace, ground_truth
 
 from conftest import scenario, scenario_payload, write_scenario
@@ -538,6 +538,24 @@ def test_cli_estimate_deterministic(workspace, tmp_path):
     for full in (False, True):
         for a, b in zip(outputs(f"a{full}", full), outputs(f"b{full}", full)):
             assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_cli_evaluate_reads_estimates_whatever_their_suffix(workspace, tmp_path):
+    # An estimates table is plain text under any name: a .gz suffix names
+    # no compression, and evaluate reports on it as on est.csv.
+    load_model = tmp_path / "lm.json"
+    assert cli("calibrate-load", "--traces", workspace / "calib", "--out", load_model) == 0
+    trace = tmp_path / "t.npy"
+    assert cli("simulate", "--scenario", _seeded_scenario(tmp_path, 4),
+               "--turns", 5, "--out", trace) == 0
+    reports = []
+    for name in ("est.csv", "est.csv.gz"):
+        assert cli("estimate", "--trace", trace, "--load-model", load_model,
+                   "--out", tmp_path / name) == 0
+        reports.append(tmp_path / f"{name}.report.json")
+        assert cli("evaluate", "--estimates", tmp_path / name, "--truth", tmp_path / "t.json",
+                   "--report", reports[-1]) == 0
+    assert reports[0].read_bytes() == reports[1].read_bytes()
 
 
 def test_cli_estimate_reads_no_load_or_slip_truth(workspace, tmp_path):
@@ -1040,6 +1058,12 @@ _LINE_NAMES = {
     "sidecar-n-turns-1e400": f"{os.sep}edited.csv: n_turns above 1.798e+308 does not fit ",
     "simulate-turns-1e300": f"{os.sep}scenario.json: 1e+300 turns at 10000 Hz need more ",
     "simulate-period-1e303-ms": f"{os.sep}scenario.json: sample rate 1e-305 Hz gives fewer ",
+    "simulate-rolling-rate-0":
+        f"{os.sep}scenario.json: 2 turns at 10000 Hz need more samples than one array holds",
+    "sidecar-rolling-rate-0":
+        f"{os.sep}edited.csv: 3770 rows, but the sidecar's turns take above 1.798e+308",
+    "simulate-rolling-rate-inf":
+        f"{os.sep}scenario.json: sample rate 10000 Hz gives fewer than 20 samples per 0 ms turn",
     "sidecar-pressure-1e300": f"{os.sep}edited.json: inflation_pressure must lie in (0, ",
     "truth-zero-load": f"{os.sep}truth.json: vertical_load must be positive",
     "truth-degenerate-geometry": f"{os.sep}truth.json: deflection ",
@@ -1078,6 +1102,15 @@ _LINE_NAMES = {
                      id="simulate-turns-1e300"),
         pytest.param(lambda root: _scenario_file(root, vehicle_speed=1e-300, sample_rate=1e-305),
                      id="simulate-period-1e303-ms"),
+        # the rolling rate underflows to 0, and overflows to infinity
+        pytest.param(lambda root: _scenario_file(root, unloaded_radius=3.0, vehicle_speed=5e-324),
+                     id="simulate-rolling-rate-0"),
+        pytest.param(lambda root: _estimate_scenario(root, unloaded_radius=3.0,
+                                                     vehicle_speed=5e-324),
+                     id="sidecar-rolling-rate-0"),
+        pytest.param(lambda root: _scenario_file(root, unloaded_radius=1e-10, vertical_load=1e-300,
+                                                 vehicle_speed=1e300),
+                     id="simulate-rolling-rate-inf"),
         pytest.param(_no_valid_turn, id="no-valid-turn"),
         pytest.param(_rate_mismatch, id="sample-rate-mismatch"),
         *(pytest.param(lambda root, n=name, e=edit: _edited_trace(root, n, e), id=name)

@@ -113,6 +113,8 @@ def test_n_turns_must_be_positive(default_scenario, quiet_sensor):
     pytest.param(2.5, id="2.5"),
     pytest.param(3.0, id="float-3"),
     pytest.param(np.float64(3.0), id="float64-3"),
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("inf"), id="inf"),
 ])
 def test_n_turns_must_be_a_whole_number(default_scenario, quiet_sensor, n_turns):
     # a count of turns is an integer, even where a float holds a whole number
