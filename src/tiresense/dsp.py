@@ -387,26 +387,19 @@ def _deviation_median(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Median of each row of a 2-D array, and median of ``|row - median|``.
 
     Along the sorted row the deviation falls to the median and rises after
-    it, so its ``j + 1`` smallest values fill a run of ``j + 1`` neighbours,
-    and its ``j``-th smallest value is the least, over all such runs, of the
-    larger deviation at the run's two ends, ``median - row[a]`` and
-    ``row[a + j] - median`` for the run from ``a``.  This needs no second
-    sort.  For even ``n`` the upper middle's runs are one longer; since
-    ``median - row[a]`` never rises along the row, the larger end of the run
-    from ``a`` is the larger of it and the shorter run's from ``a + 1``.
+    it, so its ``k + 1`` smallest values fill a run of ``k + 1`` neighbours,
+    and the largest of them sits at one end of that run.  The deviation of
+    order ``k`` (from 0) is thus the least, over all such runs, of the
+    larger end, read at the two middle orders with no second sort.
     """
-    rows = np.sort(rows, axis=-1)
-    n = rows.shape[-1]
+    dev = np.sort(rows, axis=-1)
+    n = dev.shape[-1]
     j = (n - 1) // 2
-    shift = n // 2 - j  # 1 for even n
-    median = 0.5 * (rows[:, j] + rows[:, j + shift])
-    lower = rows[:, : n - j] - median[:, None]
-    np.negative(lower, out=lower)  # median - row[a], bit for bit
-    ends = rows[:, j:] - median[:, None]
-    np.maximum(lower, ends, out=ends)
-    last = n - j - shift
-    longer = np.maximum(lower[:, :last], ends[:, shift:], out=lower[:, :last])
-    return median, 0.5 * (ends.min(axis=-1) + longer.min(axis=-1))
+    median = 0.5 * (dev[:, j] + dev[:, n // 2])
+    np.subtract(dev, median[:, None], out=dev)
+    np.abs(dev, out=dev)
+    lower, upper = (np.maximum(dev[:, : n - k], dev[:, k:]).min(axis=-1) for k in (j, n // 2))
+    return median, 0.5 * (lower + upper)
 
 
 def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:

@@ -120,7 +120,8 @@ def _rolling(scenario: TireScenario) -> tuple[TireGeometry, float, float]:
 def trace_rows(scenario: TireScenario, sample_rate: float, n_turns: int) -> float:
     """Samples ``simulate`` takes of ``n_turns`` turns of ``scenario`` at
     ``sample_rate``: a whole number, or inf where the period overflows."""
-    return float(np.rint(n_turns * _rolling(scenario)[2] * sample_rate))
+    # a Python int: a numpy integer would warn where the product overflows
+    return float(np.rint(int(n_turns) * _rolling(scenario)[2] * sample_rate))
 
 
 def _check_turns(n_turns: int) -> None:

@@ -1215,16 +1215,29 @@ _LINE_NAMES = {
                      id="scenario-bool-load"),
     ],
 )
-def test_cli_malformed_input_is_one_line_error(bad_inputs, make_argv, request):
+def test_cli_malformed_input_is_one_line_error(bad_inputs, capsys, make_argv, request):
+    # In process: an escaping exception or any warning fails the test.
     (bad_inputs / "out").unlink(missing_ok=True)
-    proc = run_python("-m", "tiresense", *make_argv(bad_inputs))
-    assert proc.returncode == 1, proc.stderr
+    code = cli(*make_argv(bad_inputs))
+    _assert_one_line_error(code, capsys.readouterr().err, bad_inputs, request.node.callspec.id)
+
+
+def test_cli_malformed_input_is_one_line_error_cold(bad_inputs):
+    # One case of the matrix through the interpreter's entry path.
+    (bad_inputs / "out").unlink(missing_ok=True)
+    argv = _scenario_file(bad_inputs, unloaded_radius=float("inf"))
+    proc = run_python("-m", "tiresense", *argv)
     assert "Traceback" not in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith(f"error: {bad_inputs}{os.sep}"), "names no input"
-    assert not re.search(r"\d{16}", proc.stderr), "a figure of more than 15 digits"
-    assert _LINE_NAMES.get(request.node.callspec.id, "") in proc.stderr
-    assert not (bad_inputs / "out").exists()
+    _assert_one_line_error(proc.returncode, proc.stderr, bad_inputs, "scenario-infinite-radius")
+
+
+def _assert_one_line_error(code, err, root, case):
+    assert code == 1, err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {root}{os.sep}"), "names no input"
+    assert not re.search(r"\d{16}", err), "a figure of more than 15 digits"
+    assert _LINE_NAMES.get(case, "") in err
+    assert not (root / "out").exists()
 
 
 @pytest.mark.parametrize("make_argv, option, value", [

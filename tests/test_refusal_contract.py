@@ -111,7 +111,7 @@ def test_simulate_refuses_or_returns_a_trace(radius, load, speed, rate, noise, b
         scenario = TireScenario(radius, 8.0, load, 32.0, 2.0, speed)
         sensor = SensorSpec(rate, noise, (bias, 0.0, bias), seed)
         # every other count is refused before a sample is made
-        if n_turns in (1, 2) and MAX_ROWS < trace_rows(scenario, rate, int(n_turns)) < 2**60:
+        if n_turns in (1, 2) and MAX_ROWS < trace_rows(scenario, rate, n_turns) < 2**60:
             return
         simulate(scenario, sensor, n_turns)
 

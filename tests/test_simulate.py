@@ -11,7 +11,7 @@ from tiresense import (
     ground_truth,
     simulate,
 )
-from tiresense.simulate import AccelTrace, _liner_positions, _rolling
+from tiresense.simulate import AccelTrace, _liner_positions, _rolling, trace_rows
 
 from conftest import scenario
 
@@ -120,6 +120,12 @@ def test_n_turns_must_be_a_whole_number(default_scenario, quiet_sensor, n_turns)
     # a count of turns is an integer, even where a float holds a whole number
     with pytest.raises(ScenarioError, match="^n_turns must be a whole number of at least 1$"):
         simulate(default_scenario, quiet_sensor, n_turns)
+
+
+@pytest.mark.parametrize("n_turns", [pytest.param(3, id="int"), pytest.param(np.int64(3), id="int64")])
+def test_trace_rows_overflow_to_inf(n_turns):
+    # a count whose rows overflow reads inf, whatever integer type holds it
+    assert trace_rows(scenario(unloaded_radius=1e300), 1e300, n_turns) == np.inf
 
 
 def test_trace_invariants_enforced():
