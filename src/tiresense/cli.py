@@ -165,15 +165,10 @@ def _cmd_estimate(args) -> int:
     surface = read_load_model(args.load_model)
     slip_model = read_slip_model(args.slip_model) if args.slip_model else None
 
-    result = estimate_load_stream(
-        surface, table.peak_radial_displacement, scenario.inflation_pressure
-    )
-    if slip_model is not None:
-        slips = predict_slip(
-            slip_model, table.peak_lateral_displacement, table.lateral_slope
-        )
-    else:
-        slips = np.full(len(table), np.nan)
+    result = estimate_load_stream(surface, table.peak_radial_displacement,
+                                  scenario.inflation_pressure)
+    slips = (np.full(len(table), np.nan) if slip_model is None
+             else predict_slip(slip_model, table.peak_lateral_displacement, table.lateral_slope))
     write_estimates(args.out, result.estimates_lbf, slips, result.valid)
     if args.features is not None:
         write_feature_table(args.features, table)

@@ -38,12 +38,9 @@ EDGE_SMOOTH_FRACTION = 1.0 / 100.0
 
 # Edge plausibility.  Edges closer than EDGE_MARGIN_WIDTHS edge-smoothing
 # widths to a window end, or no more than EDGE_MIN_SEPARATION_WIDTHS widths
-# apart, do not bracket a patch.  Each spike must clear EDGE_NOISE_FLOOR_SIGMAS
-# robust noise sigmas of the turn (MAD_TO_SIGMA x median absolute deviation).
+# apart, do not bracket a patch.
 EDGE_MARGIN_WIDTHS = 1
 EDGE_MIN_SEPARATION_WIDTHS = 1
-EDGE_NOISE_FLOOR_SIGMAS = 10.0
-MAD_TO_SIGMA = 1.4826
 
 # (turn length, sample rate) pairs whose integration chain displacement_weights
 # keeps: a calibration grid's speeds at one or two sample rates.
@@ -69,8 +66,13 @@ def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
     if not (-np.inf < width < np.inf and x.ndim):
         raise InvalidArgumentError(f"moving average needs a finite width and an axis, got {width}")
     width = max(1, int(width))
-    if width == 1:
-        return x
+    return _padded_average(x, width)[..., : x.shape[-1]] if width > 1 else x
+
+
+def _padded_average(x: np.ndarray, width: int) -> np.ndarray:
+    """``moving_average`` of ``x`` along its last axis, ``width`` > 1, as the
+    first n columns of C-contiguous rows of ``n + width`` samples; the last
+    ``width`` columns of each row hold no output."""
     n = x.shape[-1]
     front = width // 2 + 1
     total = np.zeros(x.shape[:-1] + (n + width,))
@@ -82,9 +84,8 @@ def moving_average(signal: np.ndarray, width: int) -> np.ndarray:
     # each input runs ahead of the output, as here, it copies nothing.
     flat = total.reshape(-1)
     np.subtract(flat[width:], flat[:-width], out=flat[:-width])
-    out = total[..., :n]
-    out /= width
-    return out
+    total[..., :n] /= width
+    return total
 
 
 def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarray:
@@ -107,8 +108,7 @@ def highpass(signal: np.ndarray, sample_rate: float, cutoff: float) -> np.ndarra
     """
     if not 0.0 < cutoff < sample_rate / 2.0:
         raise InvalidArgumentError(
-            f"cutoff {cutoff} Hz must lie inside (0, {sample_rate / 2:.0f}) Hz"
-        )
+            f"cutoff {cutoff} Hz must lie inside (0, {sample_rate / 2:.0f}) Hz")
     x = np.asarray(signal, dtype=float)
     if not (n := x.shape[-1] if x.ndim else 0):
         raise InvalidArgumentError(f"a high-pass needs samples along the last axis, got {x.shape}")
@@ -130,9 +130,7 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def estimate_period(
-    trace: AccelTrace, speed_hint: float, radius_hint: float
-) -> float:
+def estimate_period(trace: AccelTrace, speed_hint: float, radius_hint: float) -> float:
     """Coarse wheel period from the radial channel's autocorrelation.
 
     The autocorrelation covers the first ``PERIOD_PREFIX_TURNS`` hinted
@@ -268,9 +266,7 @@ def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _integrate_twice(
-    x: np.ndarray, sample_rate: float, rotation_frequency: float
-) -> np.ndarray:
+def _integrate_twice(x: np.ndarray, sample_rate: float, rotation_frequency: float) -> np.ndarray:
     """High-pass at ``CUTOFF_ROTATION_FRACTION`` of the rotation frequency,
     integrate, high-pass again and integrate again, along the last axis."""
     dt = 1.0 / sample_rate
@@ -378,28 +374,7 @@ class PatchEdges(NamedTuple):
 
     leading: np.ndarray   # sample of the positive spike
     trailing: np.ndarray  # sample of the negative spike
-    failed: np.ndarray    # 0, or the number (1-4) of the first rule failed
-    spike: np.ndarray     # height of the weaker spike beyond the median
-    floor: np.ndarray     # EDGE_NOISE_FLOOR_SIGMAS robust noise sigmas
-
-
-def _deviation_median(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Median of each row of a 2-D array, and median of ``|row - median|``.
-
-    Along the sorted row the deviation falls to the median and rises after
-    it, so its ``k + 1`` smallest values fill a run of ``k + 1`` neighbours,
-    and the largest of them sits at one end of that run.  The deviation of
-    order ``k`` (from 0) is thus the least, over all such runs, of the
-    larger end, read at the two middle orders with no second sort.
-    """
-    dev = np.sort(rows, axis=-1)
-    n = dev.shape[-1]
-    j = (n - 1) // 2
-    median = 0.5 * (dev[:, j] + dev[:, n // 2])
-    np.subtract(dev, median[:, None], out=dev)
-    np.abs(dev, out=dev)
-    lower, upper = (np.maximum(dev[:, : n - k], dev[:, k:]).min(axis=-1) for k in (j, n // 2))
-    return median, 0.5 * (lower + upper)
+    failed: np.ndarray    # 0, or the number (1-3) of the first rule failed
 
 
 def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
@@ -421,11 +396,10 @@ def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
        turn, not a spike;
     3. the edges are no more than ``EDGE_MIN_SEPARATION_WIDTHS`` smoothing
        widths apart: the smoothing cannot resolve two spikes that close,
-       so they are one feature, not a patch entry and exit;
-    4. either spike fails to clear ``EDGE_NOISE_FLOOR_SIGMAS`` robust noise
-       sigmas (``MAD_TO_SIGMA`` x the turn's median absolute deviation)
-       above or below the turn's median: the extremum is then just the
-       largest noise sample, and a channel without spikes has no patch.
+       so they are one feature, not a patch entry and exit.
+
+    Rule 4, spikes that clear the noise, needs the trace's other turns, so
+    ``features.extract_features`` applies it to the turns that pass.
 
     Raises
     ------
@@ -437,10 +411,9 @@ def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
         raise InvalidArgumentError(f"edges need a (turns, samples) array of samples, got {x.shape}")
     turns, n = x.shape
     width = int(round(n * EDGE_SMOOTH_FRACTION))
-    # first, so that the sorted rows are freed before the smoothing allocates
-    median, deviation = _deviation_median(x)
-    floor = EDGE_NOISE_FLOOR_SIGMAS * (MAD_TO_SIGMA * deviation)
-    smooth = moving_average(x, width)
+    # argmax and argmin copy rows that are not contiguous, so they search the
+    # smoothed rows whole, the columns past the outputs set out of reach
+    smooth = _padded_average(x, width) if width > 1 else x.copy()
     rows = np.arange(turns)
     offsets = np.arange(-width, width + 1)
 
@@ -453,19 +426,13 @@ def detect_patch_edges(tangential: np.ndarray) -> PatchEdges:
         best = np.argmax(sign * x[rows[:, None], columns], axis=-1)
         return columns[rows, best]
 
+    smooth[:, n:] = -np.inf
     leading = refine(np.argmax(smooth, axis=-1), 1.0)
+    smooth[:, n:] = np.inf
     trailing = refine(np.argmin(smooth, axis=-1), -1.0)
     separation = trailing - leading
     margin = EDGE_MARGIN_WIDTHS * width
-    spike = np.minimum(x[rows, leading] - median, median - x[rows, trailing])
-    failed = np.select(
-        [
-            ~((0 < separation) & (separation < n // 2)),
-            (leading < margin) | (trailing > n - 1 - margin),
-            separation <= EDGE_MIN_SEPARATION_WIDTHS * width,
-            ~(spike > floor),
-        ],
-        [1, 2, 3, 4],
-        0,
-    )
-    return PatchEdges(leading, trailing, failed, spike, floor)
+    failed = np.select([~((0 < separation) & (separation < n // 2)),
+                        (leading < margin) | (trailing > n - 1 - margin),
+                        separation <= EDGE_MIN_SEPARATION_WIDTHS * width], [1, 2, 3], 0)
+    return PatchEdges(leading, trailing, failed)

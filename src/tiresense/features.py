@@ -41,6 +41,10 @@ from .simulate import AccelTrace
 # Fraction of the patch window used for the "initial linear part" fit.
 SLOPE_FIT_FRACTION = 0.3
 
+# Edge rule 4: each spike of a turn must clear this many noise sigmas, the
+# turn's residual rms against the trace's mean turn, off the patch.
+EDGE_NOISE_FLOOR_SIGMAS = 10.0
+
 # Samples of one channel the feature pass gathers at a time: 1 MiB of
 # float64, 139 turns at 942 samples.  Turn-sized arrays then stay a fixed
 # size instead of growing with the trace.
@@ -73,6 +77,35 @@ def _mean_turn(samples: np.ndarray, at: np.ndarray, length: int) -> np.ndarray:
     for start in at[1:].tolist():
         total += samples[start : start + length]
     return total / len(at)
+
+
+def _residual_rms(channel: np.ndarray, at: np.ndarray, mean: np.ndarray, leading: np.ndarray,
+                  trailing: np.ndarray) -> tuple[float, np.ndarray]:
+    """The level of ``mean``, the mean of the N windows of ``channel`` that
+    start at ``at``, and each window's rms residual against it, both off the
+    median patch widened by half a patch plus 2 samples on each side, where
+    the spikes' sub-sample jitter swamps a residual.  The rms is scaled by
+    ``sqrt(N / (N - 1))``: a window's share of the mean would read it low.
+    It is infinite with one window, or no column off the patch."""
+    lead, trail = int(np.median(leading)), int(np.median(trailing))
+    pad = (trail - lead) // 2 + 2
+    patch = slice(max(lead - pad, 0), trail + pad + 1)
+    off = np.delete(mean, patch)
+    if len(at) < 2 or not len(off):
+        return 0.0, np.full(len(at), np.inf)
+    sums = []
+    for _, block in _turn_blocks(channel, at, len(mean)):
+        block -= mean  # the gathered block is a copy
+        block[:, patch] = 0.0
+        sums.append(np.einsum("ti,ti->t", block, block))
+    return off.mean(), np.sqrt(np.concatenate(sums) * (len(at) / ((len(at) - 1) * len(off))))
+
+
+def _clears_noise_floor(peak: np.ndarray, trough: np.ndarray, level: float,
+                        sigma: np.ndarray) -> np.ndarray:
+    """Edge rule 4: True where the weaker spike, ``peak`` above ``level`` or
+    ``trough`` below it, clears ``EDGE_NOISE_FLOOR_SIGMAS`` x ``sigma``."""
+    return np.minimum(peak - level, level - trough) > EDGE_NOISE_FLOOR_SIGMAS * sigma
 
 
 def lateral_features(
@@ -109,31 +142,37 @@ def lateral_features(
     return np.abs(np.concatenate(peak)), np.concatenate(slope) / (wheel_speed / sample_rate * 1e3)
 
 
-def extract_features(
-    trace: AccelTrace,
-    wheel_speed: float,
-    radius_hint: float,
-    include_lateral: bool = True,
-) -> tuple[np.recarray, int]:
+def extract_features(trace: AccelTrace, wheel_speed: float, radius_hint: float,
+                     include_lateral: bool = True) -> tuple[np.recarray, int]:
     """Feature table of a trace: one record per turn, fields ``FEATURE_FIELDS``.
 
-    Turns whose edge detection fails keep their record, with NaN features,
-    so record ``i`` is turn ``i`` and downstream tables stay aligned with the
-    turn count; the second return value counts them.  Without ``include_lateral``
-    both lateral features are 0 on the other turns.  ``wheel_speed`` is the
-    vehicle speed from trace metadata and ``radius_hint`` seeds the period
-    search only.  Turns are gathered in blocks of at most
-    ``FEATURE_BLOCK_SAMPLES`` samples per channel, so no per-turn temporary
-    grows with the trace; no feature depends on where a block ends.
+    Turns that fail an edge rule keep their record, with NaN features, so
+    record ``i`` is turn ``i`` and downstream tables stay aligned with the
+    turn count; the second return value counts them.  Rule 4 follows the
+    rules of ``detect_patch_edges``, once per trace: ``_clears_noise_floor``
+    against ``_residual_rms``.  Without ``include_lateral`` both lateral
+    features are 0 on the other turns.  ``wheel_speed`` is the vehicle speed
+    from trace metadata and ``radius_hint`` seeds the period search only.
+    Turns are gathered in blocks of at most ``FEATURE_BLOCK_SAMPLES`` samples
+    per channel, so no per-turn temporary grows with the trace; no feature
+    depends on where a block ends.
     """
     period = estimate_period(trace, wheel_speed, radius_hint)
     turns = segment_turns(trace, period)  # one record per turn, every window of one length
     starts, length = turns.start_index, int(turns.end_index[0] - turns.start_index[0])
 
-    fs = trace.sample_rate
+    fs, tangential = trace.sample_rate, trace.a_tangential
     edges = PatchEdges(*map(np.concatenate, zip(*(
-        detect_patch_edges(block) for _, block in _turn_blocks(trace.a_tangential, starts, length)))))
+        detect_patch_edges(block) for _, block in _turn_blocks(tangential, starts, length)))))
     ok = np.flatnonzero(edges.failed == 0)
+    if len(ok):  # rule 4 against each turn's noise
+        at, leading, trailing = starts[ok], edges.leading[ok], edges.trailing[ok]
+        mean = _mean_turn(trace.samples, at, length).T  # tangential, lateral, radial
+        spiked = _clears_noise_floor(tangential[at + leading], tangential[at + trailing],
+                                     *_residual_rms(tangential, at, mean[0], leading, trailing))
+        if spiked.any() and not spiked.all():  # the dip and lateral columns read the turns kept
+            mean = _mean_turn(trace.samples, starts[ok[spiked]], length).T
+        ok = ok[spiked]
     at, leading, trailing = starts[ok], edges.leading[ok], edges.trailing[ok]
 
     columns = np.full((4, len(starts)), np.nan)
@@ -144,7 +183,6 @@ def extract_features(
         # peak of its displacement: the dip of the outward-positive profile
         # is the centre's height over the column where the mean profile of
         # the trace's turns is lowest.
-        mean = _mean_turn(trace.samples, at, length).T  # tangential, lateral, radial
         profiles = accel_to_displacement(mean[[2, 1] if include_lateral else [2]], fs, fs / length)
         centres, group = np.unique((leading + trailing) // 2, return_inverse=True)
         weights = displacement_weights(length, fs, [*centres, np.argmin(profiles[0])])

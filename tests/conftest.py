@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from tiresense import SensorSpec, TireScenario, simulate
 from tiresense.dsp import detect_patch_edges
+from tiresense.features import _clears_noise_floor
 
 # Every run draws the same examples, so a run of the suite that passes once
 # passes again.
@@ -68,14 +69,22 @@ def noisy_trace(default_scenario, noisy_sensor):
     return simulate(default_scenario, noisy_sensor, 10)
 
 
-def edges_of(turn):
+def rule_failed(turn, sigma, level=0.0):
+    """Number of the first edge rule one turn breaks, 0 if none: rules 1-3
+    of the batched edge detector, then rule 4 against the noise ``sigma``
+    and the ``level`` given, which one turn cannot measure on its own."""
+    x = np.asarray(turn, dtype=float)
+    edges = detect_patch_edges(x[None])
+    if edges.failed[0]:
+        return int(edges.failed[0])
+    return 0 if _clears_noise_floor(x[edges.leading], x[edges.trailing], level, sigma)[0] else 4
+
+
+def edges_of(turn, sigma=0.0, level=0.0):
     """(leading, trailing) of one turn through the batched edge detector;
-    the turn must pass every edge rule."""
+    the turn must pass every edge rule, rule 4 against ``sigma`` and
+    ``level``."""
+    rule = rule_failed(turn, sigma, level)
+    assert rule == 0, f"edge rule {rule} failed"
     edges = detect_patch_edges(np.asarray(turn)[None])
-    assert edges.failed[0] == 0, f"edge rule {edges.failed[0]} failed"
     return int(edges.leading[0]), int(edges.trailing[0])
-
-
-def rule_failed(turn):
-    """Number of the first edge rule one turn breaks, 0 if none."""
-    return int(detect_patch_edges(np.asarray(turn)[None]).failed[0])

@@ -23,7 +23,6 @@ from tiresense import (
 from tiresense import dsp
 from tiresense.dsp import (
     PERIOD_PREFIX_TURNS,
-    _deviation_median,
     _fast_length,
     accel_to_displacement,
     detect_patch_edges,
@@ -718,7 +717,7 @@ def test_dead_turn_with_noisy_ends_raises():
     # left at each end by segmentation has no spikes, hence no patch
     segment = np.zeros(944)
     segment[0] = segment[-1] = 25.0
-    assert rule_failed(segment) != 0
+    assert rule_failed(segment, sigma=25.0) != 0
 
 
 @pytest.mark.parametrize(
@@ -732,18 +731,18 @@ def test_strong_spikes_that_cannot_be_a_patch_raise(entry, exit_, rule):
     segment = np.random.default_rng(4).normal(0.0, 1.0, 944)
     segment[entry] += 100.0
     segment[exit_] -= 100.0
-    assert rule_failed(segment) == rule
+    assert rule_failed(segment, sigma=1.0) == rule
 
 
 def test_reversed_sign_convention_raises(clean_trace):
     trace, truth = clean_trace
     seg = segment_turns(trace, truth.wheel_period_s[0])[0]
-    assert rule_failed(-trace.a_tangential[seg.start_index : seg.end_index]) == 1
+    assert rule_failed(-trace.a_tangential[seg.start_index : seg.end_index], sigma=0.0) == 1
 
 
 def reference_patch_edges(x, smooth_fraction=0.01):
-    """One turn's edges, the number of the first rule failed (0: none) and
-    the noise floor, written as a plain per-turn loop body."""
+    """One turn's edges and the number of the first of rules 1-3 it fails
+    (0: none), written as a plain per-turn loop body."""
     n = len(x)
     width = int(round(n * smooth_fraction))
     smooth = np.convolve(x, np.full(max(1, width), 1.0 / max(1, width)), "same")
@@ -754,25 +753,22 @@ def reference_patch_edges(x, smooth_fraction=0.01):
 
     leading = refine(int(np.argmax(smooth)), 1.0)
     trailing = refine(int(np.argmin(smooth)), -1.0)
-    median = np.median(x)
-    floor = 10.0 * 1.4826 * np.median(np.abs(x - median))
     if not 0 < trailing - leading < n // 2:
         rule = 1
     elif leading < width or trailing > n - 1 - width:
         rule = 2
     elif trailing - leading <= width:
         rule = 3
-    elif not min(x[leading] - median, median - x[trailing]) > floor:
-        rule = 4
     else:
         rule = 0
-    return leading, trailing, rule, floor
+    return leading, trailing, rule
 
 
 @pytest.mark.parametrize("length", [300, 941, 944])
 def test_edge_batch_matches_per_turn_reference(length):
     # noise with spike pairs of random height at random places: every rule
-    # fires on some rows, and continuous values leave no ties
+    # the detector applies fires on some rows, and continuous values leave
+    # no ties; rule 4 needs the trace's mean turn (test_features)
     rng = np.random.default_rng(length)
     turns = rng.normal(0.0, 1.0, (400, length)) * rng.choice([0.3, 1.0, 3.0], (400, 1))
     rows = np.arange(400)
@@ -781,12 +777,11 @@ def test_edge_batch_matches_per_turn_reference(length):
         turns[rows, rng.integers(0, length, 400)] += height
         turns[rows, rng.integers(0, length, 400)] -= height
     edges = detect_patch_edges(turns)
-    leading, trailing, rule, floor = zip(*(reference_patch_edges(turn) for turn in turns))
+    leading, trailing, rule = zip(*(reference_patch_edges(turn) for turn in turns))
     assert edges.leading.tolist() == list(leading)
     assert edges.trailing.tolist() == list(trailing)
     assert edges.failed.tolist() == list(rule)
-    assert set(rule) == {0, 1, 2, 3, 4}
-    assert np.allclose(edges.floor, floor, rtol=1e-12, atol=0.0)
+    assert set(rule) == {0, 1, 2, 3}
 
 
 @pytest.mark.parametrize("width", [1, 2, 9, 10, 19])
@@ -846,17 +841,3 @@ def test_fast_length_is_the_smallest_5_smooth_length():
     n = np.arange(1, 20_001)
     expected = smooth[np.searchsorted(smooth, n)]
     assert [_fast_length(int(k)) for k in n] == expected.tolist()
-
-
-@pytest.mark.parametrize("length", [1, 2, 7, 8, 942, 943, 944])
-def test_deviation_median_matches_numpy(length):
-    # Small integers: many ties, and every median and deviation is exact.
-    # Then the same rows plus gaussian noise, and constant rows.  The feature
-    # pass sends blocks of 1 to 139 turns.
-    rng = np.random.default_rng(length)
-    for turns in (1, 40, 139, 300):
-        ties = rng.integers(-4, 5, (turns, length)).astype(float)
-        for rows in (ties, ties + rng.normal(size=ties.shape), np.repeat(ties[:, :1], length, axis=1)):
-            median = np.median(rows, axis=1)
-            deviation = np.median(np.abs(rows - median[:, None]), axis=1)
-            assert np.array_equal(np.array(_deviation_median(rows)), [median, deviation])

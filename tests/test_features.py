@@ -12,11 +12,12 @@ from tiresense.dsp import (
     segment_turns,
 )
 from tiresense.features import FEATURE_FIELDS, extract_features, lateral_features
-from tiresense.simulate import AccelTrace
+from tiresense.simulate import AccelTrace, trace_rows
 
-from conftest import edges_of, scenario
+from conftest import edges_of, rule_failed, scenario
 
 QUIET = SensorSpec(noise_std=0.0, dc_bias=(5.0, 5.0, 5.0), seed=1)
+NOISY = SensorSpec(noise_std=25.0, dc_bias=(5.0, 5.0, 5.0), seed=1)
 
 
 def features_of(scen, sensor=QUIET, turns=6, lateral=False):
@@ -192,7 +193,7 @@ def test_failed_turn_keeps_row_with_nan_features():
     samples = trace.samples.copy()
     period = round(truth.wheel_period_s[0] * trace.sample_rate)
     samples[2 * period : 3 * period, 0] = 0.0
-    from tiresense.simulate import AccelTrace
+    from tiresense.simulate import AccelTrace, trace_rows
 
     broken = AccelTrace(sample_rate=trace.sample_rate, samples=samples)
     rows, skipped = extract_features(broken, 20.0, 0.3, include_lateral=False)
@@ -222,29 +223,36 @@ def test_noise_only_turn_is_skipped():
         assert all(np.isfinite(r.patch_length) for i, r in enumerate(rows) if i != 1)
 
 
+def spikes(base, entry, exit_, height, width=1):
+    """``base`` with ``width`` samples raised by ``height`` from ``entry`` and
+    lowered by it from ``exit_``."""
+    turn = base.copy()
+    turn[entry : entry + width] += height
+    turn[exit_ : exit_ + width] -= height
+    return turn
+
+
 def broken_turn_trace(slip_angle=0.0):
-    """A 10-turn trace with one turn broken per edge rule: healthy turns
-    mixed with turns whose tangential channel is written over (the radial
-    channel, which segment_turns reads, is untouched).  Returns the trace,
-    its segments and {turn: (rule, make)}."""
-    trace, _ = simulate(scenario(slip_angle=slip_angle), QUIET, 10)
+    """A 10-turn trace, noise 25 and bias 5, with one turn broken per edge
+    rule: healthy turns mixed with turns whose tangential channel is written
+    over (the radial channel, which segment_turns reads, is untouched).
+    Returns the trace, its segments and {turn: (rule, make)}."""
+    trace, _ = simulate(scenario(slip_angle=slip_angle), NOISY, 10)
     segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
     # 942: 9-sample smoothing, 471 = half a turn
     length = segments[0].end_index - segments[0].start_index
-    wiggle = np.where(np.arange(length) % 2, 1.0, -1.0)  # MAD 1: floor 14.8
-
-    def spikes(entry, exit_, height):
-        turn = wiggle.copy()
-        turn[entry] += height
-        turn[exit_] -= height
-        return turn
+    wiggle = np.where(np.arange(length) % 2, 1.0, -1.0)
+    # Rule 4's turn: the sensor's noise and bias, with 9-sample bumps of 4
+    # sigmas, which stand out of the smoothed noise but not 10 sigmas out of
+    # the raw noise.
+    noise = np.random.default_rng(7).normal(5.0, 25.0, length)
 
     samples = trace.samples.copy()
     broken = {
         1: (1, lambda turn: -turn),
-        3: (2, lambda turn: spikes(3, 300, 100.0)),
-        5: (3, lambda turn: spikes(400, 405, 100.0)),
-        7: (4, lambda turn: spikes(300, 500, 5.0)),
+        3: (2, lambda turn: spikes(wiggle, 3, 300, 100.0)),
+        5: (3, lambda turn: spikes(wiggle, 400, 405, 100.0)),
+        7: (4, lambda turn: spikes(noise, 296, 496, 100.0, width=9)),
     }
     for index, (_, make) in broken.items():
         start = segments[index].start_index
@@ -257,12 +265,15 @@ def test_edge_batch_matches_each_turn_and_extract_features_skips_the_rest():
     mixed, segments, broken = broken_turn_trace()
     batch = np.stack([mixed.a_tangential[s.start_index : s.end_index] for s in segments])
     edges = detect_patch_edges(batch)
-    expected = [broken[i][0] if i in broken else 0 for i in range(len(segments))]
-    assert edges.failed.tolist() == expected
-    # each row on its own gives the same edges, rule and spike heights
+    rules = [broken[i][0] if i in broken else 0 for i in range(len(segments))]
+    # the detector applies rules 1-3; rule 4 needs the trace's mean turn
+    assert edges.failed.tolist() == [rule if rule < 4 else 0 for rule in rules]
     for index, turn in enumerate(batch):
+        # each row on its own gives the same edges and rule
         single = detect_patch_edges(turn[None])
         assert [field[0] for field in single] == [field[index] for field in edges]
+        # and rule 4 against the sensor's noise and bias fails the bumps only
+        assert rule_failed(turn, sigma=25.0, level=5.0) == rules[index]
 
     rows, skipped = extract_features(mixed, 20.0, 0.3)
     assert skipped == len(broken)
@@ -271,6 +282,47 @@ def test_edge_batch_matches_each_turn_and_extract_features_skips_the_rest():
     for i in broken:
         assert np.isnan(rows[i].peak_radial_displacement)
         assert np.isnan(rows[i].lateral_slope)
+
+
+def reference_rule_4(turns, leading, trailing):
+    """Rule 4 for the tangential turns (rows) that pass rules 1-3, written
+    with plain numpy: each turn's weaker spike over the mean turn's level
+    off the median patch, against 10 times the turn's residual rms there,
+    scaled by sqrt(N / (N - 1))."""
+    count, n = turns.shape
+    mean = turns.mean(axis=0)
+    lead, trail = int(np.median(leading)), int(np.median(trailing))
+    pad = (trail - lead) // 2 + 2
+    off = np.ones(n, dtype=bool)
+    off[max(lead - pad, 0) : trail + pad + 1] = False
+    level = mean[off].mean()
+    sigma = np.sqrt(((turns - mean)[:, off] ** 2).mean(axis=1) * count / (count - 1))
+    rows = np.arange(count)
+    return np.minimum(turns[rows, leading] - level, level - turns[rows, trailing]) > 10.0 * sigma
+
+
+def test_rule_4_matches_per_turn_residual_reference():
+    # 40 turns at noise 25, 13 of them with more tangential noise, from 400
+    # to 4000: around 2000 the noise floor meets the spikes, so rule 4 keeps
+    # some of those turns and fails others, and some break rules 1-3
+    trace, _ = simulate(scenario(), NOISY, 40)
+    segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
+    starts, length = segments.start_index, segments[0].end_index - segments[0].start_index
+    rng = np.random.default_rng(11)
+    samples = trace.samples.copy()
+    louder = range(1, len(segments), 3)
+    for index, sigma in zip(louder, np.linspace(400.0, 4000.0, len(louder))):
+        samples[starts[index] : starts[index] + length, 0] += rng.normal(0.0, sigma, length)
+    turns = samples[starts[:, None] + np.arange(length), 0]
+    edges = detect_patch_edges(turns)
+    ok = np.flatnonzero(edges.failed == 0)
+    kept = ok[reference_rule_4(turns[ok], edges.leading[ok], edges.trailing[ok])]
+    rows, skipped = extract_features(AccelTrace(trace.sample_rate, samples), 20.0, 0.3,
+                                     include_lateral=False)
+    assert np.flatnonzero(np.isfinite(rows.patch_length)).tolist() == kept.tolist()
+    assert skipped == len(segments) - len(kept)
+    # every outcome occurs: rules 1-3 fail, rule 4 fails, and louder turns pass
+    assert len(segments) > len(ok) > len(kept) > len(segments) - len(louder)
 
 
 def test_extract_features_matches_per_turn_reference():
@@ -313,17 +365,23 @@ def test_extract_features_matches_per_turn_reference():
 
 
 def test_one_ok_turn_dips_at_its_own_maximum():
-    # With one turn left, the mean profile is that turn's own, so the column
-    # dip is the turn's centre measured from its profile's outward maximum,
-    # and the lateral peak is the largest magnitude of its peak window.
+    # The other turns pass rules 1-3 on bumps of 4 noise sigmas and fail
+    # rule 4, so the mean is formed again over the one turn left.  The mean
+    # profile is then that turn's own: the column dip is the turn's centre
+    # measured from its profile's outward maximum, and the lateral peak is
+    # the largest magnitude of its peak window.
     trace, _ = simulate(scenario(), SensorSpec(seed=5), 6)
     segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
     keep = 3
+    fs, length = trace.sample_rate, segments[0].end_index - segments[0].start_index
+    rng = np.random.default_rng(5)
     samples = trace.samples.copy()
     for i, seg in enumerate(segments):
         if i != keep:
-            samples[seg.start_index : seg.end_index, 0] = 0.0
-    fs, length = trace.sample_rate, segments[0].end_index - segments[0].start_index
+            noise = rng.normal(5.0, 25.0, length)
+            samples[seg.start_index : seg.end_index, 0] = spikes(noise, 296, 496, 100.0, width=9)
+    edges = detect_patch_edges(samples[segments.start_index[:, None] + np.arange(length), 0])
+    assert (edges.failed == 0).all()
     rows, skipped = extract_features(AccelTrace(fs, samples), 20.0, 0.3)
     assert skipped == len(segments) - 1
     turn = samples[segments[keep].start_index : segments[keep].end_index]
@@ -334,6 +392,90 @@ def test_one_ok_turn_dips_at_its_own_maximum():
     lateral = accel_to_displacement(turn[:, 1], fs, fs / length)
     expected = np.abs(lateral[leading : 2 * trailing - leading]).max()
     assert rows[keep].peak_lateral_displacement == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kept", [[3], [2, 3]])
+def test_rule_4_fails_a_turn_without_a_second(kept):
+    # With one turn through rules 1-3 the mean turn is that turn, and no
+    # residual is left to measure its noise by, so rule 4 fails it; a second
+    # turn gives both a residual.  The other turns fail rule 1.
+    trace, _ = simulate(scenario(), SensorSpec(seed=5), 6)
+    segments = segment_turns(trace, estimate_period(trace, 20.0, 0.3))
+    samples = trace.samples.copy()
+    for i, seg in enumerate(segments):
+        if i not in kept:
+            samples[seg.start_index : seg.end_index, 0] = 0.0
+    rows, skipped = extract_features(AccelTrace(trace.sample_rate, samples), 20.0, 0.3)
+    passed = kept if len(kept) > 1 else []
+    assert skipped == len(segments) - len(passed)
+    assert np.flatnonzero(np.isfinite(rows.patch_length)).tolist() == passed
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_rule_4_follows_noise_that_changes_mid_trace(seed):
+    # 100 turns at 5 m/s, noise 25 and then 1000 from the middle sample on:
+    # each turn's own floor skips every turn of the loud half and none of
+    # the quiet one.  One floor for the trace would keep some loud turns.
+    scen = scenario(vehicle_speed=5.0)
+    quiet, _ = simulate(scen, SensorSpec(seed=seed), 100)
+    loud, _ = simulate(scen, SensorSpec(noise_std=1000.0, seed=seed), 100)
+    middle = len(quiet) // 2
+    samples = np.concatenate([quiet.samples[:middle], loud.samples[middle:]])
+    trace = AccelTrace(quiet.sample_rate, samples)
+    rows, skipped = extract_features(trace, 5.0, 0.3, include_lateral=False)
+    segments = segment_turns(trace, estimate_period(trace, 5.0, 0.3))
+    skip = np.isnan(rows.patch_length)
+    assert not skip[segments.end_index <= middle].any()
+    assert skip[segments.start_index >= middle].all()
+    assert skipped >= 50
+
+
+def sigma_hat(trace, speed):
+    """The trace's tangential noise as rule 4 reads it: the median of the
+    residual rms of the turns that pass rules 1-3, NaN with fewer than two."""
+    segments = segment_turns(trace, estimate_period(trace, speed, 0.3))
+    at, length = segments.start_index, segments[0].end_index - segments[0].start_index
+    edges = detect_patch_edges(trace.a_tangential[at[:, None] + np.arange(length)])
+    ok = edges.failed == 0
+    if ok.sum() < 2:
+        return np.nan
+    mean = features._mean_turn(trace.samples, at[ok], length)[:, 0]
+    _, rms = features._residual_rms(trace.a_tangential, at[ok], mean, edges.leading[ok],
+                                    edges.trailing[ok])
+    rms.sort()
+    return 0.5 * (rms[(len(rms) - 1) // 2] + rms[len(rms) // 2])
+
+
+def test_noise_floor_reads_the_sensor_noise():
+    # Noise added to noise-free traces (bias 5).  200-turn traces read the
+    # noise within 3%.  A turn's share of a mean over 3 or 5 turns would
+    # read it sqrt(2/3) or sqrt(4/5) low, so short traces check the scaling:
+    # 60 of them read the noise within 3% on average, over those where two
+    # turns pass rules 1-3.  At 5 m/s and 500 Hz the spikes of noise 400 do
+    # not pass them.
+    readings, short_readings, clean_worst = [], [], 0.0
+    for speed, rate, noises in [(5.0, 500.0, (25.0,)), (33.0, 1000.0, (25.0, 400.0)),
+                                (5.0, 10_000.0, (25.0, 400.0)), (20.0, 10_000.0, (25.0, 400.0)),
+                                (33.0, 10_000.0, (25.0, 400.0))]:
+        scen = scenario(vehicle_speed=speed)
+        clean, _ = simulate(scen, SensorSpec(sample_rate=rate, noise_std=0.0, seed=5), 200)
+        clean_worst = max(clean_worst, sigma_hat(clean, speed))
+        rng = np.random.default_rng(int(speed * rate))
+        for noise in noises:
+            noisy = clean.samples + rng.normal(0.0, noise, clean.samples.shape)
+            readings.append(sigma_hat(AccelTrace(rate, noisy), speed) / noise)
+            for turns in (3, 5):
+                rows = int(trace_rows(scen, rate, turns))
+                short = np.array([sigma_hat(AccelTrace(rate, clean.samples[:rows] + rng.normal(
+                    0.0, noise, (rows, 3))), speed) for _ in range(60)])
+                assert np.isfinite(short).sum() >= 40  # two turns pass rules 1-3
+                short_readings.append(np.nanmean(short) / noise)
+    assert clean_worst < 1e-4  # m/s^2; the turns differ only by sub-sample phase
+    assert (np.abs(np.array(readings + short_readings) - 1.0) < 0.03).all()  # NaN fails too
+    print(f"\nPASS noise floor: median residual rms / noise {min(readings):.4f}-"
+          f"{max(readings):.4f} on 200-turn traces, mean of 60 3- and 5-turn traces "
+          f"{min(short_readings):.4f}-{max(short_readings):.4f} (limit 3%), noise-free "
+          f"{clean_worst:.1e} m/s^2, 5-33 m/s, 500 Hz-10 kHz, noise 25-400")
 
 
 def test_lateral_features_batch_matches_reference():

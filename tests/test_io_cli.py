@@ -511,6 +511,30 @@ def test_cli_full_workflow(workspace, tmp_path):
     assert len(report["inputs"]["estimates_sha256"]) == 64
 
 
+def test_cli_session_leaves_numpy_ma_unimported(workspace, tmp_path):
+    # np.median and np.percentile of a float array import numpy.ma, about
+    # 15 ms of a cold command; one fresh interpreter runs both calibrations,
+    # an estimate with a slip model and an evaluation through cli.main
+    trace = tmp_path / "run.npy"
+    assert cli("simulate", "--scenario", _seeded_scenario(tmp_path, 21),
+               "--turns", 8, "--out", trace) == 0
+    lm, sm, est = tmp_path / "lm.json", tmp_path / "sm.json", tmp_path / "est.csv"
+    commands = [
+        ["calibrate-load", "--traces", workspace / "calib", "--out", lm],
+        ["calibrate-slip", "--traces", workspace / "slip", "--out", sm],
+        ["estimate", "--trace", trace, "--load-model", lm, "--slip-model", sm, "--out", est],
+        ["evaluate", "--estimates", est, "--truth", tmp_path / "run.json",
+         "--report", tmp_path / "report.json"],
+    ]
+    code = ("import sys\nfrom tiresense.cli import main\n"
+            f"codes = [main(argv) for argv in {[list(map(str, c)) for c in commands]!r}]\n"
+            "print(codes, 'numpy.ma' in sys.modules)")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[0, 0, 0, 0] False"
+    assert json.loads((tmp_path / "report.json").read_text())["skipped_turns"] == 0
+
+
 def test_cli_estimate_deterministic(workspace, tmp_path):
     # Each input twice, into new files: the load model alone, then every
     # output estimate writes and evaluate's report.
